@@ -13,11 +13,9 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments.harness import (
-    EXP_NODE_PARAMS,
-    FigureResult,
-    run_scale_out_scenario,
-)
+from repro.experiments.harness import EXP_NODE_PARAMS, FigureResult
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import scale_out_spec
 from dataclasses import replace
 
 
@@ -26,7 +24,7 @@ def test_ablation_cache_warmup(benchmark):
         out = {}
         for warmup in (True, False):
             params = replace(EXP_NODE_PARAMS, warmup_enabled=warmup)
-            out[warmup] = run_scale_out_scenario(
+            out[warmup] = run_spec(scale_out_spec(
                 "marlin",
                 initial_nodes=4,
                 added_nodes=4,
@@ -36,7 +34,7 @@ def test_ablation_cache_warmup(benchmark):
                 tail=6.0,
                 node_params=params,
                 seed=3,
-            )
+            ))
         return out
 
     results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
@@ -69,7 +67,7 @@ def test_ablation_group_commit(benchmark):
         out = {}
         for batch in (1, 64):
             params = replace(EXP_NODE_PARAMS, group_commit_batch=batch)
-            out[batch] = run_scale_out_scenario(
+            out[batch] = run_spec(scale_out_spec(
                 "marlin",
                 initial_nodes=4,
                 added_nodes=0,
@@ -79,7 +77,7 @@ def test_ablation_group_commit(benchmark):
                 tail=8.0,
                 node_params=params,
                 seed=3,
-            )
+            ))
         return out
 
     results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
@@ -110,7 +108,7 @@ def test_ablation_migration_workers(benchmark):
         out = {}
         for workers in (1, 2, 4, 8):
             params = replace(EXP_NODE_PARAMS, migration_workers=workers)
-            out[workers] = run_scale_out_scenario(
+            out[workers] = run_spec(scale_out_spec(
                 "marlin",
                 initial_nodes=4,
                 added_nodes=4,
@@ -120,7 +118,7 @@ def test_ablation_migration_workers(benchmark):
                 tail=2.0,
                 node_params=params,
                 seed=3,
-            )
+            ))
         return out
 
     results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)

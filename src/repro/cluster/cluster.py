@@ -15,12 +15,6 @@ from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostModel
 from repro.cluster.metrics import MetricsCollector
-from repro.coord.external import ExternalRuntime, FdbClient, ZkClient
-from repro.coord.fdb import FdbService
-from repro.coord.lease import LeaseClient, LeaseService, lease_path
-from repro.coord.zookeeper import ZooKeeperService
-from repro.core.failure import LeaseFailureDetector, RingFailureDetector
-from repro.core.runtime import MarlinRuntime
 from repro.engine.granule import GranuleMap, contiguous_assignment, rebalance_plan
 from repro.engine.node import (
     GTABLE,
@@ -33,7 +27,7 @@ from repro.engine.node import (
 from repro.sim.core import Simulator, Timeout, all_of
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rpc import RpcEndpoint
-from repro.storage.log import Put, RecordKind
+from repro.storage.log import Delete, Put, RecordKind
 from repro.storage.service import StorageService
 
 __all__ = ["Cluster"]
@@ -73,22 +67,8 @@ class Cluster:
             SYSLOG: storage_address(config.home_region)
         }
 
-        self.service = None
-        if config.coordination in ("zk-small", "zk-large"):
-            self.service = ZooKeeperService(
-                self.sim, self.network, config.zk_config,
-                address="zk", region=config.home_region,
-            )
-        elif config.coordination == "fdb":
-            self.service = FdbService(
-                self.sim, self.network, config.fdb_config,
-                address="fdb", region=config.home_region,
-            )
-        elif config.coordination == "lease":
-            self.service = LeaseService(
-                self.sim, self.network, config.lease_config,
-                address="lease", region=config.home_region,
-            )
+        #: The external coordination service actor, or None (marlin).
+        self.service = config.backend.make_service(self.sim, self.network, config)
 
         self.admin = RpcEndpoint(self.sim, self.network, "admin", config.home_region)
         self.nodes: Dict[int, ComputeNode] = {}
@@ -120,23 +100,6 @@ class Cluster:
     def node_region(self, node_id: int) -> str:
         return self.config.regions[node_id % len(self.config.regions)]
 
-    def _make_runtime(self):
-        kind = self.config.coordination
-        if kind == "marlin":
-            return MarlinRuntime()
-        if kind == "fdb":
-            fdb = self.config.fdb_config
-            return ExternalRuntime(
-                FdbClient("fdb", fdb.client_overhead, fdb.session_pool)
-            )
-        if kind == "lease":
-            lease = self.config.lease_config
-            return ExternalRuntime(
-                LeaseClient("lease", lease.client_overhead, lease.session_pool)
-            )
-        zk = self.config.zk_config
-        return ExternalRuntime(ZkClient("zk", zk.client_overhead, zk.session_pool))
-
     def _make_node(self, node_id: int) -> ComputeNode:
         region = self.node_region(node_id)
         node = ComputeNode(
@@ -153,7 +116,7 @@ class Cluster:
         self.storages[region].create_log(node.glog)
         node.lsn_tracker[node.glog] = 0
         node.view_cursor[node.glog] = 0
-        runtime = self._make_runtime()
+        runtime = self.config.backend.make_runtime(self.config)
         runtime.attach(node)
         node.runtime = runtime
         node.metrics = self.metrics
@@ -214,17 +177,9 @@ class Cluster:
                 self.replicas.attach(self.nodes[nid])
 
         if self.service is not None:
-            for nid in node_ids:
-                self.service.data[f"/members/{nid}"] = node_address(nid)
-            for granule, owner in assignment.items():
-                self.service.data[f"/granules/{granule}"] = owner
-        if config.coordination == "lease":
-            # Seed every node's granule-group lease as held at t=0 (one TTL
-            # of grace before the renew loops take over).
-            for nid in node_ids:
-                self.service.table.leases[lease_path(nid)] = (
-                    nid, config.lease_config.ttl
-                )
+            self.service.seed(
+                {nid: node_address(nid) for nid in node_ids}, assignment
+            )
 
         if config.failure_detection:
             for nid in node_ids:
@@ -234,36 +189,11 @@ class Cluster:
         self.metrics.record_node_count(0.0, len(node_ids))
 
     def _start_detector(self, node_id: int) -> None:
-        """Per-mode failure detection: Marlin's vote-gated ring; zk/fdb the
-        same ring confirmed against the service session; lease mode TTL
-        expiry + CAS self-promotion (no peer probes at all)."""
-        config = self.config
-        runtime = self.nodes[node_id].runtime
-        if config.coordination == "marlin":
-            detector = RingFailureDetector(
-                runtime,
-                interval=config.detector_interval,
-                timeout=config.detector_timeout,
-                miss_threshold=config.detector_misses,
-                vote_gate=config.detector_vote_gate,
-            )
-        elif config.coordination == "lease":
-            detector = LeaseFailureDetector(
-                runtime,
-                ttl=config.lease_config.ttl,
-                renew_interval=config.lease_config.renew_interval,
-                check_interval=config.detector_interval,
-            )
-        else:
-            detector = RingFailureDetector(
-                runtime,
-                interval=config.detector_interval,
-                timeout=config.detector_timeout,
-                miss_threshold=config.detector_misses,
-                vote_gate=False,
-                session_gate=self.service.address,
-                session_timeout=config.detector_misses * config.detector_interval,
-            )
+        """Start the coordination kind's failure detector on ``node_id``
+        (which flavor each kind runs is a column of ``config.BACKENDS``)."""
+        detector = self.config.backend.detector(
+            self.nodes[node_id].runtime, self.config
+        )
         detector.start()
         self.detectors[node_id] = detector
         self._all_detectors.append(detector)
@@ -380,10 +310,7 @@ class Cluster:
             ok = yield from node.runtime.add_node()
             if not ok:
                 raise RuntimeError(f"AddNodeTxn failed for node {node_id}")
-            if hasattr(node.runtime, "broadcast_sys_update"):
-                node.runtime.broadcast_sys_update(
-                    [Put(MTABLE, node_id, node.address)]
-                )
+            node.runtime.broadcast_sys_update([Put(MTABLE, node_id, node.address)])
             if self.config.failure_detection:
                 self._start_detector(node_id)
         self.metrics.record_node_count(self.sim.now, len(self.live_node_ids()))
@@ -415,11 +342,8 @@ class Cluster:
         for victim in victims:
             node = self.nodes[victim]
             yield from node.runtime.remove_node(victim)
-            if hasattr(node.runtime, "broadcast_sys_update"):
-                from repro.storage.log import Delete
-
-                node.runtime.broadcast_sys_update([Delete(MTABLE, victim)])
-            detector = self.detectors.pop(victim, None)
+            node.runtime.broadcast_sys_update([Delete(MTABLE, victim)])
+            self.detectors.pop(victim, None)
             node.stop()
         self.metrics.record_node_count(self.sim.now, len(self.live_node_ids()))
         summary = {
@@ -486,7 +410,7 @@ class Cluster:
         """Freeze a node (the paper's unhealthy-node state, Figure 7)."""
         node = self.nodes[node_id]
         node.freeze()
-        detector = self.detectors.pop(node_id, None)
+        self.detectors.pop(node_id, None)
         # Readers blocked on GetPage@LSN for appends this writer will now
         # never make must fail rather than wait forever (the appends that
         # did land keep replaying normally).
@@ -533,7 +457,7 @@ class Cluster:
             ok = True  # still a member: nobody fenced us while we were down
         else:
             ok = yield from node.runtime.add_node()
-            if ok and hasattr(node.runtime, "broadcast_sys_update"):
+            if ok:
                 node.runtime.broadcast_sys_update(
                     [Put(MTABLE, node_id, node.address)]
                 )

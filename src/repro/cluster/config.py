@@ -1,4 +1,5 @@
-"""Deployment configuration: VM rate card, coordination kinds, presets.
+"""Deployment configuration: VM rate card, the coordination-backend table,
+presets.
 
 Matches §6.1.1: compute nodes are Standard D4s v3 ($0.192/hour) in US West;
 the ZooKeeper baselines run 3x D4s v3 (S-ZK, $0.597/hour for the cluster) or
@@ -8,15 +9,21 @@ the ZooKeeper baselines run 3x D4s v3 (S-ZK, $0.597/hour for the cluster) or
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.coord.fdb import FDB_DEFAULT, FdbConfig
-from repro.coord.lease import LEASE_DEFAULT, LeaseConfig
-from repro.coord.zookeeper import ZK_LARGE, ZK_SMALL, ZkConfig
+from repro.coord.base import CoordinationRuntime
+from repro.coord.external import ExternalRuntime, FdbClient, ZkClient
+from repro.coord.fdb import FDB_DEFAULT, FdbService
+from repro.coord.lease import LEASE_DEFAULT, LeaseClient, LeaseService
+from repro.coord.zookeeper import ZK_LARGE, ZK_SMALL, ZooKeeperService
+from repro.core.failure import LeaseFailureDetector, RingFailureDetector
+from repro.core.runtime import MarlinRuntime
 from repro.engine.node import NodeParams
 from repro.engine.replication import ReplicationSpec
 
 __all__ = [
+    "BACKENDS",
+    "Backend",
     "COORDINATION_KINDS",
     "ClusterConfig",
     "D4S_V3",
@@ -39,9 +46,82 @@ class VmSpec:
 D4S_V3 = VmSpec("Standard_D4s_v3", 4, 16, 2, 0.192)
 D8S_V3 = VmSpec("Standard_D8s_v3", 8, 32, 4, 0.384)
 
+def _ring(runtime, config: "ClusterConfig", **gate) -> RingFailureDetector:
+    return RingFailureDetector(
+        runtime,
+        interval=config.detector_interval,
+        timeout=config.detector_timeout,
+        miss_threshold=config.detector_misses,
+        **gate,
+    )
+
+
+def _vote_gated_ring(runtime, config: "ClusterConfig"):
+    """Marlin (§4.4.2): ring probes confirmed by a SysLog suspicion vote."""
+    return _ring(runtime, config, vote_gate=config.detector_vote_gate)
+
+
+def _session_gated_ring(runtime, config: "ClusterConfig"):
+    """The same ring, confirmed against the target's service-session age."""
+    return _ring(runtime, config, session_gate=runtime.client.address)
+
+
+def _lease_expiry(runtime, config: "ClusterConfig"):
+    """No peer probes at all: TTL expiry + CAS self-promotion."""
+    lease = config.service_config
+    return LeaseFailureDetector(
+        runtime,
+        ttl=lease.ttl,
+        renew_interval=lease.renew_interval,
+        check_interval=config.detector_interval,
+    )
+
+
+@dataclass(frozen=True)
+class Backend:
+    """What one coordination kind consists of — a row of :data:`BACKENDS`."""
+
+    #: Preset config of the external service (costs, client overhead, ...);
+    #: None when coordination state lives in the database itself.
+    preset: Optional[object]
+    #: ``(sim, network, service_config, region=...)`` -> the service actor.
+    service: Optional[Callable]
+    #: ``(client_overhead=..., session_pool=...)`` -> the node-side client.
+    client: Optional[Callable]
+    #: ``(runtime, cluster_config)`` -> the per-node failure detector.
+    detector: Callable
+
+    def make_service(self, sim, network, config: "ClusterConfig"):
+        if self.service is None:
+            return None
+        return self.service(
+            sim, network, config.service_config, region=config.home_region
+        )
+
+    def make_runtime(self, config: "ClusterConfig") -> CoordinationRuntime:
+        if self.client is None:
+            return MarlinRuntime()
+        service = config.service_config
+        return ExternalRuntime(
+            self.client(
+                client_overhead=service.client_overhead,
+                session_pool=service.session_pool,
+            )
+        )
+
+
 #: The coordination mechanisms: the paper's §6 comparison (marlin, the two
 #: ZooKeeper flavors, FDB) plus the lease/TTL backend (K8s Lease API style).
-COORDINATION_KINDS = ("marlin", "zk-small", "zk-large", "fdb", "lease")
+#: This table is the one place that knows what a kind is made of; adding a
+#: backend is one row here plus its service/client class.
+BACKENDS: Dict[str, Backend] = {
+    "marlin": Backend(None, None, None, _vote_gated_ring),
+    "zk-small": Backend(ZK_SMALL, ZooKeeperService, ZkClient, _session_gated_ring),
+    "zk-large": Backend(ZK_LARGE, ZooKeeperService, ZkClient, _session_gated_ring),
+    "fdb": Backend(FDB_DEFAULT, FdbService, FdbClient, _session_gated_ring),
+    "lease": Backend(LEASE_DEFAULT, LeaseService, LeaseClient, _lease_expiry),
+}
+COORDINATION_KINDS = tuple(BACKENDS)
 
 
 @dataclass
@@ -58,9 +138,9 @@ class ClusterConfig:
     keys_per_granule: int = 64
     node_vm: VmSpec = D4S_V3
     node_params: NodeParams = field(default_factory=NodeParams)
-    zk_config: Optional[ZkConfig] = None
-    fdb_config: FdbConfig = FDB_DEFAULT
-    lease_config: LeaseConfig = LEASE_DEFAULT
+    #: Config of the external coordination service; defaults to the kind's
+    #: preset in :data:`BACKENDS` (None for marlin, which has no service).
+    service_config: Optional[object] = None
     #: Failure detection, in every coordination mode: Marlin's ring detector
     #: with the SysLog vote gate (§4.4.2); zk/fdb the same ring detector
     #: confirmed against the service session; lease mode TTL expiry +
@@ -93,13 +173,13 @@ class ClusterConfig:
                 f"unknown coordination {self.coordination!r}; "
                 f"expected one of {COORDINATION_KINDS}"
             )
-        if self.zk_config is None:
-            self.zk_config = ZK_LARGE if self.coordination == "zk-large" else ZK_SMALL
+        if self.service_config is None:
+            self.service_config = self.backend.preset
         if self.home_region not in self.regions:
             raise ValueError(
                 f"home region {self.home_region!r} not in regions {self.regions}"
             )
-        if self.replication is not None and self.coordination != "marlin":
+        if self.replication is not None and self.backend.service is not None:
             raise ValueError(
                 "replication requires the marlin coordination mode "
                 f"(got {self.coordination!r})"
@@ -110,14 +190,13 @@ class ClusterConfig:
         return (self.num_keys + self.keys_per_granule - 1) // self.keys_per_granule
 
     @property
+    def backend(self) -> Backend:
+        return BACKENDS[self.coordination]
+
+    @property
     def coordination_hourly(self) -> float:
-        if self.coordination == "marlin":
-            return 0.0
-        if self.coordination == "fdb":
-            return self.fdb_config.hourly_cost
-        if self.coordination == "lease":
-            return self.lease_config.hourly_cost
-        return self.zk_config.hourly_cost
+        service = self.service_config
+        return 0.0 if service is None else service.hourly_cost
 
     def with_(self, **kwargs) -> "ClusterConfig":
         """A modified copy (keeps presets immutable in experiment sweeps)."""

@@ -2,7 +2,7 @@
 
 Implements the same :class:`repro.coord.base.CoordinationRuntime` interface
 as Marlin, but every coordination-state change goes through the external
-service (ZooKeeper-like or FDB-like).  The data path is identical to Marlin's
+service (ZooKeeper-, FDB- or lease-like).  The data path is identical to Marlin's
 — same engine, same 2PL, same group commit — except that WAL appends are
 *unconditional* (each node owns its WAL exclusively; the external service is
 what fences failed nodes), so the only experimental variable is where
@@ -15,30 +15,31 @@ from __future__ import annotations
 from typing import Dict, Generator, Iterable, List, Optional
 
 from repro.coord.base import CoordinationRuntime
-from repro.core.commit import NodeParticipant, marlin_commit
-from repro.engine.locks import LockConflict
-from repro.engine.node import GTABLE, node_address
-from repro.engine.txn import AbortReason, TxnAborted, TxnContext, WrongNodeError
+from repro.coord.session import MEMBER_PREFIX, OWNER_PREFIX
+from repro.engine.txn import AbortReason
 from repro.sim.core import Timeout
-from repro.sim.rpc import RemoteError, RpcTimeout
-from repro.storage.log import RecordKind
+from repro.sim.resources import CpuResource
+from repro.sim.rpc import RpcTimeout
 
 __all__ = ["ExternalRuntime", "FdbClient", "ZkClient"]
 
-_OWNER_PREFIX = "/granules/"
-_MEMBER_PREFIX = "/members/"
-
 
 class _ServiceClient:
-    """Shared service-session RPC plumbing for the external-service clients.
+    """Node-side client of an external coordination service.
 
-    Every coordination-state operation goes through :meth:`_request`: a
-    *bounded* per-request timeout plus retry with linear backoff.  Real ZK /
-    FDB client libraries behave this way (session timeout + reconnect loop),
-    and it is a liveness requirement here: without it, a reconfiguration in
-    flight when the service endpoint partitions away waits on a reply that
-    will never arrive — the request was dropped inside the partition — and
-    hangs forever even after the partition heals (the ROADMAP's
+    The five membership/ownership operations :class:`ExternalRuntime` drives
+    are written once, over three primitives (:meth:`_put`, :meth:`_delete`,
+    :meth:`_scan`) that map onto the service's ``<prefix>_write`` /
+    ``_delete`` / ``_scan`` RPCs; a concrete client is a :attr:`prefix`, plus
+    whatever its service offers beyond a KV store.
+
+    Every operation goes through :meth:`_request`: a *bounded* per-request
+    timeout plus retry with linear backoff.  Real ZK / FDB client libraries
+    behave this way (session timeout + reconnect loop), and it is a
+    liveness requirement here: without it, a reconfiguration in flight when
+    the service endpoint partitions away waits on a reply that will never
+    arrive — the request was dropped inside the partition — and hangs
+    forever even after the partition heals (the ROADMAP's
     coordination-outage open item).  With it, the operation stalls for the
     outage and completes once connectivity returns.
 
@@ -50,16 +51,20 @@ class _ServiceClient:
     the final :class:`RpcTimeout` to the caller instead.
     """
 
+    kind: str
+    #: RPC method prefix of the service, which is also its default address.
+    prefix: str
+
     def __init__(
         self,
-        service_address: str,
+        service_address: Optional[str] = None,
         client_overhead: float = 0.0,
         session_pool: int = 2,
         request_timeout: float = 2.0,
         retry_backoff: float = 0.25,
         max_retries: Optional[int] = None,
     ):
-        self.address = service_address
+        self.address = service_address or self.prefix
         self.client_overhead = client_overhead
         self.session_pool = session_pool
         self.request_timeout = request_timeout
@@ -80,51 +85,44 @@ class _ServiceClient:
                     raise
                 yield Timeout(self.retry_backoff * min(attempt, 4))
 
+    # -- the three primitives ---------------------------------------------------
 
-class ZkClient(_ServiceClient):
-    """Coordination-state operations against a ZooKeeperService."""
+    def _put(self, node, key: str, value) -> Generator:
+        return self._request(node, f"{self.prefix}_write", key, value)
 
-    kind = "zookeeper"
+    def _delete(self, node, key: str) -> Generator:
+        return self._request(node, f"{self.prefix}_delete", key)
 
-    def __init__(
-        self,
-        service_address: str = "zk",
-        client_overhead: float = 0.0,
-        session_pool: int = 2,
-        **kwargs,
-    ):
-        super().__init__(
-            service_address, client_overhead, session_pool, **kwargs
-        )
+    def _scan(self, node, key_prefix: str) -> Generator:
+        return self._request(node, f"{self.prefix}_scan", key_prefix)
+
+    # -- membership / ownership ---------------------------------------------------
 
     def update_ownership(self, node, granule: int, owner: int) -> Generator:
-        """One leader write: znode per granule."""
-        version = yield from self._request(
-            node, "zk_write", f"{_OWNER_PREFIX}{granule}", owner
-        )
-        return version
+        """One authoritative write: a key per granule."""
+        return self._put(node, f"{OWNER_PREFIX}{granule}", owner)
 
     def register_member(self, node, node_id: int, address: str) -> Generator:
-        yield from self._request(
-            node, "zk_write", f"{_MEMBER_PREFIX}{node_id}", address
-        )
-        return True
+        return self._put(node, f"{MEMBER_PREFIX}{node_id}", address)
 
     def unregister_member(self, node, node_id: int) -> Generator:
-        yield from self._request(node, "zk_delete", f"{_MEMBER_PREFIX}{node_id}")
-        return True
+        return self._delete(node, f"{MEMBER_PREFIX}{node_id}")
 
     def scan_ownership(self, node) -> Generator:
-        raw = yield from self._request(node, "zk_scan", _OWNER_PREFIX)
-        return {
-            int(path[len(_OWNER_PREFIX):]): owner for path, owner in raw.items()
-        }
+        raw = yield from self._scan(node, OWNER_PREFIX)
+        return {int(key[len(OWNER_PREFIX):]): owner for key, owner in raw.items()}
 
     def scan_members(self, node) -> Generator:
-        raw = yield from self._request(node, "zk_scan", _MEMBER_PREFIX)
-        return {
-            int(path[len(_MEMBER_PREFIX):]): addr for path, addr in raw.items()
-        }
+        raw = yield from self._scan(node, MEMBER_PREFIX)
+        return {int(key[len(MEMBER_PREFIX):]): addr for key, addr in raw.items()}
+
+
+class ZkClient(_ServiceClient):
+    """Coordination-state operations against a ZooKeeperService: one leader
+    write (znode per granule / member) per mutation."""
+
+    kind = "zookeeper"
+    prefix = "zk"
 
 
 class FdbClient(_ServiceClient):
@@ -135,17 +133,7 @@ class FdbClient(_ServiceClient):
     """
 
     kind = "fdb"
-
-    def __init__(
-        self,
-        service_address: str = "fdb",
-        client_overhead: float = 0.0,
-        session_pool: int = 2,
-        **kwargs,
-    ):
-        super().__init__(
-            service_address, client_overhead, session_pool, **kwargs
-        )
+    prefix = "fdb"
 
     def _mutate(self, node, writes) -> Generator:
         # Each leg retries independently; a timed-out commit re-runs from a
@@ -155,54 +143,32 @@ class FdbClient(_ServiceClient):
         yield from self._request(node, "fdb_commit", tuple(writes), read_version)
         return True
 
-    def update_ownership(self, node, granule: int, owner: int) -> Generator:
-        return (
-            yield from self._mutate(node, [(f"{_OWNER_PREFIX}{granule}", owner)])
-        )
+    def _put(self, node, key: str, value) -> Generator:
+        return self._mutate(node, [(key, value)])
 
-    def register_member(self, node, node_id: int, address: str) -> Generator:
-        return (
-            yield from self._mutate(node, [(f"{_MEMBER_PREFIX}{node_id}", address)])
-        )
-
-    def unregister_member(self, node, node_id: int) -> Generator:
-        return (yield from self._mutate(node, [(f"{_MEMBER_PREFIX}{node_id}", None)]))
-
-    def scan_ownership(self, node) -> Generator:
-        raw = yield from self._request(node, "fdb_scan", _OWNER_PREFIX)
-        return {
-            int(path[len(_OWNER_PREFIX):]): owner for path, owner in raw.items()
-        }
-
-    def scan_members(self, node) -> Generator:
-        raw = yield from self._request(node, "fdb_scan", _MEMBER_PREFIX)
-        return {
-            int(path[len(_MEMBER_PREFIX):]): addr for path, addr in raw.items()
-        }
+    def _delete(self, node, key: str) -> Generator:
+        return self._mutate(node, [(key, None)])
 
 
 class ExternalRuntime(CoordinationRuntime):
     """Per-node runtime delegating coordination state to an external service."""
 
+    # Each node owns its WAL exclusively under external coordination:
+    # appends are unconditional (the service, not CAS, fences failures).
+    conditional = False
+    two_pc_abort = AbortReason.VALIDATION
+    view_cast = "view_update"
+
     def __init__(self, client):
         super().__init__()
         self.client = client
         self.kind = client.kind
-        self.reconfig_commits = 0
         self._session = None
 
     def attach(self, node) -> None:
         super().attach(node)
-        node.endpoint.register("migr_prepare", self._h_migr_prepare)
-        node.endpoint.register("view_update", self._h_view_update)
-        # Each node owns its WAL exclusively under external coordination:
-        # appends are unconditional (the service, not CAS, fences failures).
-        node.wal_conditional = False
-        node.committer.conditional = False
         # The node's coordination-service session pool: at most
         # ``session_pool`` requests in flight, each paying client overhead.
-        from repro.sim.resources import CpuResource
-
         self._session = CpuResource(
             node.sim, max(1, self.client.session_pool),
             name=f"coord-session-{node.node_id}",
@@ -210,8 +176,6 @@ class ExternalRuntime(CoordinationRuntime):
 
     def _through_session(self, op) -> Generator:
         """Funnel one coordination-service mutation through the session pool."""
-        from repro.sim.core import Timeout
-
         yield self._session.acquire()
         try:
             if self.client.client_overhead:
@@ -221,45 +185,12 @@ class ExternalRuntime(CoordinationRuntime):
         finally:
             self._session.release()
 
-    # -- user path (identical structure to Marlin, unconditional appends) -------
-
-    def check_ownership(self, ctx, granule: int) -> None:
-        node = self.node
-        try:
-            node.locks.acquire(ctx.txn_id, (GTABLE, granule), False)
-        except LockConflict as conflict:
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, str(conflict)) from conflict
-        owner = node.gtable.get(granule)
-        if owner != node.node_id:
-            raise WrongNodeError(granule, owner)
-
-    def commit_user(self, ctx) -> Generator:
-        node = self.node
-        remotes = getattr(ctx, "remote_participants", None)
-        if not remotes:
-            result = yield node.committer.submit(
-                ctx.txn_id, RecordKind.COMMIT_DATA, ctx.entries_for(node.glog)
-            )
-            if not result.ok:  # pragma: no cover - unconditional appends succeed
-                raise TxnAborted(AbortReason.CAS_CONFLICT, "unexpected append failure")
-            return
-        participants = [NodeParticipant(node.node_id)] + [
-            NodeParticipant(r) for r in remotes
-        ]
-        committed = yield from marlin_commit(node, ctx, participants, conditional=False)
-        if not committed:
-            raise TxnAborted(AbortReason.VALIDATION, "distributed commit aborted")
-        node.stats["two_pc_commits"] += 1
-
-    def handle_cas_failure(self, log_name: str) -> Generator:
-        return
-        yield  # pragma: no cover - generator shape, never reached
-
-    def _h_view_update(self, entries):
-        """One-way cache-sync cast from a recovering peer (the external
-        analogue of Marlin's sys-update broadcast / ZK watch event)."""
-        self.node.apply_system_entries(list(entries))
-        return True
+    def publish_ownership(self, granule: int, owner: int) -> Generator:
+        """The service holds the authoritative mapping: one session-pooled
+        write per granule (which is also what fences a merely-slow owner)."""
+        return self._through_session(
+            self.client.update_ownership(self.node, granule, owner)
+        )
 
     def refresh_views(self) -> Generator:
         """Replace this node's membership/ownership caches with the
@@ -275,97 +206,7 @@ class ExternalRuntime(CoordinationRuntime):
         node.gtable.update(ownership)
         return True
 
-    def recover(self) -> Generator:
-        """Same WAL-scan recovery pass as Marlin: the journal vocabulary
-        (TXN_BEGIN / VOTE_YES / PREPARE / TXN_END) is runtime-agnostic."""
-        from repro.core import recovery
-
-        return (yield from recovery.recover_node(self.node))
-
     # -- reconfiguration through the external service -----------------------------
-
-    def migrate(self, granule: int, src_id: int, dst_id: int) -> Generator:
-        """Ownership transfer: the same node-side work as Marlin, plus the
-        authoritative update in the external service on the critical path."""
-        node = self.node
-        ctx = TxnContext(
-            node.node_id, is_reconfig=True, name="MigrationTxn",
-            seq=node.next_txn_seq(),
-        )
-        node.txns[ctx.txn_id] = ctx
-        try:
-            yield node.locks.acquire_async(
-                ctx.txn_id, (GTABLE, granule), True,
-                timeout=node.params.lock_wait_timeout,
-            )
-        except LockConflict as conflict:
-            node.txns.pop(ctx.txn_id, None)
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, str(conflict)) from conflict
-        try:
-            yield from node.cpu.run(node.params.reconfig_cpu)
-            try:
-                owner = yield node.peer_call(
-                    src_id, "migr_prepare", ctx.txn_id, granule, dst_id,
-                    timeout=node.params.vote_timeout,
-                )
-            except RemoteError as err:
-                if isinstance(err.cause, TxnAborted):
-                    raise TxnAborted(err.cause.reason, err.cause.detail) from err
-                raise TxnAborted(AbortReason.VALIDATION, str(err)) from err
-            except RpcTimeout as err:
-                raise TxnAborted(AbortReason.NODE_FAILED, str(err)) from err
-            if owner != src_id:
-                raise WrongNodeError(granule, owner)
-            # The external service holds the authoritative mapping: update it
-            # before committing the node-side swap.  This round trip through
-            # the session pool is the baselines' critical-path cost.
-            yield from self._through_session(
-                self.client.update_ownership(node, granule, dst_id)
-            )
-            ctx.write(node.glog, GTABLE, granule, dst_id)
-            committed = yield from marlin_commit(
-                node,
-                ctx,
-                [NodeParticipant(src_id), NodeParticipant(dst_id)],
-                conditional=False,
-            )
-            if not committed:
-                raise TxnAborted(AbortReason.VALIDATION, f"migration of {granule}")
-            node.apply_committed(ctx)
-            self.reconfig_commits += 1
-        finally:
-            node.locks.release_all(ctx.txn_id)
-            node.txns.pop(ctx.txn_id, None)
-        if node.params.warmup_enabled:
-            from repro.core.reconfig import warmup_granule
-
-            yield from warmup_granule(node, granule, src_id)
-        return True
-
-    def _h_migr_prepare(self, txn_id: str, granule: int, dst_id: int):
-        node = self.node
-        owner = node.gtable.get(granule)
-        if owner != node.node_id:
-            return owner
-        try:
-            yield node.locks.acquire_async(
-                txn_id, (GTABLE, granule), True,
-                timeout=node.params.lock_wait_timeout,
-            )
-        except LockConflict as conflict:
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, str(conflict)) from conflict
-        owner = node.gtable.get(granule)
-        if owner != node.node_id:
-            node.locks.release_all(txn_id)
-            return owner
-        ctx = TxnContext(
-            node.node_id, is_reconfig=True, name="MigrationTxn-src",
-            seq=node.next_txn_seq(),
-        )
-        ctx.txn_id = txn_id
-        ctx.write(node.glog, GTABLE, granule, dst_id)
-        node.txns[txn_id] = ctx
-        return node.node_id
 
     def add_node(self) -> Generator:
         node = self.node
@@ -392,19 +233,20 @@ class ExternalRuntime(CoordinationRuntime):
         started = node.sim.now
         taken: List[int] = []
         for granule in granules:
-            yield from self._through_session(
-                self.client.update_ownership(node, granule, node.node_id)
-            )
+            yield from self.publish_ownership(granule, node.node_id)
             node.gtable[granule] = node.node_id
             taken.append(granule)
-        if taken and node.metrics is not None:
-            # Mirror MarlinRuntime.recover_granules: one migration per taken
-            # granule at the batch's suspicion-to-commit latency, so the
-            # migration-latency SLO compares systems on equal footing.
-            latency = node.sim.now - started
-            for _granule in taken:
-                node.metrics.record_migration(node.sim.now, latency=latency)
+        self._record_recovered(taken, started)
         return taken
+
+    def failover_granules(self, dead_id: int) -> Generator:
+        """Scan the dead node's entries out of the service's granule map."""
+        node = self.node
+        members = yield from self.client.scan_members(node)
+        if dead_id not in members:
+            return None
+        snapshot = yield from self.client.scan_ownership(node)
+        return sorted(g for g, owner in snapshot.items() if owner == dead_id)
 
     def scan_ownership(self) -> Generator:
         return (yield from self.client.scan_ownership(self.node))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.coord.session import ServiceSessionMixin
+from repro.coord.session import ServiceSessionMixin, seed_rows
 from repro.sim.core import Simulator, Timeout
 from repro.sim.network import Network
 from repro.sim.resources import CpuResource
@@ -96,6 +96,10 @@ class FdbService(ServiceSessionMixin):
     @property
     def hourly_cost(self) -> float:
         return self.config.hourly_cost
+
+    def seed(self, members: Dict[int, str], assignment: Dict[int, int]) -> None:
+        """Install a cluster's bootstrap membership and granule ownership."""
+        self.data.update(seed_rows(members, assignment))
 
     def _shard_of(self, key: str) -> CpuResource:
         return self.pipelines[hash(key) % self.config.shards]

@@ -19,13 +19,13 @@ Three layers, separable for testing:
   renew / release against explicit ``now`` timestamps.  The hypothesis
   property tests in ``tests/test_coord_lease.py`` drive this directly
   against a reference model.
-* :class:`LeaseService` — the RPC actor: a ZooKeeper-shaped quorum store
-  (serialized leader pipeline, quorum delay per write) that owns one
-  LeaseTable plus a plain KV namespace for membership/ownership state.
-* :class:`LeaseClient` — the node-side session client; carries the same
-  surface as ``ZkClient`` so the unmodified :class:`ExternalRuntime` drives
-  the data/reconfiguration path, plus the lease verbs the
-  :class:`repro.core.failure.LeaseFailureDetector` uses.
+* :class:`LeaseService` — the RPC actor: the shared
+  :class:`repro.coord.zookeeper.QuorumKvService` (serialized leader
+  pipeline, quorum delay per write; membership/ownership in its KV
+  namespace) plus one LeaseTable behind the lease verbs.
+* :class:`LeaseClient` — the node-side session client: the shared
+  membership/ownership operations :class:`ExternalRuntime` drives, plus the
+  lease verbs the :class:`repro.core.failure.LeaseFailureDetector` uses.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.coord.external import _MEMBER_PREFIX, _OWNER_PREFIX, _ServiceClient
+from repro.coord.external import _ServiceClient
+from repro.coord.zookeeper import QuorumKvService
 from repro.sim.core import Simulator, Timeout
 from repro.sim.network import Network
-from repro.sim.resources import CpuResource
-from repro.sim.rpc import RpcEndpoint
 
 __all__ = [
     "LEASE_DEFAULT",
@@ -145,18 +144,19 @@ class LeaseTable:
         }
 
 
-class LeaseService:
+class LeaseService(QuorumKvService):
     """The lease coordination service actor (leader + implicit followers).
 
-    Same quorum-store cost model as :class:`ZooKeeperService` — serialized
-    leader pipeline per write, one follower round trip plus fsync — with a
-    :class:`LeaseTable` for the lease namespace and a plain KV map for
-    membership/ownership (so ``Cluster`` bootstrap seeding and the generic
-    ``ZkClient``-shaped data path work unchanged).  Lease expiry is judged
+    The :class:`QuorumKvService` store and cost model — serialized leader
+    pipeline per write, one follower round trip plus fsync — holding
+    membership/ownership in the plain KV namespace, plus a
+    :class:`LeaseTable` for the lease namespace.  Lease expiry is judged
     lazily against ``sim.now`` when a request is applied: there is no
     background expiry sweep, so a fault-free run costs no extra events and
     replays bit-identically.
     """
+
+    rpc_prefix = "lease"
 
     def __init__(
         self,
@@ -166,87 +166,32 @@ class LeaseService:
         address: str = "lease",
         region: str = "us-west",
     ):
-        self.sim = sim
-        self.network = network
-        self.config = config
-        self.address = address
-        self.region = region
-        self.endpoint = RpcEndpoint(sim, network, address, region)
-        #: The leader's serialized ordering pipeline (writes + lease CAS).
-        self.pipeline = CpuResource(sim, 1, name=f"{address}-leader")
-        self.data: Dict[str, object] = {}
-        self.version: Dict[str, int] = {}
+        super().__init__(sim, network, config, address, region)
         self.table = LeaseTable()
-        self.writes_served = 0
-        self.reads_served = 0
         self.renews_served = 0
         self.acquires_granted = 0
         self.acquires_rejected = 0
-        for method, handler in (
-            ("lease_write", self._h_write),
-            ("lease_delete", self._h_delete),
-            ("lease_read", self._h_read),
-            ("lease_scan", self._h_scan),
-            ("lease_acquire", self._h_acquire),
-            ("lease_renew", self._h_renew),
-            ("lease_release", self._h_release),
-            ("lease_table", self._h_table),
-        ):
-            self.endpoint.register(method, handler)
+        self._register(
+            acquire=self._h_acquire, renew=self._h_renew,
+            release=self._h_release, table=self._h_table,
+        )
 
-    @property
-    def hourly_cost(self) -> float:
-        return self.config.hourly_cost
-
-    def _quorum_delay(self) -> float:
-        """One follower round trip plus follower+leader fsync overlap."""
-        rtt = 2 * self.network.latency.intra
-        return rtt + self.config.fsync
-
-    # -- plain KV (membership / granule ownership) -----------------------------
-
-    def _h_write(self, path: str, value):
-        yield from self.pipeline.run(self.config.write_service)
-        yield Timeout(self._quorum_delay())
-        self.data[path] = value
-        self.version[path] = self.version.get(path, 0) + 1
-        self.writes_served += 1
-        return self.version[path]
-
-    def _h_delete(self, path: str):
-        yield from self.pipeline.run(self.config.write_service)
-        yield Timeout(self._quorum_delay())
-        existed = path in self.data
-        self.data.pop(path, None)
-        self.writes_served += 1
-        return existed
-
-    def _h_read(self, path: str):
-        yield Timeout(self.config.read_service)
-        self.reads_served += 1
-        return self.data.get(path)
-
-    def _h_scan(self, prefix: str):
-        yield Timeout(self.config.read_service * 4)
-        self.reads_served += 1
-        return {
-            path: value for path, value in self.data.items()
-            if path.startswith(prefix)
-        }
-
-    # -- lease verbs -----------------------------------------------------------
+    def seed(self, members: Dict[int, str], assignment: Dict[int, int]) -> None:
+        """Bootstrap rows, plus every node's granule-group lease held at t=0
+        (one TTL of grace before the renew loops take over)."""
+        super().seed(members, assignment)
+        for nid in members:
+            self.table.leases[lease_path(nid)] = (nid, self.config.ttl)
 
     def _h_acquire(self, name: str, holder: int, ttl: float):
         """CAS-acquire: the leader pipeline serializes claimants, so when a
         lease expires exactly one racer observes it expired and wins; the
         rest see the winner's fresh grant and are rejected.  Expiry is
         judged at apply time (post quorum delay), the authoritative order."""
-        yield from self.pipeline.run(self.config.write_service)
-        yield Timeout(self._quorum_delay())
+        yield from self._ordered_write()
         granted, cur_holder, expires = self.table.acquire(
             name, holder, ttl, self.sim.now
         )
-        self.writes_served += 1
         if granted:
             self.acquires_granted += 1
         else:
@@ -254,19 +199,13 @@ class LeaseService:
         return granted, cur_holder, expires
 
     def _h_renew(self, name: str, holder: int, ttl: float):
-        yield from self.pipeline.run(self.config.write_service)
-        yield Timeout(self._quorum_delay())
-        ok, cur_holder = self.table.renew(name, holder, ttl, self.sim.now)
-        self.writes_served += 1
+        yield from self._ordered_write()
         self.renews_served += 1
-        return ok, cur_holder
+        return self.table.renew(name, holder, ttl, self.sim.now)
 
     def _h_release(self, name: str, holder: int):
-        yield from self.pipeline.run(self.config.write_service)
-        yield Timeout(self._quorum_delay())
-        released = self.table.release(name, holder)
-        self.writes_served += 1
-        return released
+        yield from self._ordered_write()
+        return self.table.release(name, holder)
 
     def _h_table(self, prefix: str):
         """Read-only lease snapshot (the monitors' expiry-check scan)."""
@@ -276,72 +215,21 @@ class LeaseService:
 
 
 class LeaseClient(_ServiceClient):
-    """Node-side client for the lease service.
-
-    Carries the ``ZkClient`` surface (ownership/membership over the KV
-    namespace) so the plain :class:`ExternalRuntime` runs the data and
-    reconfiguration paths unchanged, plus the lease verbs the lease failure
-    detector drives.  Request plumbing (bounded timeout, linear-backoff
-    retry) is inherited from :class:`_ServiceClient`.
-    """
+    """Node-side client for the lease service: the shared
+    membership/ownership operations over the KV namespace, plus the lease
+    verbs the lease failure detector drives."""
 
     kind = "lease"
-
-    def __init__(
-        self,
-        service_address: str = "lease",
-        client_overhead: float = 0.0,
-        session_pool: int = 2,
-        **kwargs,
-    ):
-        super().__init__(
-            service_address, client_overhead, session_pool, **kwargs
-        )
-
-    # -- ZkClient-shaped data/reconfig surface ---------------------------------
-
-    def update_ownership(self, node, granule: int, owner: int) -> Generator:
-        version = yield from self._request(
-            node, "lease_write", f"{_OWNER_PREFIX}{granule}", owner
-        )
-        return version
-
-    def register_member(self, node, node_id: int, address: str) -> Generator:
-        yield from self._request(
-            node, "lease_write", f"{_MEMBER_PREFIX}{node_id}", address
-        )
-        return True
-
-    def unregister_member(self, node, node_id: int) -> Generator:
-        yield from self._request(node, "lease_delete", f"{_MEMBER_PREFIX}{node_id}")
-        return True
-
-    def scan_ownership(self, node) -> Generator:
-        raw = yield from self._request(node, "lease_scan", _OWNER_PREFIX)
-        return {
-            int(path[len(_OWNER_PREFIX):]): owner for path, owner in raw.items()
-        }
-
-    def scan_members(self, node) -> Generator:
-        raw = yield from self._request(node, "lease_scan", _MEMBER_PREFIX)
-        return {
-            int(path[len(_MEMBER_PREFIX):]): addr for path, addr in raw.items()
-        }
-
-    # -- lease verbs -----------------------------------------------------------
+    prefix = "lease"
 
     def acquire_lease(self, node, name: str, holder: int, ttl: float) -> Generator:
-        result = yield from self._request(node, "lease_acquire", name, holder, ttl)
-        return result
+        return self._request(node, "lease_acquire", name, holder, ttl)
 
     def renew_lease(self, node, name: str, holder: int, ttl: float) -> Generator:
-        result = yield from self._request(node, "lease_renew", name, holder, ttl)
-        return result
+        return self._request(node, "lease_renew", name, holder, ttl)
 
     def release_lease(self, node, name: str, holder: int) -> Generator:
-        result = yield from self._request(node, "lease_release", name, holder)
-        return result
+        return self._request(node, "lease_release", name, holder)
 
     def lease_table(self, node, prefix: str = LEASE_PREFIX) -> Generator:
-        result = yield from self._request(node, "lease_table", prefix)
-        return result
+        return self._request(node, "lease_table", prefix)

@@ -1,4 +1,5 @@
-"""Service-session liveness for the external coordination services.
+"""What the external coordination services share: the keyspace layout for
+membership/ownership state, and service-session liveness.
 
 Real ZooKeeper clients hold a *session* the service expires when heartbeats
 stop; ephemeral znodes (and with them, leadership) vanish with the session.
@@ -20,7 +21,23 @@ from typing import Dict, Optional
 
 from repro.sim.core import Timeout
 
-__all__ = ["ServiceSessionMixin"]
+__all__ = ["MEMBER_PREFIX", "OWNER_PREFIX", "ServiceSessionMixin", "seed_rows"]
+
+#: Keyspace layout every service and its client agree on: one key per member
+#: (value: RPC address) and one per granule (value: owner node id).
+MEMBER_PREFIX = "/members/"
+OWNER_PREFIX = "/granules/"
+
+
+def seed_rows(members: Dict[int, str], assignment: Dict[int, int]) -> Dict[str, object]:
+    """The service rows for a cluster's bootstrap membership and ownership
+    (written straight into a service's store at t=0, no quorum round)."""
+    rows: Dict[str, object] = {
+        f"{MEMBER_PREFIX}{nid}": address for nid, address in members.items()
+    }
+    for granule, owner in assignment.items():
+        rows[f"{OWNER_PREFIX}{granule}"] = owner
+    return rows
 
 
 class ServiceSessionMixin:

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.coord.session import ServiceSessionMixin
+from repro.coord.session import ServiceSessionMixin, seed_rows
 from repro.sim.core import Simulator, Timeout
 from repro.sim.network import Network
 from repro.sim.resources import CpuResource
 from repro.sim.rpc import RpcEndpoint
 
-__all__ = ["ZkConfig", "ZooKeeperService", "ZK_SMALL", "ZK_LARGE"]
+__all__ = ["QuorumKvService", "ZkConfig", "ZooKeeperService", "ZK_SMALL", "ZK_LARGE"]
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,21 @@ ZK_LARGE = ZkConfig(
 )
 
 
-class ZooKeeperService(ServiceSessionMixin):
-    """The external coordination service actor (leader + implicit followers)."""
+class QuorumKvService:
+    """A single-leader quorum KV store behind one RPC address.
+
+    The cost model both the ZooKeeper and the lease backend run on: every
+    write takes a slot in the leader's serialized ordering pipeline, then one
+    follower round trip plus fsync; reads are served locally.  ``write`` /
+    ``delete`` / ``read`` / ``scan`` are registered as ``<rpc_prefix>_<verb>``;
+    subclasses add their own verbs with :meth:`_register`.
+    """
+
+    #: RPC method prefix, which is also the default address ("zk", "lease").
+    rpc_prefix: str
 
     def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        config: ZkConfig = ZK_SMALL,
-        address: str = "zk",
-        region: str = "us-west",
+        self, sim: Simulator, network: Network, config, address: str, region: str
     ):
         self.sim = sim
         self.network = network
@@ -83,60 +88,55 @@ class ZooKeeperService(ServiceSessionMixin):
         self.pipeline = CpuResource(sim, 1, name=f"{address}-leader")
         self.data: Dict[str, object] = {}
         self.version: Dict[str, int] = {}
-        self._watchers: List[str] = []
         self.writes_served = 0
         self.reads_served = 0
-        for method, handler in (
-            ("zk_write", self._h_write),
-            ("zk_delete", self._h_delete),
-            ("zk_read", self._h_read),
-            ("zk_scan", self._h_scan),
-            ("zk_watch", self._h_watch),
-            ("zk_multi", self._h_multi),
-        ):
-            self.endpoint.register(method, handler)
-        self._init_sessions()
+        self._register(
+            write=self._h_write, delete=self._h_delete,
+            read=self._h_read, scan=self._h_scan,
+        )
+
+    def _register(self, **handlers) -> None:
+        for verb, handler in handlers.items():
+            self.endpoint.register(f"{self.rpc_prefix}_{verb}", handler)
 
     @property
     def hourly_cost(self) -> float:
         return self.config.hourly_cost
+
+    def seed(self, members: Dict[int, str], assignment: Dict[int, int]) -> None:
+        """Install a cluster's bootstrap membership and granule ownership."""
+        self.data.update(seed_rows(members, assignment))
 
     def _quorum_delay(self) -> float:
         """One follower round trip plus follower+leader fsync overlap."""
         rtt = 2 * self.network.latency.intra
         return rtt + self.config.fsync
 
-    def _h_write(self, path: str, value):
-        yield from self.pipeline.run(self.config.write_service)
+    def _ordered_write(self, slots: int = 1):
+        """What every write pays before it applies: ``slots`` turns in the
+        leader's ordering pipeline, then one quorum round.  Expiry and CAS
+        outcomes are judged after it, in the authoritative order."""
+        yield from self.pipeline.run(self.config.write_service * slots)
         yield Timeout(self._quorum_delay())
+        self.writes_served += 1
+
+    def _notify(self, path: str, value) -> None:
+        """Hook: ``path`` changed to ``value`` (None: deleted).  A plain KV
+        store has nobody to tell."""
+
+    def _h_write(self, path: str, value):
+        yield from self._ordered_write()
         self.data[path] = value
         self.version[path] = self.version.get(path, 0) + 1
-        self.writes_served += 1
         self._notify(path, value)
         return self.version[path]
 
     def _h_delete(self, path: str):
-        yield from self.pipeline.run(self.config.write_service)
-        yield Timeout(self._quorum_delay())
+        yield from self._ordered_write()
         existed = path in self.data
         self.data.pop(path, None)
-        self.writes_served += 1
         self._notify(path, None)
         return existed
-
-    def _h_multi(self, ops: Tuple):
-        """Atomic multi-op (one ordering slot, one quorum round)."""
-        yield from self.pipeline.run(self.config.write_service * max(1, len(ops)))
-        yield Timeout(self._quorum_delay())
-        for kind, path, value in ops:
-            if kind == "set":
-                self.data[path] = value
-                self.version[path] = self.version.get(path, 0) + 1
-            elif kind == "delete":
-                self.data.pop(path, None)
-            self._notify(path, value if kind == "set" else None)
-        self.writes_served += 1
-        return True
 
     def _h_read(self, path: str):
         yield Timeout(self.config.read_service)
@@ -150,6 +150,38 @@ class ZooKeeperService(ServiceSessionMixin):
             path: value for path, value in self.data.items()
             if path.startswith(prefix)
         }
+
+
+class ZooKeeperService(QuorumKvService, ServiceSessionMixin):
+    """The ZooKeeper actor: the quorum KV store plus atomic multi-ops,
+    watches and session liveness."""
+
+    rpc_prefix = "zk"
+
+    def __init__(
+        self,
+        sim: Simulator,
+        network: Network,
+        config: ZkConfig = ZK_SMALL,
+        address: str = "zk",
+        region: str = "us-west",
+    ):
+        super().__init__(sim, network, config, address, region)
+        self._watchers: List[str] = []
+        self._register(watch=self._h_watch, multi=self._h_multi)
+        self._init_sessions()
+
+    def _h_multi(self, ops: Tuple):
+        """Atomic multi-op (one ordering slot, one quorum round)."""
+        yield from self._ordered_write(max(1, len(ops)))
+        for kind, path, value in ops:
+            if kind == "set":
+                self.data[path] = value
+                self.version[path] = self.version.get(path, 0) + 1
+            elif kind == "delete":
+                self.data.pop(path, None)
+            self._notify(path, value if kind == "set" else None)
+        return True
 
     def _h_watch(self, watcher_address: str):
         if watcher_address not in self._watchers:

@@ -19,33 +19,42 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
 from repro.core.reconfig import NodeNotExistError
-from repro.engine.node import GTABLE, MTABLE, SYSLOG, glog_name, node_address
+from repro.engine.node import GTABLE, MTABLE, SYSLOG
 from repro.engine.txn import AbortReason, TxnAborted
 from repro.sim.core import Timeout
 from repro.sim.rpc import RemoteError, RpcError, RpcTimeout
 from repro.storage.log import Delete, Put
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.coord.base import CoordinationRuntime
     from repro.coord.external import ExternalRuntime
     from repro.core.runtime import MarlinRuntime
 
 __all__ = [
     "LeaseFailureDetector",
     "RingFailureDetector",
-    "run_external_failover",
     "run_failover",
 ]
 
 
 def run_failover(
-    runtime: "MarlinRuntime", dead_id: int,
+    runtime: "CoordinationRuntime", dead_id: int,
     suspected_at: Optional[float] = None,
 ) -> Generator:
     """Full failover of ``dead_id`` driven by the detecting node.
 
+    One driver for every backend; the runtime supplies the two steps that
+    depend on where coordination state lives — the dead node's granule list
+    (``failover_granules``: Marlin replays the dead GLog, the baselines scan
+    the service) and how ownership flips (``recover_granules``:
+    RecoveryMigrTxn, or one service write per granule).  The closing
+    ``push_views`` cast is cache sync for the survivors, not required for
+    correctness.
+
     Idempotent and safe under concurrent detectors: RecoveryMigrTxn
     re-validates ownership against the replayed GTable and serializes through
-    the dead node's GLog CAS; DeleteNodeTxn validates membership.
+    the dead node's GLog CAS, and DeleteNodeTxn validates membership; under a
+    service, its per-granule write is what fences a merely-slow owner.
     Returns the list of granules this node took over.
 
     With replication on, the failover *promotes* the most-caught-up
@@ -58,9 +67,7 @@ def run_failover(
     the promoted tail feeds ``rpo_bytes``.
     """
     node = runtime.node
-    if dead_id not in node.mtable:
-        return []
-    if node.replicator is not None:
+    if node.replicator is not None and dead_id in node.mtable:
         plan = node.replicator.plan_promotion(dead_id)
         if plan is not None:
             return (
@@ -68,13 +75,10 @@ def run_failover(
                     runtime, dead_id, plan, suspected_at
                 )
             )
-        # No surviving follower: fall through to the storage-replay path.
-    dead_glog = glog_name(dead_id)
-    end = yield node.storage_call("log_end_lsn", dead_glog, log=dead_glog)
-    snapshot = yield node.storage_call(
-        "scan_table", GTABLE, dead_glog, end, log=dead_glog
-    )
-    granules = sorted(g for g, owner in snapshot.items() if owner == dead_id)
+        # No surviving follower: fall through to the authoritative-store path.
+    granules = yield from runtime.failover_granules(dead_id)
+    if granules is None:
+        return []  # not a member: a concurrent recoverer already removed it
     taken: List[int] = []
     if granules:
         taken = yield from runtime.recover_granules(dead_id, granules)
@@ -84,7 +88,7 @@ def run_failover(
         pass  # a concurrent detector already removed it
     updates = [Put(GTABLE, g, node.node_id) for g in taken]
     updates.append(Delete(MTABLE, dead_id))
-    runtime.broadcast_sys_update(updates)
+    runtime.push_views(updates)
     if node.metrics is not None:
         node.metrics.record_failover(node.sim.now, dead_id, len(taken))
     return taken
@@ -132,7 +136,7 @@ def _promote_follower(
         pass  # a concurrent detector already removed it
     updates = [Put(GTABLE, g, best_id) for g in taken]
     updates.append(Delete(MTABLE, dead_id))
-    runtime.broadcast_sys_update(updates)
+    runtime.push_views(updates)
     replicator.note_promoted(dead_id, best_id, taken)
     if node.metrics is not None:
         now = node.sim.now
@@ -141,41 +145,6 @@ def _promote_follower(
             node.metrics.record_rpo(now, float(lost_bytes))
             if suspected_at is not None:
                 node.metrics.record_rto(now, now - suspected_at)
-    return taken
-
-
-def run_external_failover(
-    runtime: "ExternalRuntime", dead_id: int,
-    suspected_at: Optional[float] = None,
-) -> Generator:
-    """Failover of ``dead_id`` arbitrated through the external service.
-
-    The baselines' counterpart of :func:`run_failover`: the authoritative
-    granule map lives in the coordination service, so the recoverer scans it
-    there, flips each of the dead node's entries with
-    ``ExternalRuntime.recover_granules`` (service CAS per granule — which is
-    also what fences a merely-slow owner), and unregisters the dead member.
-    The closing one-way ``view_update`` casts are the watch-notification
-    analogue: cache sync for the survivors, not required for correctness.
-    Returns the list of granules this node took over.
-    """
-    node = runtime.node
-    members = yield from runtime.client.scan_members(node)
-    if dead_id not in members:
-        return []  # a concurrent recoverer already removed it
-    snapshot = yield from runtime.client.scan_ownership(node)
-    granules = sorted(g for g, owner in snapshot.items() if owner == dead_id)
-    taken: List[int] = []
-    if granules:
-        taken = yield from runtime.recover_granules(dead_id, granules)
-    yield from runtime.remove_node(dead_id)
-    updates = [Put(GTABLE, g, node.node_id) for g in taken]
-    updates.append(Delete(MTABLE, dead_id))
-    for peer in node.member_ids():
-        if peer != node.node_id:
-            node.endpoint.cast(node_address(peer), "view_update", tuple(updates))
-    if node.metrics is not None:
-        node.metrics.record_failover(node.sim.now, dead_id, len(taken))
     return taken
 
 
@@ -246,9 +215,14 @@ class RingFailureDetector:
         self.first_failover_at: Optional[float] = None
         self._proc = None
 
+    #: Process-name stem of the probe loop (subclasses rename theirs).
+    loop_name = "ring-detector"
+
     def start(self) -> None:
         node = self.runtime.node
-        self._proc = node.spawn(self._loop(), name=f"ring-detector-{node.node_id}")
+        self._proc = node.spawn(
+            self._loop(), name=f"{self.loop_name}-{node.node_id}"
+        )
 
     def stop(self) -> None:
         """Halt the probe loop (in-flight failovers are left to finish)."""
@@ -332,13 +306,6 @@ class RingFailureDetector:
                 return
             if self.first_failover_at is None:
                 self.first_failover_at = node.sim.now
-            # Marlin fences through the shared log; external runtimes fence
-            # through the coordination service.
-            fence = (
-                run_failover
-                if hasattr(self.runtime, "broadcast_sys_update")
-                else run_external_failover
-            )
             # RecoveryMigrTxn can lose lock races against in-flight
             # migrations that involve the dead node; retry with jittered
             # backoff inside this detection cycle rather than waiting for
@@ -346,7 +313,7 @@ class RingFailureDetector:
             # migration retry cadence and starve recovery indefinitely).
             for attempt in range(max_attempts):
                 try:
-                    yield from fence(
+                    yield from run_failover(
                         self.runtime, dead_id, suspected_at=suspected_at
                     )
                     self.fencings_committed += 1
@@ -620,7 +587,7 @@ class LeaseFailureDetector:
             self.failovers_started += 1
             if self.first_failover_at is None:
                 self.first_failover_at = node.sim.now
-            yield from run_external_failover(self.runtime, dead_id)
+            yield from run_failover(self.runtime, dead_id)
             # Retire the dead node's lease (we hold it): a restarting owner
             # re-acquires a fresh one through its own renew loop.
             self.renewal_rpcs += 1

@@ -20,6 +20,7 @@ from repro.sim.rpc import RemoteError, RpcTimeout
 from repro.storage.log import Put
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.coord.base import CoordinationRuntime
     from repro.core.runtime import MarlinRuntime
 
 __all__ = [
@@ -90,13 +91,16 @@ def delete_node_txn(runtime: "MarlinRuntime", node_id: int) -> Generator:
 
 
 def migration_txn(
-    runtime: "MarlinRuntime", granule: int, src_id: int
+    runtime: "CoordinationRuntime", granule: int, src_id: int
 ) -> Generator:
     """MigrationTxn (lines 19-26): cross-node, run on the destination.
 
     Validates ownership at the source over a sync RPC, stages the GTable swap
     on both sides, and commits across both GLogs with MarlinCommit 2PC.
     Returns True on commit; raises :class:`TxnAborted` on any conflict.
+    Shared by every backend: the node-side work is identical, and
+    ``runtime.publish_ownership`` is the one seam where an external service
+    enters the critical path.
     """
     node = runtime.node
     dst_id = node.node_id
@@ -134,13 +138,20 @@ def migration_txn(
             raise TxnAborted(AbortReason.NODE_FAILED, str(err)) from err
         if owner != src_id:
             raise WrongNodeError(granule, owner)
+        # Where an external service holds the authoritative mapping, update
+        # it before committing the node-side swap: that round trip through
+        # the session pool is the baselines' critical-path cost.
+        publish = runtime.publish_ownership(granule, dst_id)
+        if publish is not None:
+            yield from publish
         # Line 23: the destination's own GTable partition gains the granule.
         ctx.write(node.glog, GTABLE, granule, dst_id)
         committed = yield from marlin_commit(
-            node, ctx, [NodeParticipant(src_id), NodeParticipant(dst_id)]
+            node, ctx, [NodeParticipant(src_id), NodeParticipant(dst_id)],
+            runtime.conditional,
         )
         if not committed:
-            raise TxnAborted(AbortReason.CAS_CONFLICT, f"migration of {granule}")
+            raise TxnAborted(runtime.two_pc_abort, f"migration of {granule}")
         node.apply_committed(ctx)
         runtime.reconfig_commits += 1
     finally:

@@ -10,14 +10,13 @@ the experimental control the paper's evaluation needs.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Dict, Generator, Iterable
 
 from repro.coord.base import CoordinationRuntime
-from repro.core import reconfig, recovery
-from repro.core.commit import NodeParticipant, marlin_commit, terminate_in_doubt
-from repro.engine.locks import LockConflict
-from repro.engine.node import GTABLE, MTABLE, SYSLOG, glog_name
-from repro.engine.txn import AbortReason, TxnAborted, TxnContext, WrongNodeError
+from repro.core import reconfig
+from repro.core.commit import terminate_in_doubt
+from repro.engine.node import GTABLE, glog_name
+from repro.engine.txn import AbortReason, TxnAborted
 from repro.storage.log import RecordKind
 
 __all__ = ["MarlinRuntime"]
@@ -27,59 +26,16 @@ class MarlinRuntime(CoordinationRuntime):
     """Coordination state lives in the database itself; Meta cost is zero."""
 
     kind = "marlin"
+    view_cast = "sys_update"
 
     def __init__(self):
         super().__init__()
         self._refreshing: Dict[str, object] = {}
-        self.cas_failures = 0
         self.refreshes = 0
-        self.reconfig_commits = 0
 
     def attach(self, node) -> None:
         super().attach(node)
-        node.endpoint.register("migr_prepare", self._h_migr_prepare)
         node.endpoint.register("run_recovery", self._h_run_recovery)
-        node.endpoint.register("sys_update", self._h_sys_update)
-
-    # -- user transaction path --------------------------------------------------
-
-    def check_ownership(self, ctx, granule: int) -> None:
-        """Algorithm 1 lines 2-6 plus the GTable read lock held to commit."""
-        node = self.node
-        try:
-            node.locks.acquire(ctx.txn_id, (GTABLE, granule), False)
-        except LockConflict as conflict:
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, str(conflict)) from conflict
-        owner = node.gtable.get(granule)
-        if owner != node.node_id:
-            raise WrongNodeError(granule, owner)
-
-    def commit_user(self, ctx) -> Generator:
-        node = self.node
-        remotes = getattr(ctx, "remote_participants", None)
-        if not remotes:
-            # One-phase commit through group commit (TryLog on our own GLog).
-            result = yield node.committer.submit(
-                ctx.txn_id, RecordKind.COMMIT_DATA, ctx.entries_for(node.glog)
-            )
-            if not result.ok:
-                self.cas_failures += 1
-                yield from self.handle_cas_failure(node.glog)
-                raise TxnAborted(
-                    AbortReason.CAS_CONFLICT, f"cross-node append on {node.glog}"
-                )
-            return
-        participants = [NodeParticipant(node.node_id)] + [
-            NodeParticipant(r) for r in remotes
-        ]
-        committed = yield from marlin_commit(node, ctx, participants)
-        if not committed:
-            raise TxnAborted(AbortReason.CAS_CONFLICT, "distributed commit aborted")
-        node.stats["two_pc_commits"] += 1
-
-    def recover(self) -> Generator:
-        """Crash recovery: WAL scan + in-doubt resolution (core/recovery.py)."""
-        return (yield from recovery.recover_node(self.node))
 
     # -- ClearMetaCache + refresh (§4.3.2) ----------------------------------------
 
@@ -150,11 +106,6 @@ class MarlinRuntime(CoordinationRuntime):
 
     # -- reconfiguration entry points ----------------------------------------------
 
-    def migrate(self, granule: int, src_id: int, dst_id: int) -> Generator:
-        if dst_id != self.node.node_id:
-            raise ValueError("MigrationTxn must run on the destination node")
-        return (yield from reconfig.migration_txn(self, granule, src_id))
-
     def add_node(self) -> Generator:
         return (
             yield from reconfig.run_with_retries(
@@ -186,15 +137,21 @@ class MarlinRuntime(CoordinationRuntime):
         if result is False:
             raise TxnAborted(AbortReason.CAS_CONFLICT, "recovery kept conflicting")
         taken = result[1]
-        node = self.node
-        if taken and node.metrics is not None:
-            # RecoveryMigrTxn is a (batched) migration: each taken granule
-            # counts as one migration whose latency is the whole batch's
-            # suspicion-to-commit time — the window the granule was dark.
-            latency = node.sim.now - started
-            for _granule in taken:
-                node.metrics.record_migration(node.sim.now, latency=latency)
+        self._record_recovered(taken, started)
         return taken
+
+    def failover_granules(self, dead_id: int) -> Generator:
+        """Read the dead node's GTable partition from storage (its GLog,
+        replayed)."""
+        node = self.node
+        if dead_id not in node.mtable:
+            return None
+        dead_glog = glog_name(dead_id)
+        end = yield node.storage_call("log_end_lsn", dead_glog, log=dead_glog)
+        snapshot = yield node.storage_call(
+            "scan_table", GTABLE, dead_glog, end, log=dead_glog
+        )
+        return sorted(g for g, owner in snapshot.items() if owner == dead_id)
 
     def scan_ownership(self) -> Generator:
         return (yield from reconfig.scan_gtable_txn(self))
@@ -204,48 +161,11 @@ class MarlinRuntime(CoordinationRuntime):
 
     # -- Marlin-specific RPC handlers -------------------------------------------------
 
-    def _h_migr_prepare(self, txn_id: str, granule: int, dst_id: int):
-        """Source side of MigrationTxn (lines 20-22): validate, lock, stage.
-
-        The write lock waits (bounded) behind in-flight user transactions on
-        the granule, per §4.4.1's 2PL narration.
-        """
-        node = self.node
-        owner = node.gtable.get(granule)
-        if owner != node.node_id:
-            return owner  # destination sees the mismatch and aborts (line 26)
-        try:
-            yield node.locks.acquire_async(
-                txn_id, (GTABLE, granule), True,
-                timeout=node.params.lock_wait_timeout,
-            )
-        except LockConflict as conflict:
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, str(conflict)) from conflict
-        owner = node.gtable.get(granule)
-        if owner != node.node_id:  # lost ownership while waiting
-            node.locks.release_all(txn_id)
-            return owner
-        ctx = TxnContext(
-            node.node_id, is_reconfig=True, name="MigrationTxn-src",
-            seq=node.next_txn_seq(),
-        )
-        ctx.txn_id = txn_id
-        ctx.write(node.glog, GTABLE, granule, dst_id)
-        node.txns[txn_id] = ctx
-        return node.node_id
-
     def _h_run_recovery(self, granules, src_id: int):
         """Run RecoveryMigrTxn here (lets a detector spread recovery work)."""
         taken = yield from self.recover_granules(src_id, granules)
         return taken
 
-    def _h_sys_update(self, entries):
-        """Optional broadcast of committed system-table changes (§4.4)."""
-        self.node.apply_system_entries(entries)
-
-    def broadcast_sys_update(self, entries) -> None:
-        """Best-effort push to all members (the paper's optional broadcast)."""
-        node = self.node
-        for nid in node.member_ids():
-            if nid != node.node_id:
-                node.endpoint.cast(f"node-{nid}", "sys_update", tuple(entries))
+    #: §4.4's optional broadcast: every committed system-table change this
+    #: node makes (membership as well as failover) is pushed to all members.
+    broadcast_sys_update = CoordinationRuntime.push_views

@@ -29,10 +29,10 @@ mutual-fencing cascade of a symmetrically-partitioned node.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Generator, Optional, Set, Tuple
 
 from repro.core.commit import LogParticipant, marlin_commit
-from repro.core.failure import run_failover
+from repro.core.failure import RingFailureDetector, run_failover
 from repro.engine.node import MTABLE, SYSLOG
 from repro.engine.txn import TxnAborted, TxnContext
 from repro.sim.core import Timeout
@@ -148,8 +148,14 @@ def clear_votes(runtime, target: int) -> Generator:
         node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
 
 
-class SuspicionFailureDetector:
-    """Ring heartbeats + voted eviction through MTable."""
+class SuspicionFailureDetector(RingFailureDetector):
+    """Ring heartbeats + voted eviction through MTable.
+
+    The ring plumbing (``start`` / ``stop`` / ``ring_targets``) is the basic
+    detector's; this class replaces what a missed heartbeat leads to.
+    """
+
+    loop_name = "suspicion"
 
     def __init__(
         self,
@@ -161,39 +167,14 @@ class SuspicionFailureDetector:
         vote_threshold: int = 2,
         vote_window: float = 10.0,
     ):
-        self.runtime = runtime
-        self.interval = interval
-        self.timeout = timeout
-        self.miss_threshold = miss_threshold
-        self.successors = successors
+        super().__init__(
+            runtime, interval, timeout, miss_threshold, successors,
+            vote_window=vote_window,
+        )
         self.vote_threshold = vote_threshold
-        self.vote_window = vote_window
-        self._misses: Dict[int, int] = {}
         self._voted: Set[int] = set()
-        self._handling: Set[int] = set()
         self.votes_cast = 0
         self.retractions = 0
-        self.failovers_started = 0
-        self._proc = None
-
-    # -- ring plumbing (same shape as the basic detector) ----------------------
-
-    def start(self) -> None:
-        node = self.runtime.node
-        self._proc = node.spawn(self._loop(), name=f"suspicion-{node.node_id}")
-
-    def ring_targets(self) -> List[int]:
-        node = self.runtime.node
-        members = node.member_ids()
-        if node.node_id not in members or len(members) < 2:
-            return []
-        index = members.index(node.node_id)
-        targets = []
-        for step in range(1, self.successors + 1):
-            succ = members[(index + step) % len(members)]
-            if succ != node.node_id and succ not in targets:
-                targets.append(succ)
-        return targets
 
     def _loop(self):
         node = self.runtime.node

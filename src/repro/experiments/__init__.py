@@ -35,7 +35,6 @@ from repro.experiments.harness import (
     EXP_NODE_PARAMS,
     FigureResult,
     ScenarioResult,
-    run_scale_out_scenario,
 )
 from repro.experiments.parallel import (
     CellFailure,
@@ -100,7 +99,6 @@ __all__ = [
     "fig16_recovery",
     "fig17_replication",
     "run_cells",
-    "run_scale_out_scenario",
     "run_spec",
     "scale_out_spec",
 ]

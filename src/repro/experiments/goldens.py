@@ -44,8 +44,8 @@ __all__ = [
     "cache_epoch",
 ]
 
-#: run_scale_out_scenario("marlin", initial_nodes=2, added_nodes=2,
-#: clients=8, granules=64, scale_at=1.0, tail=2.0, seed=3)
+#: run_spec(scale_out_spec("marlin", initial_nodes=2, added_nodes=2,
+#: clients=8, granules=64, scale_at=1.0, tail=2.0, seed=3))
 DETERMINISM_GOLDEN = {
     "events_executed": 15348,
     "total_committed": 265,

@@ -8,8 +8,6 @@ nodes.  Since the spec redesign (ISSUE 3) the scenario itself is data — see
 (:func:`repro.experiments.runner.run_spec`) owns setup, measurement and
 serialization; this module keeps the shared pieces: the calibrated node
 parameters, result containers, table formatting and client binding.
-``run_scale_out_scenario`` remains as a thin deprecated shim over the spec
-path.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "FigureResult",
     "ScenarioResult",
     "SYSTEM_LABELS",
-    "run_scale_out_scenario",
     "start_clients",
 ]
 
@@ -238,69 +235,6 @@ def start_clients(
         clients.append(client)
     cluster.client_count = count
     return router, clients
-
-
-def run_scale_out_scenario(
-    system: str,
-    *,
-    initial_nodes: int = 8,
-    added_nodes: int = 8,
-    clients: int = 100,
-    granules: int = 12_500,
-    keys_per_granule: int = 64,
-    scale_at: float = 5.0,
-    tail: float = 10.0,
-    workload: str = "ycsb",
-    regions: Tuple[str, ...] = ("us-west",),
-    seed: int = 1,
-    node_params: Optional[NodeParams] = None,
-    check_invariants: bool = True,
-    fault_schedule=None,
-    failure_detection: bool = False,
-    chaos_settle: float = 1.0,
-) -> ScenarioResult:
-    """One full scale-out run (§6.2/§6.3 shape) for one system.
-
-    .. deprecated::
-        This is a thin shim over the declarative spec API — it builds a
-        :func:`repro.experiments.spec.scale_out_spec` and hands it to
-        :func:`repro.experiments.runner.run_spec`.  New code should build
-        specs directly (they serialize, sweep and probe); the shim is kept so
-        existing call sites and notebooks keep working.
-
-    The run ends ``tail`` seconds after the last migration commits, so every
-    system is measured over its own reconfiguration window plus a stable
-    after-phase (mirroring the paper's fixed-duration plots).
-
-    ``fault_schedule`` (a :class:`repro.chaos.FaultSchedule`) runs the whole
-    scenario under chaos: the schedule starts with the cluster, the run is
-    extended past the schedule's horizon plus ``chaos_settle`` seconds, and
-    the quiescence invariants are asserted once every fault has cleared and
-    recovery quiesced.  Chaotic scale-outs usually want
-    ``failure_detection=True`` so fenced nodes actually get failed over.
-    """
-    from repro.experiments.runner import run_spec
-    from repro.experiments.spec import scale_out_spec
-
-    spec = scale_out_spec(
-        system,
-        initial_nodes=initial_nodes,
-        added_nodes=added_nodes,
-        clients=clients,
-        granules=granules,
-        keys_per_granule=keys_per_granule,
-        scale_at=scale_at,
-        tail=tail,
-        workload=workload,
-        regions=tuple(regions),
-        seed=seed,
-        node_params=node_params,
-        check_invariants=check_invariants,
-        fault_schedule=fault_schedule,
-        failure_detection=failure_detection,
-        chaos_settle=chaos_settle,
-    )
-    return run_spec(spec)
 
 
 def scaled(value: float, scale: float, minimum: int = 1) -> int:

@@ -303,12 +303,9 @@ def _act_membership_churn(ctx: RunContext, interval: float = 15.0) -> None:
         num_nodes = ctx.spec.topology.nodes
         achieved = stats["updates"] / duration
         offered = 2.0 * num_nodes / interval
-        retries = 0
-        if ctx.spec.topology.coordination == "marlin":
-            retries = sum(
-                getattr(n.runtime, "refreshes", 0)
-                for n in cluster.nodes.values()
-            )
+        retries = sum(
+            getattr(n.runtime, "refreshes", 0) for n in cluster.nodes.values()
+        )
         ctx.result.extras["membership_churn"] = {
             "offered_tps": offered,
             "achieved_tps": achieved,

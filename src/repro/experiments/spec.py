@@ -489,10 +489,15 @@ def scale_out_spec(
     probes: Sequence[ProbeSpec] = (),
     name: Optional[str] = None,
 ) -> ScenarioSpec:
-    """The canonical §6.2-§6.4 scale-out scenario as a spec.
+    """The canonical §6.2-§6.4 scale-out scenario as a spec; every figure
+    family builds on this shape.
 
-    Same parameter vocabulary as the retired ``run_scale_out_scenario``
-    harness entry point; every figure family builds on this shape.
+    The run ends ``tail`` seconds after the last migration commits, so every
+    system is measured over its own reconfiguration window plus a stable
+    after-phase (mirroring the paper's fixed-duration plots).  A
+    ``fault_schedule`` runs the whole scenario under chaos, extended past
+    the schedule's horizon plus ``chaos_settle`` seconds; chaotic scale-outs
+    usually want ``failure_detection=True`` so fenced nodes get failed over.
     """
     preset, overrides = "experiment", {}
     if node_params is not None:

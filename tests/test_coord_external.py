@@ -9,7 +9,7 @@ from repro.storage.log import RecordKind
 from tests.conftest import make_cluster, run_gen
 
 
-@pytest.fixture(params=["zk-small", "zk-large", "fdb"])
+@pytest.fixture(params=["zk-small", "zk-large", "fdb", "lease"])
 def baseline(request):
     cluster = make_cluster(request.param, num_nodes=2)
     cluster.run(until=0.05)

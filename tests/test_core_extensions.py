@@ -88,6 +88,18 @@ class TestSuspicionVoting:
         assert det.retractions >= 1
         assert suspect_key(1, 0) not in cluster.nodes[0].mtable
 
+    def test_stop_halts_the_probe_loop(self):
+        """The ring plumbing is shared with RingFailureDetector, stop()
+        included: a stopped detector never notices a later failure."""
+        cluster = make_cluster("marlin", num_nodes=3, num_keys=3072, seed=37)
+        det = SuspicionFailureDetector(cluster.nodes[0].runtime, successors=1)
+        det.start()
+        cluster.run(until=1.0)
+        det.stop()
+        cluster.fail_node(1)
+        cluster.run(until=6.0)
+        assert det.votes_cast == 0
+
     def test_member_ids_ignore_suspect_rows(self):
         cluster = make_cluster("marlin", num_nodes=2, seed=36)
         node = cluster.nodes[0]

@@ -17,7 +17,8 @@ from repro.experiments import (
     fig15,
 )
 from repro.experiments.family import run_family
-from repro.experiments.harness import run_scale_out_scenario
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import scale_out_spec
 
 SCALE = 0.08
 SEED = 11
@@ -32,7 +33,7 @@ def family():
 
 class TestScenarioRunner:
     def test_scenario_completes_and_checks_invariants(self):
-        result = run_scale_out_scenario(
+        result = run_spec(scale_out_spec(
             "marlin",
             initial_nodes=2,
             added_nodes=2,
@@ -41,7 +42,7 @@ class TestScenarioRunner:
             scale_at=1.0,
             tail=2.0,
             seed=SEED,
-        )
+        ))
         assert result.metrics.total_migrations > 0
         assert result.metrics.total_committed > 0
         assert result.scale_summaries and result.scale_summaries[0]["migrated"] > 0
@@ -50,7 +51,7 @@ class TestScenarioRunner:
         """Any figure scenario can run under any FaultSchedule (ISSUE 2)."""
         from repro.chaos import storage_brownout
 
-        result = run_scale_out_scenario(
+        result = run_spec(scale_out_spec(
             "marlin",
             initial_nodes=2,
             added_nodes=2,
@@ -60,14 +61,14 @@ class TestScenarioRunner:
             tail=2.0,
             seed=SEED,
             fault_schedule=storage_brownout("us-west", at=1.2, stall=0.3),
-        )
+        ))
         assert result.scale_summaries and result.scale_summaries[0]["migrated"] > 0
         chaos = result.cluster.chaos
         assert [phase for _t, phase, _e in chaos.fault_log] == ["inject", "clear"]
         chaos.verify_quiescent()
 
     def test_cost_report_nonzero(self):
-        result = run_scale_out_scenario(
+        result = run_spec(scale_out_spec(
             "zk-small",
             initial_nodes=2,
             added_nodes=2,
@@ -76,7 +77,7 @@ class TestScenarioRunner:
             scale_at=1.0,
             tail=1.0,
             seed=SEED,
-        )
+        ))
         report = result.cost
         assert report.db_cost > 0
         assert report.meta_cost > 0

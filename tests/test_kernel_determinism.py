@@ -22,12 +22,13 @@ invalidates stale cached sweep cells.
 import pytest
 
 from repro.experiments.goldens import DETERMINISM_GOLDEN as GOLDEN
-from repro.experiments.harness import run_scale_out_scenario
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import scale_out_spec
 
 
 def _small_fig9_run():
     """A miniature §6.2 scale-out (2 -> 4 nodes, 8 clients, YCSB)."""
-    result = run_scale_out_scenario(
+    result = run_spec(scale_out_spec(
         "marlin",
         initial_nodes=2,
         added_nodes=2,
@@ -36,7 +37,7 @@ def _small_fig9_run():
         scale_at=1.0,
         tail=2.0,
         seed=3,
-    )
+    ))
     sim = result.cluster.sim
     metrics = result.metrics
     return {
