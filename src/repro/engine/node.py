@@ -183,7 +183,9 @@ class ComputeNode:
         #: False under external coordination (WALs are exclusively owned).
         self.wal_conditional = True
         self.frozen = False
-        self._procs: List = []
+        #: Unfinished background processes of this node, in spawn order (the
+        #: ``owner`` registry of ``Simulator.spawn``); ``freeze`` kills them.
+        self._procs: Dict[object, None] = {}
         #: Chaos hook invoked at every journaled FSM edge (core/participant.py
         #: ``fault_point``); armed by the recovery fault-point sweep.
         self.fault_hook = None
@@ -242,9 +244,9 @@ class ComputeNode:
         self.committer.start()
 
     def spawn(self, gen, name: str = "") -> object:
-        proc = self.sim.spawn(gen, name=name or f"node-{self.node_id}", daemon=True)
-        self._procs.append(proc)
-        return proc
+        return self.sim.spawn(
+            gen, name or f"node-{self.node_id}", True, self._procs
+        )
 
     def freeze(self) -> None:
         """Stop responding but keep memory (the paper's unhealthy-node state).
@@ -257,7 +259,7 @@ class ComputeNode:
         self.frozen = True
         self.endpoint.crashed = True
         self.endpoint.kill_processes()
-        for proc in self._procs:
+        for proc in list(self._procs):
             proc.kill()
         self._procs.clear()
         self.committer.stop()
@@ -800,10 +802,14 @@ class ComputeNode:
     def _h_warmup_pull(self, granule: int):
         """Source-side Squall-style scan: stream the granule's pages (§4.4.1)."""
         yield Timeout(self.params.warmup_time_per_granule)
-        pages = set()
-        for key in self.gmap.keys_in(granule):
-            pages.add(self.page_of("usertable", key))
-        return sorted(pages)
+        # A granule is a contiguous, non-empty key range, so its pages are a
+        # contiguous range too: no need to map every key through ``page_of``.
+        g = self.gmap.granule(granule)
+        per_page = self.params.keys_per_page
+        return [
+            ("usertable", page)
+            for page in range(g.lo // per_page, (g.hi - 1) // per_page + 1)
+        ]
 
     def _h_heartbeat(self, from_id: int):
         return self.node_id

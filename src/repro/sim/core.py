@@ -58,9 +58,9 @@ Ordering guarantees (identical to the classic single-heap kernel):
 3. The clock only advances when the ready queue is empty.
 
 All resumptions pass through the scheduler, so a run is fully deterministic
-for a given seed and spawn order.  ``run()``/``run(until)`` inline the event
-loop (no per-event ``step()`` call); ``step()`` remains the single-event
-entry point with identical pop order.
+for a given seed and spawn order.  ``run()`` and ``run_until()`` share one
+inlined event loop (no per-event ``step()`` call); ``step()`` remains the
+single-event entry point with identical pop order.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ import itertools
 import random
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from types import GeneratorType
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "Future",
@@ -86,6 +87,16 @@ __all__ = [
 
 #: Scheduling in the past is tolerated up to this much floating-point slop.
 _PAST_SLOP = 1e-12
+
+#: A process or future name: a string, or a tuple of names that is joined
+#: with "." only when somebody reads it (error messages, ``repr``) — the
+#: per-spawn paths hand over the parts they already hold instead of
+#: formatting a string nobody will look at.
+Name = Union[str, tuple]
+
+
+def _join_name(name: Name) -> str:
+    return name if type(name) is str else ".".join(map(_join_name, name))
 
 
 class SimError(Exception):
@@ -141,15 +152,19 @@ class Future:
     stack depth bounded.
     """
 
-    __slots__ = ("_sim", "_done", "_value", "_exc", "_callbacks", "name")
+    __slots__ = ("_sim", "_done", "_value", "_exc", "_callbacks", "_name")
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: Name = ""):
         self._sim = sim
         self._done = False
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._callbacks: list[Callable[["Future"], None]] = []
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        return _join_name(self._name)
 
     @property
     def done(self) -> bool:
@@ -209,26 +224,44 @@ class Process:
     return value, or failed with the escaping exception.  An exception that
     escapes a process also crashes the whole simulation run (fail-fast), unless
     the process was spawned with ``daemon=True`` or killed deliberately.
+
+    Lifetime invariant: every *unfinished* process is strongly reachable from
+    its simulator (``Simulator._spawned``); a finished one is reachable only
+    from whoever still holds it.  A process enters the registries in
+    ``__init__`` and leaves them at its single exit, :meth:`_finish` — return,
+    kill and crash alike — so a run's live heap tracks the work in flight,
+    not everything it ever ran.  ``owner``, when given, is one more registry
+    of the same shape (an insertion-ordered dict of unfinished processes) kept
+    by whoever must be able to kill its processes as a group, in spawn order.
     """
 
-    __slots__ = ("sim", "gen", "name", "result", "daemon", "_finished")
+    __slots__ = ("sim", "gen", "_name", "result", "daemon", "_finished", "_owner")
 
     def __init__(
         self,
         sim: "Simulator",
         gen: Generator,
-        name: str = "",
+        name: Name = "",
         daemon: bool = False,
+        owner: Optional[dict] = None,
     ):
-        if not isinstance(gen, Generator):
+        if type(gen) is not GeneratorType:
             raise SimError(f"spawn() needs a generator, got {type(gen).__name__}")
         self.sim = sim
         self.gen = gen
-        self.name = name or getattr(gen, "__name__", "process")
+        self._name = name = name or gen.__name__
         self.daemon = daemon
-        self.result = Future(sim, name=f"{self.name}.result")
+        self.result = Future(sim, (name, "result"))
         self._finished = False
+        self._owner = owner
+        sim._spawned[self] = None
+        if owner is not None:
+            owner[self] = None
         sim._ready.append((None, self._step, (None, None)))
+
+    @property
+    def name(self) -> str:
+        return _join_name(self._name)
 
     @property
     def finished(self) -> bool:
@@ -250,15 +283,13 @@ class Process:
             else:
                 yielded = self.gen.send(value)
         except StopIteration as stop:
-            self._finish_value(stop.value)
+            self._finish(stop.value, None)
             return
         except ProcessKilled as killed:
-            self._finished = True
-            self.result.fail(killed)
+            self._finish(None, killed)
             return
         except BaseException as err:  # detlint: ok(DET108) — the kernel's own crash trap: records the failure on result and reports non-daemon crashes; this is the dispatcher below the coroutines, not a coroutine
-            self._finished = True
-            self.result.fail(err)
+            self._finish(None, err)
             if not self.daemon:
                 self.sim._report_crash(self, err)
             return
@@ -270,9 +301,22 @@ class Process:
         else:
             self._dispatch_slow(yielded)
 
-    def _finish_value(self, value: Any) -> None:
+    def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
+        """The one exit: leave the registries, then settle ``result``.
+
+        De-registration is inline on purpose — a done-callback would be one
+        more ready-queue entry per process, which moves ``events_executed``.
+        The owner may have dropped the process already (a group kill clears
+        its registry before the kills are delivered), hence the tolerant pop.
+        """
         self._finished = True
-        self.result.resolve(value)
+        del self.sim._spawned[self]
+        if self._owner is not None:
+            self._owner.pop(self, None)
+        if exc is None:
+            self.result.resolve(value)
+        else:
+            self.result.fail(exc)
 
     # -- yield dispatch ------------------------------------------------------
 
@@ -341,15 +385,18 @@ class Simulator:
         self.rng = random.Random(seed)
         self._crash: Optional[ProcessCrashed] = None
         self.events_executed = 0
-        #: Strong refs to every spawned process, for the simulator's entire
-        #: lifetime.  A suspended generator that became unreachable mid-run
-        #: (e.g. its resume future died with a crashed endpoint) would
-        #: otherwise be reclaimed by the *cyclic* GC, whose collection points
-        #: depend on process-global allocation counters — and the
-        #: ``GeneratorExit`` cleanup it throws runs ``finally:`` side effects
-        #: at those nondeterministic times.  Keeping processes reachable
-        #: defers all such cleanup to simulator teardown.
-        self._spawned: list = []
+        #: Every *unfinished* process, in spawn order (insertion-ordered dict
+        #: used as a set; a process adds itself at spawn and removes itself
+        #: in ``Process._finish``).  A suspended generator that became
+        #: unreachable mid-run (e.g. its resume future died with a crashed
+        #: endpoint) would otherwise be reclaimed by the *cyclic* GC, whose
+        #: collection points depend on process-global allocation counters —
+        #: and the ``GeneratorExit`` cleanup it throws runs ``finally:`` side
+        #: effects at those nondeterministic times.  Keeping suspended
+        #: processes reachable defers all such cleanup to simulator teardown.
+        #: A finished process has no frame left to finalise, so it needs no
+        #: protection and is reachable only from whoever still holds it.
+        self._spawned: dict = {}
 
     @property
     def now(self) -> float:
@@ -421,13 +468,23 @@ class Simulator:
                 raise SimError(f"cannot schedule in the past: delay {delay}")
             self._ready.append((token, fn, args))
 
-    def spawn(self, gen: Generator, name: str = "", daemon: bool = False) -> Process:
-        proc = Process(self, gen, name=name, daemon=daemon)
-        self._spawned.append(proc)
-        return proc
+    def spawn(
+        self,
+        gen: Generator,
+        name: Name = "",
+        daemon: bool = False,
+        owner: Optional[dict] = None,
+    ) -> Process:
+        """Start ``gen`` as a process.
 
-    def event(self, name: str = "") -> Future:
-        return Future(self, name=name)
+        ``owner`` is an optional dict the process also keeps itself in while
+        unfinished (see :class:`Process`), for callers that kill their
+        processes as a group.
+        """
+        return Process(self, gen, name, daemon, owner)
+
+    def event(self, name: Name = "") -> Future:
+        return Future(self, name)
 
     # -- execution ----------------------------------------------------------
 
@@ -470,15 +527,12 @@ class Simulator:
             return True
 
     def _next_event_time(self) -> Optional[float]:
-        """Time of the next *live* entry in pop order.
+        """Time of the next *live* entry in pop order, ``None`` if there is none.
 
         Cancelled entries are pruned here (cancellable-heap top popped, ready
-        front dropped) — they would be discarded by ``step`` anyway, and
-        counting them made ``run(until)`` overshoot its deadline: a cancelled
-        timer at the heap top reported a time within the deadline, ``step``
-        skipped it and ran the next live event regardless of its time.
-        Pruning keeps the deadline exact without touching the ``step`` hot
-        path (``run`` never calls this).
+        front dropped) — the loops would discard them anyway, and a cancelled
+        timer at the heap top must not pass for a pending event.  Off the hot
+        path: only :meth:`run_until` asks, to word its failure.
         """
         canc = self._cancellable
         while canc and canc[0][2].cancelled:
@@ -501,64 +555,75 @@ class Simulator:
             return self._now
         return t
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Process events until the queues drain or sim time passes ``until``.
+    def _run(self, bound: float, stop: Optional[Future]) -> None:
+        """The inlined event loop behind :meth:`run` and :meth:`run_until`.
 
-        The event loop is inlined here (same pop order as :meth:`step`, which
-        stays the one-event entry point): no per-event method call, and the
-        executed-event count is batched into one update per ``run``.
+        Same pop order as :meth:`step` (which stays the one-event reference),
+        without the per-event method call and with the executed-event count
+        batched into one update.  Returns when the queues drain, when the
+        next live event lies after ``bound``, or once ``stop`` is done.
+        Cancelled heads are discarded before the bound check, so what is left
+        at the front afterwards is live (:meth:`run_until` tells "drained"
+        from "not done by" on that).
         """
+        if self._now > bound or (stop is not None and stop._done):
+            return
         ready = self._ready
         fnf = self._timers
         canc = self._cancellable
         executed = 0
-        bound = float("inf") if until is None else until
         try:
-            if self._now <= bound:
-                while True:
-                    if fnf:
-                        heap = canc if (canc and canc[0] < fnf[0]) else fnf
-                    elif canc:
-                        heap = canc
-                    else:
-                        heap = None
-                    if heap is not None and (not ready or heap[0][0] <= self._now):
+            while True:
+                if fnf:
+                    heap = canc if (canc and canc[0] < fnf[0]) else fnf
+                elif canc:
+                    heap = canc
+                else:
+                    heap = None
+                if heap is not None and (not ready or heap[0][0] <= self._now):
+                    if heap is fnf:
                         if heap[0][0] > bound:
                             break
-                        entry = _heappop(heap)
-                        if heap is fnf:
-                            when, _seq, fn, args = entry
-                        else:
-                            when, _seq, token, fn, args = entry
-                            if token.cancelled:
-                                continue
-                        self._now = when
-                    elif ready:
-                        token, fn, args = ready.popleft()
-                        if token is not None and token.cancelled:
-                            continue
+                        when, _seq, fn, args = _heappop(heap)
                     else:
-                        break
-                    executed += 1
-                    fn(*args)
-                    if self._crash is not None:
-                        crash, self._crash = self._crash, None
-                        raise crash
+                        head = heap[0]
+                        if head[2].cancelled:
+                            _heappop(heap)
+                            continue
+                        if head[0] > bound:
+                            break
+                        when, _seq, _token, fn, args = _heappop(heap)
+                    self._now = when
+                elif ready:
+                    token, fn, args = ready.popleft()
+                    if token is not None and token.cancelled:
+                        continue
+                else:
+                    break
+                executed += 1
+                fn(*args)
+                if self._crash is not None:
+                    crash, self._crash = self._crash, None
+                    raise crash
+                if stop is not None and stop._done:
+                    break
         finally:
             self.events_executed += executed
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Process events until the queues drain or sim time passes ``until``."""
+        self._run(float("inf") if until is None else until, None)
         if until is not None and self._now < until:
             self._now = until
         return self._now
 
     def run_until(self, fut: Future, limit: Optional[float] = None) -> Any:
         """Run until ``fut`` resolves; return its value (or raise its failure)."""
-        while not fut.done:
-            if limit is not None:
-                t_next = self._next_event_time()
-                if t_next is not None and t_next > limit:
-                    raise SimError(f"future {fut.name!r} not done by t={limit}")
-            if not self.step():
+        self._run(float("inf") if limit is None else limit, fut)
+        if not fut._done:
+            if self._next_event_time() is None:
                 raise SimError(f"event heap drained before {fut.name!r} resolved")
+            raise SimError(f"future {fut.name!r} not done by t={limit}")
         return fut.result()
 
     def _report_crash(self, process: Process, exc: BaseException) -> None:

@@ -147,6 +147,43 @@ class _PendingCall:
             fut.resolve(value)
 
 
+class _ServedRequest:
+    """Slotted server-side state of one request whose handler suspended.
+
+    The done-callback of the handler process: closes the serve span and sends
+    the response (or surfaces a crashed one-way handler).  One small record
+    per yielding request instead of a closure over six variables.
+    """
+
+    __slots__ = ("endpoint", "method", "reply", "tracer", "sid")
+
+    def __init__(self, endpoint: "RpcEndpoint", method: str, reply, tracer, sid: int):
+        self.endpoint = endpoint
+        self.method = method
+        self.reply = reply
+        self.tracer = tracer
+        self.sid = sid
+
+    def __call__(self, fut: Future) -> None:
+        exc = fut._exc
+        if self.sid:
+            self.tracer.end(
+                self.sid,
+                None if exc is None else {"error": type(exc).__name__},
+            )
+        endpoint = self.endpoint
+        if endpoint.crashed:
+            return  # crashed while handling; no response escapes
+        reply = self.reply
+        if reply is None:
+            if exc is not None:
+                raise exc  # one-way handler crashed: surface it
+        elif exc is not None:
+            reply(None, RemoteError(endpoint.address, self.method, exc))
+        else:
+            reply(fut._value, None)
+
+
 class RpcEndpoint:
     """A network-addressable actor with registered method handlers.
 
@@ -166,9 +203,11 @@ class RpcEndpoint:
         #: Optional :class:`EndpointDegradation`; ``None`` on healthy nodes.
         self.degrade: Optional[EndpointDegradation] = None
         self._handlers: Dict[str, Callable] = {}
-        # Insertion-ordered on purpose: killing in arrival order keeps crash
-        # delivery deterministic (a set would iterate in id()-hash order,
-        # which varies with heap state across runs in one process).
+        # Unfinished handler processes; each removes itself when it finishes
+        # (the ``owner`` registry of ``Simulator.spawn``).  Insertion-ordered
+        # on purpose: killing in arrival order keeps crash delivery
+        # deterministic (a set would iterate in id()-hash order, which varies
+        # with heap state across runs in one process).
         self._live_processes: Dict[Any, None] = {}
         self.requests_served = 0
         network.endpoints[address] = self
@@ -183,6 +222,8 @@ class RpcEndpoint:
         """Kill in-flight handler processes (node freeze/crash semantics)."""
         for proc in list(self._live_processes):
             proc.kill()
+        # The kills are delivered on the next event cycle; dropping the
+        # processes now keeps a second call from killing them twice.
         self._live_processes.clear()
 
     # -- client side ---------------------------------------------------------
@@ -312,30 +353,11 @@ class RpcEndpoint:
                 reply(result, None)
             return
         proc = self.sim.spawn(
-            result, name=f"{self.address}.{method}", daemon=True
+            result, (self.address, method), True, self._live_processes
         )
-        self._live_processes[proc] = None
-
-        def on_done(fut: Future) -> None:
-            self._live_processes.pop(proc, None)
-            if sid:
-                exc = fut.exception
-                tracer.end(
-                    sid,
-                    None if exc is None else {"error": type(exc).__name__},
-                )
-            if self.crashed:
-                return  # crashed while handling; no response escapes
-            if reply is None:
-                if fut.exception is not None:
-                    raise fut.exception  # one-way handler crashed: surface it
-                return
-            if fut.exception is not None:
-                reply(None, RemoteError(self.address, method, fut.exception))
-            else:
-                reply(fut._value, None)
-
-        proc.result.add_done_callback(on_done)
+        proc.result.add_done_callback(
+            _ServedRequest(self, method, reply, tracer, sid)
+        )
 
 
 def _timeout_expired(fut: Future, address: str, method: str) -> None:

@@ -1,8 +1,13 @@
 """Unit tests for compute-node lifecycle and plumbing."""
 
+import gc
+
 import pytest
 
 from repro.engine.node import GTABLE, MTABLE, NodeParams, TxnOp, TxnSpec
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import scale_out_spec
+from repro.sim.core import Process, ProcessKilled, Timeout
 from repro.storage.log import Delete, Put, RecordKind
 from tests.conftest import make_cluster, run_gen
 
@@ -132,6 +137,106 @@ class TestFreezeResume:
         node.freeze()
         node.unfreeze()
         assert not node.frozen
+
+
+class TestProcessRegistries:
+    """``ComputeNode._procs`` / ``RpcEndpoint._live_processes`` hold unfinished
+    processes only, and a group kill walks them in spawn order."""
+
+    @staticmethod
+    def _workers(pair, node):
+        """Three handler processes and three node processes; the middle one of
+        each finishes before the kill.  Returns the kill log."""
+        killed = []
+
+        def worker(tag, delay):
+            try:
+                yield Timeout(delay)
+            except ProcessKilled:
+                killed.append(tag)
+                raise
+
+        node.endpoint.register("work", worker)
+        for tag, delay in (("h1", 5.0), ("h2", 0.001), ("h3", 5.0)):
+            pair.admin.cast(node.address, "work", tag, delay)
+        for tag, delay in (("p1", 5.0), ("p2", 0.001), ("p3", 5.0)):
+            node.spawn(worker(tag, delay), name=tag)
+        pair.run(until=pair.sim.now + 0.1)
+        return killed
+
+    def test_finished_processes_leave_both_registries(self, pair):
+        node = pair.nodes[0]
+        background = list(node._procs)
+        self._workers(pair, node)
+        assert [p.name for p in node.endpoint._live_processes] == [
+            "node-0.work", "node-0.work"
+        ]
+        assert [p.name for p in node._procs if p not in background] == ["p1", "p3"]
+        assert all(not p.finished for p in node._procs)
+
+    def test_freeze_kills_exactly_the_unfinished_in_spawn_order(self, pair):
+        node = pair.nodes[0]
+        killed = self._workers(pair, node)
+        node.freeze()
+        assert not node._procs and not node.endpoint._live_processes
+        pair.run(until=pair.sim.now + 0.01)
+        assert killed == ["h1", "h3", "p1", "p3"]
+
+    def test_kill_processes_spares_node_processes(self, pair):
+        node = pair.nodes[0]
+        killed = self._workers(pair, node)
+        node.endpoint.crashed = True  # as freeze() does: no reply escapes
+        node.endpoint.kill_processes()
+        pending = len(pair.sim._ready)
+        node.endpoint.kill_processes()  # the kills are queued: nothing left
+        assert len(pair.sim._ready) == pending == 2
+        pair.run(until=pair.sim.now + 0.01)
+        assert killed == ["h1", "h3"]
+
+    def test_scale_out_cell_keeps_only_unfinished_processes_alive(self):
+        result = run_spec(scale_out_spec(
+            "marlin", initial_nodes=2, added_nodes=2, clients=8, granules=64,
+            scale_at=1.0, tail=2.0, seed=3,
+        ))
+        sim = result.cluster.sim
+        served = sum(
+            node.endpoint.requests_served for node in result.cluster.nodes.values()
+        )
+        gc.collect()
+        alive = [
+            obj for obj in gc.get_objects()
+            if type(obj) is Process and obj.sim is sim
+        ]
+        assert served > 400  # hundreds of handler processes came and went
+        assert len(alive) == len(sim._spawned) == 4
+        assert all(not proc.finished for proc in alive)
+
+
+class TestWarmupPull:
+    @staticmethod
+    def _pages_key_by_key(node, granule):
+        return sorted(
+            {node.page_of("usertable", key) for key in node.gmap.keys_in(granule)}
+        )
+
+    @pytest.mark.parametrize("num_keys, keys_per_granule, keys_per_page", [
+        (2048, 64, 8),   # granules aligned to pages
+        (2000, 60, 8),   # every granule straddles a page; short last granule
+        (100, 7, 16),    # granules smaller than a page
+        (65, 64, 8),     # last granule is a single key
+    ])
+    def test_page_range_equals_the_per_key_scan(
+        self, num_keys, keys_per_granule, keys_per_page
+    ):
+        cluster = make_cluster(
+            "marlin", num_nodes=1, num_keys=num_keys,
+            keys_per_granule=keys_per_granule,
+            node_params=NodeParams(keys_per_page=keys_per_page),
+        )
+        node = cluster.nodes[0]
+        for granule in range(node.gmap.num_granules):
+            pulled = run_gen(cluster, node._h_warmup_pull(granule))
+            assert pulled == self._pages_key_by_key(node, granule)
 
 
 class TestScanHandlers:

@@ -17,9 +17,10 @@ import itertools
 import random
 from heapq import heappop, heappush
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.core import Simulator
+from repro.sim.core import SimError, Simulator
 
 #: Small discrete delays, repeated values on purpose: ties between heap
 #: entries and ready entries at the same instant are the interesting case.
@@ -177,6 +178,93 @@ def test_step_matches_inlined_run(seed):
 
     step_trace = drive(StepAdapter(), seed, 3)
     assert step_trace == run_trace
+
+
+def reference_run_until(sim, fut, limit=None):
+    """``Simulator.run_until`` as it was before it moved onto the inlined
+    loop — one ``_next_event_time`` probe and one ``step`` per event — kept
+    here as the reference model."""
+    while not fut.done:
+        if limit is not None:
+            t_next = sim._next_event_time()
+            if t_next is not None and t_next > limit:
+                raise SimError(f"future {fut.name!r} not done by t={limit}")
+        if not sim.step():
+            raise SimError(f"event heap drained before {fut.name!r} resolved")
+    return fut.result()
+
+
+class RunUntilAdapter(KernelAdapter):
+    """Drives the program through a ``run_until`` implementation, then drains
+    what it left behind with ``run()`` so the queue state is compared too."""
+
+    def __init__(self, run_until, stop_at, limit):
+        super().__init__()
+        self._run_until = run_until
+        self._limit = limit
+        self.stop = self.sim.event("stop")
+        if stop_at is not None:
+            self.sim.call_at(stop_at, self.stop.resolve, "stopped")
+
+    def run(self):
+        try:
+            outcome = ("ok", self._run_until(self.sim, self.stop, self._limit))
+        except SimError as err:
+            outcome = ("error", str(err))
+        self.at_stop = (outcome, self.sim.now, self.sim.events_executed)
+        self.sim.run()
+        self.at_end = (self.sim.now, self.sim.events_executed)
+
+
+TIMES = st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5, 4.0, 7.5, 100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_initial=st.integers(0, 4),
+    stop_at=st.none() | TIMES,
+    limit=st.none() | TIMES,
+)
+def test_run_until_matches_step_loop_reference(seed, n_initial, stop_at, limit):
+    """The inlined ``run_until`` agrees with the old probe-and-step loop on
+    event order, final ``now``, executed count and raise/no-raise (message
+    included), on schedules with cancelled timers and limits — and leaves the
+    queues in a state that drains identically."""
+    reference = RunUntilAdapter(reference_run_until, stop_at, limit)
+    actual = RunUntilAdapter(Simulator.run_until, stop_at, limit)
+    assert drive(actual, seed, n_initial) == drive(reference, seed, n_initial)
+    assert actual.at_stop == reference.at_stop
+    assert actual.at_end == reference.at_end
+
+
+class TestRunUntilLimit:
+    """The limit check sees live events only."""
+
+    def test_only_cancelled_entries_beyond_the_limit_is_drained(self):
+        sim = Simulator()
+        fut = sim.event("target")
+        sim.call_after(5.0, lambda: None).cancel()
+        with pytest.raises(SimError, match="drained before 'target'"):
+            sim.run_until(fut, limit=1.0)
+
+    def test_live_event_beyond_the_limit_is_not_run(self):
+        sim = Simulator()
+        fut = sim.event("target")
+        seen = []
+        sim.call_after(0.5, lambda: None).cancel()
+        sim.call_after(5.0, seen.append, "late")
+        with pytest.raises(SimError, match="'target' not done by t=1.0"):
+            sim.run_until(fut, limit=1.0)
+        assert seen == [] and sim.now == 0.0 and sim.events_executed == 0
+
+    def test_already_done_future_runs_nothing(self):
+        sim = Simulator()
+        fut = sim.event()
+        fut.resolve(7)
+        sim.call_soon(lambda: None)
+        assert sim.run_until(fut) == 7
+        assert sim.events_executed == 0
 
 
 class TestTimerToken:

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.core import (
@@ -270,9 +273,11 @@ class TestProcesses:
         sim.run()
         assert p.result.result() == 1
 
-    def test_spawn_requires_generator(self, sim):
-        with pytest.raises(SimError):
-            sim.spawn(lambda: None)
+    @pytest.mark.parametrize("not_a_generator", [42, lambda: None, iter([1])])
+    def test_spawn_requires_generator(self, sim, not_a_generator):
+        with pytest.raises(SimError, match="spawn\\(\\) needs a generator"):
+            sim.spawn(not_a_generator)
+        assert not sim._spawned
 
     def test_yield_bad_value_crashes(self, sim):
         def proc():
@@ -303,6 +308,87 @@ class TestProcesses:
             ("a", 3.0),
             ("b", 4.5),
         ]
+
+
+class TestProcessLifecycle:
+    """Every unfinished process is strongly reachable from its simulator; a
+    finished one is reachable only from whoever still holds it."""
+
+    def test_registry_holds_the_suspended_and_lets_the_finished_go(self, sim):
+        def worker(delay):
+            yield Timeout(delay)
+
+        gens = [worker(1.0) for _ in range(50)] + [worker(10.0) for _ in range(3)]
+        refs = [weakref.ref(gen) for gen in gens]
+        for gen in gens:
+            sim.spawn(gen)
+        del gens, gen
+        assert len(sim._spawned) == 53
+        sim.run(until=5.0)
+        gc.collect()
+        assert len(sim._spawned) == 3
+        assert all(not proc.finished for proc in sim._spawned)
+        assert [ref() is None for ref in refs] == [True] * 50 + [False] * 3
+
+    def test_finished_process_stays_usable_while_held(self, sim):
+        def worker():
+            yield Timeout(1.0)
+            return "kept"
+
+        proc = sim.spawn(worker(), name=("parts", "joined", "late"))
+        sim.run()
+        assert not sim._spawned
+        assert proc.finished and proc.result.result() == "kept"
+        assert proc.name == "parts.joined.late"
+        assert proc.result.name == "parts.joined.late.result"
+
+    def test_unreachable_suspended_process_is_not_finalised_mid_run(self, sim):
+        """Why the registry exists: without it the cyclic GC would throw
+        ``GeneratorExit`` into this process at an allocation-dependent time."""
+        finalised = []
+
+        def orphan():
+            try:
+                yield sim.event()  # held by this frame alone: never resolves
+            finally:
+                finalised.append(sim.now)
+
+        sim.spawn(orphan())
+        sim.run()
+        gc.collect()
+        assert finalised == []
+        assert len(sim._spawned) == 1
+
+    def test_killed_and_crashed_processes_leave_the_registries(self, sim):
+        owner = {}
+
+        def sleeper():
+            yield Timeout(100.0)
+
+        def bad():
+            yield Timeout(1.0)
+            raise RuntimeError("kaboom")
+
+        victim = sim.spawn(sleeper(), owner=owner)
+        quiet = sim.spawn(bad(), daemon=True, owner=owner)
+        loud = sim.spawn(bad(), owner=owner)
+        assert list(owner) == list(sim._spawned) == [victim, quiet, loud]
+        sim.call_after(0.5, victim.kill)
+        with pytest.raises(ProcessCrashed):
+            sim.run()
+        assert victim.finished and quiet.finished and loud.finished
+        assert not sim._spawned and not owner
+
+    def test_owner_that_already_dropped_the_process_is_tolerated(self, sim):
+        owner = {}
+
+        def sleeper():
+            yield Timeout(1.0)
+
+        proc = sim.spawn(sleeper(), owner=owner)
+        owner.clear()  # what a group kill does before its kills are delivered
+        sim.run()
+        assert proc.finished and not sim._spawned
 
 
 class TestFutures:
