@@ -11,14 +11,13 @@ from repro.experiments import fig7
 
 
 def test_fig07_slo_under_chaos(benchmark):
-    results = fig7.run_grid(scale=BENCH_SCALE, seed=1)
-    fig = fig7.summarize(results)
+    fig = fig7.FIGURE.run(scale=BENCH_SCALE, seed=1)
 
     def rerun_one():
         # Timed body: one fresh chaotic cell (partition is the paper's shape).
-        return fig7.run_grid(
-            scale=BENCH_SCALE, systems=("marlin",), seed=2,
-            fault_kinds=("partition",),
+        return fig7.FIGURE.grid.run(
+            scale=BENCH_SCALE, seed=2, system=("marlin",),
+            fault_kind=("partition",),
         )
 
     benchmark.pedantic(rerun_one, rounds=1, iterations=1)

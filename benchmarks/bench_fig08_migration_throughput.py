@@ -6,17 +6,16 @@ S-ZK / L-ZK during an 8->16 scale-out, plus the headline ratios (paper: 2.3x
 """
 
 from benchmarks.conftest import BENCH_SCALE, emit
-from repro.experiments import fig8
-from repro.experiments.family import run_family
+from repro.experiments import family, fig8
 
 
 def test_fig08_migration_throughput(benchmark, scaleout_family):
-    fig = fig8.summarize(scaleout_family)
+    fig = fig8.FIGURE.summarize(scaleout_family)
 
     def rerun_one():
         # The timed body: one fresh Marlin scale-out run (the family fixture
         # is shared across figure benches, so time a representative member).
-        return run_family(scale=BENCH_SCALE, systems=("marlin",), seed=2)
+        return family.GRID.run(scale=BENCH_SCALE, seed=2, system=("marlin",))
 
     benchmark.pedantic(rerun_one, rounds=1, iterations=1)
     emit(fig, benchmark)

@@ -12,7 +12,7 @@ from repro.experiments import fig9
 
 def test_fig09_user_throughput(benchmark, scaleout_family):
     fig = benchmark.pedantic(
-        lambda: fig9.summarize(scaleout_family), rounds=1, iterations=1
+        lambda: fig9.FIGURE.summarize(scaleout_family), rounds=1, iterations=1
     )
     emit(fig, benchmark)
     by_system = {row["system"]: row for row in fig.rows}

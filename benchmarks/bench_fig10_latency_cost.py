@@ -10,7 +10,7 @@ from repro.experiments import fig10
 
 def test_fig10_latency_and_cost(benchmark, scaleout_family):
     fig = benchmark.pedantic(
-        lambda: fig10.summarize(scaleout_family), rounds=1, iterations=1
+        lambda: fig10.FIGURE.summarize(scaleout_family), rounds=1, iterations=1
     )
     emit(fig, benchmark)
     by_system = {row["system"]: row for row in fig.rows}

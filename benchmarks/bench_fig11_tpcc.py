@@ -12,12 +12,9 @@ from repro.experiments import fig11
 def test_fig11_tpcc_scaleout(benchmark):
     # TPC-C needs enough warehouses for stable first-to-last durations.
     scale = max(BENCH_SCALE, 0.5)
-    results = benchmark.pedantic(
-        lambda: fig11.run_tpcc_family(scale=scale, seed=1),
-        rounds=1,
-        iterations=1,
+    fig = benchmark.pedantic(
+        lambda: fig11.FIGURE.run(scale=scale, seed=1), rounds=1, iterations=1
     )
-    fig = fig11.summarize(results)
     emit(fig, benchmark)
     assert fig.findings["migration_speedup_vs_S-ZK"] > 1.2
     assert fig.findings["migration_speedup_vs_L-ZK"] > 1.0

@@ -12,12 +12,11 @@ from repro.experiments import fig12
 
 
 def test_fig12_cost_vs_duration(benchmark):
-    results = benchmark.pedantic(
-        lambda: fig12.run_sweep(scale=BENCH_SCALE, seed=1),
+    fig = benchmark.pedantic(
+        lambda: fig12.FIGURE.run(scale=BENCH_SCALE, seed=1),
         rounds=1,
         iterations=1,
     )
-    fig = fig12.summarize(results)
     emit(fig, benchmark)
     assert fig.findings["cost_ratio_L-ZK_at_SO1-2"] > 2.5
     assert fig.findings["migration_speedup_S-ZK_at_SO8-16"] > 1.5

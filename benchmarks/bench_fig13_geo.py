@@ -12,12 +12,11 @@ from repro.experiments import fig13
 
 
 def test_fig13_geo_distributed(benchmark):
-    results = benchmark.pedantic(
-        lambda: fig13.run_sweep(scale=BENCH_SCALE, seed=1),
+    fig = benchmark.pedantic(
+        lambda: fig13.FIGURE.run(scale=BENCH_SCALE, seed=1),
         rounds=1,
         iterations=1,
     )
-    fig = fig13.summarize(results)
     emit(fig, benchmark)
     assert fig.findings["migration_speedup_S-ZK_at_SO8-16"] > 3.0
     assert fig.findings["migration_speedup_FDB_at_SO8-16"] > 5.0

@@ -12,15 +12,9 @@ from repro.experiments import fig14
 
 def test_fig14_dynamic_workload(benchmark):
     scale = max(BENCH_SCALE, 0.2)
-    results = benchmark.pedantic(
-        lambda: {
-            system: fig14.run_dynamic(system, scale=scale, seed=1)
-            for system in ("marlin", "zk-small", "zk-large")
-        },
-        rounds=1,
-        iterations=1,
+    fig = benchmark.pedantic(
+        lambda: fig14.FIGURE.run(scale=scale, seed=1), rounds=1, iterations=1
     )
-    fig = fig14.summarize(results)
     emit(fig, benchmark)
     assert fig.findings["scale_out_speedup_vs_S-ZK"] > 1.3
     assert fig.findings["scale_in_speedup_vs_S-ZK"] > 1.3

@@ -13,16 +13,17 @@ NODE_COUNTS = (20, 80, 160, 240)
 
 
 def test_fig15_membership_stress(benchmark):
-    def sweep():
-        results = {}
-        for system in ("marlin", "zk-small", "zk-large", "fdb"):
-            for nodes in NODE_COUNTS:
-                results[(system, nodes)] = fig15.run_stress(system, nodes, seed=1)
-        return results
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    fig = fig15.summarize(results)
+    cells = benchmark.pedantic(
+        lambda: fig15.FIGURE.grid.run(seed=1, num_nodes=NODE_COUNTS),
+        rounds=1,
+        iterations=1,
+    )
+    fig = fig15.FIGURE.summarize(cells)
     emit(fig, benchmark)
+    results = {
+        (point["system"], point["num_nodes"]): r.extras["membership_churn"]
+        for point, r in cells
+    }
     # Comparable at moderate scale...
     assert results[("marlin", 80)]["efficiency"] > 0.95
     # ... degraded beyond ~160 nodes, unlike the external services.

@@ -18,9 +18,6 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
 
 def emit(figure_result, benchmark=None):
     """Print a figure table, persist it, and attach findings to the report."""
-    for row in figure_result.rows:
-        for key in [k for k in row if k.endswith("series") or k == "series"]:
-            row.pop(key)
     text = figure_result.format_table()
     print()
     print(text)
@@ -36,9 +33,9 @@ def emit(figure_result, benchmark=None):
 @pytest.fixture(scope="session")
 def scaleout_family():
     """The §6.2 family (Figures 8-10 share these runs)."""
-    from repro.experiments.family import run_family
+    from repro.experiments import family
 
-    return run_family(scale=BENCH_SCALE, seed=1)
+    return family.GRID.run(scale=BENCH_SCALE, seed=1)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.cost import CostModel
 from repro.cluster.metrics import MetricsCollector
 from repro.engine.granule import GranuleMap, contiguous_assignment, rebalance_plan
 from repro.engine.node import (
@@ -46,10 +45,7 @@ class Cluster:
         self.network = Network(self.sim, LatencyModel())
         self.metrics = MetricsCollector(bucket=config.metrics_bucket)
         self.gmap = GranuleMap(config.num_keys, config.keys_per_granule)
-        self.cost_model = CostModel(
-            compute_hourly=config.node_vm.hourly_cost,
-            coordination_hourly=config.coordination_hourly,
-        )
+        self.cost_model = config.cost_model()
 
         self.storages: Dict[str, StorageService] = {}
         for region in config.regions:

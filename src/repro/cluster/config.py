@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.cluster.cost import CostModel
 from repro.coord.base import CoordinationRuntime
 from repro.coord.external import ExternalRuntime, FdbClient, ZkClient
 from repro.coord.fdb import FDB_DEFAULT, FdbService
@@ -197,6 +198,14 @@ class ClusterConfig:
     def coordination_hourly(self) -> float:
         service = self.service_config
         return 0.0 if service is None else service.hourly_cost
+
+    def cost_model(self) -> CostModel:
+        """The deployment's rate card — a function of the config alone, so a
+        result detached from its cluster can still be priced over time."""
+        return CostModel(
+            compute_hourly=self.node_vm.hourly_cost,
+            coordination_hourly=self.coordination_hourly,
+        )
 
     def with_(self, **kwargs) -> "ClusterConfig":
         """A modified copy (keeps presets immutable in experiment sweeps)."""

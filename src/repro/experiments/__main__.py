@@ -15,8 +15,10 @@ table (or ``--json``).  ``run <file.json>`` loads an ad-hoc
 :class:`~repro.experiments.spec.Sweep` when the file has an ``"axes"`` key —
 executes it through ``run_spec``, and prints the run summaries (probe
 verdicts included).  ``--workers N`` runs grid cells on a process pool
-(sweep figures and sweep spec files; seeded results stay bit-identical to
-serial — see EXPERIMENTS.md "Parallel execution").  ``--cache DIR`` (or
+(every figure, and sweep spec files; seeded results stay bit-identical to
+serial — see EXPERIMENTS.md "Parallel execution").  ``--systems`` and
+``--clients`` override the figure's ``system`` / ``clients`` axis and are
+rejected by a figure that does not declare it.  ``--cache DIR`` (or
 ``$REPRO_SWEEP_CACHE``) stores finished cells in a content-addressed result
 cache and reuses them on identical (spec, seed) cells, so an interrupted or
 re-summarized grid re-executes only missed cells; cache hit/miss counts are
@@ -26,7 +28,6 @@ printed to stderr (see EXPERIMENTS.md "Result caching").
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -47,11 +48,6 @@ def _json_default(value):
     if isinstance(value, bool):
         return value
     return str(value)
-
-
-def _figure_doc(module) -> str:
-    doc = (module.__doc__ or "").strip().splitlines()
-    return doc[0] if doc else ""
 
 
 def _resolve_cache(args):
@@ -79,42 +75,28 @@ def _report_cache(cache) -> None:
         )
 
 
-def _run_figure(name: str, args, cache=None) -> Dict[str, Any]:
+def _run_figure(name: str, args, cache=None):
     if args.trace:
         raise SystemExit(
             f"{name} is a figure; --trace only applies to a single "
             "ScenarioSpec file (save one cell's spec and run that)"
         )
-    module = FIGURES[name]
-    kwargs: Dict[str, Any] = {"scale": args.scale, "seed": args.seed}
-    supported = inspect.signature(module.run).parameters
+    figure = FIGURES[name]
+    axes: Dict[str, Any] = {}
     if args.systems:
-        if "systems" not in supported:
-            raise SystemExit(f"{name} does not take --systems")
-        kwargs["systems"] = tuple(args.systems.split(","))
+        axes["system"] = tuple(args.systems.split(","))
     if args.clients is not None:
-        if "clients" not in supported:
-            raise SystemExit(f"{name} does not take --clients")
-        kwargs["clients"] = args.clients
-    if args.workers is not None:
-        if "workers" not in supported:
-            raise SystemExit(f"{name} does not take --workers (not a sweep figure)")
-        kwargs["workers"] = args.workers
-    if cache is not None:
-        if "cache" not in supported:
-            if args.cache:  # explicit flag on a non-sweep figure: loud error
-                raise SystemExit(f"{name} does not take --cache (not a sweep figure)")
-            # $REPRO_SWEEP_CACHE default on a non-sweep figure: say so and
-            # drop the cache, so no misleading all-zero [cache] line prints.
-            print(
-                f"[cache] ignored: {name} is not a sweep figure",
-                file=sys.stderr,
+        axes["clients"] = (args.clients,)
+    for axis in axes:
+        if axis not in figure.grid.axes:
+            raise SystemExit(
+                f"{name} has no {axis!r} axis (its axes: "
+                f"{', '.join(figure.grid.axes)})"
             )
-            cache = None
-        else:
-            kwargs["cache"] = cache
-    fig = module.run(**kwargs)
-    return fig.to_dict(include_series=args.series), cache
+    return figure.run(
+        scale=args.scale, seed=args.seed, workers=args.workers, cache=cache,
+        **axes,
+    )
 
 
 def _run_spec_file(path: str, args, cache=None) -> Any:
@@ -161,21 +143,10 @@ def _run_spec_file(path: str, args, cache=None) -> Any:
     return run_spec(spec).summary()
 
 
-def _print(payload, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, default=_json_default))
-        return
-    if isinstance(payload, dict) and "figure" in payload:
-        # A figure table: re-render through FigureResult formatting.
-        from repro.experiments.harness import FigureResult
-
-        fig = FigureResult(payload["figure"], payload["title"])
-        for row in payload["rows"]:
-            fig.add_row(**{
-                k: v for k, v in row.items() if not k.endswith("series")
-            })
-        fig.findings = payload["findings"]
-        print(fig.format_table())
+def _print(payload) -> None:
+    """A rendered figure table prints as is, anything else as JSON."""
+    if isinstance(payload, str):
+        print(payload)
     else:
         print(json.dumps(payload, indent=2, default=_json_default))
 
@@ -197,7 +168,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--systems", help="comma-separated coordination kinds")
     p_run.add_argument(
         "--clients", type=int, default=None,
-        help="override the client population (family figures only)",
+        help="override the client population (figures with a clients axis)",
     )
     p_run.add_argument("--json", action="store_true", help="machine-readable output")
     p_run.add_argument(
@@ -206,8 +177,8 @@ def main(argv=None) -> int:
     )
     p_run.add_argument(
         "--workers", type=int, default=None,
-        help="run sweep cells on N worker processes (sweep figures and "
-             "sweep spec files; results are bit-identical to serial)",
+        help="run grid cells on N worker processes (figures and sweep "
+             "spec files; results are bit-identical to serial)",
     )
     p_run.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -234,7 +205,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "list":
-        listing = {name: _figure_doc(mod) for name, mod in FIGURES.items()}
+        listing = {
+            name: f"{fig.name} — {fig.title}" for name, fig in FIGURES.items()
+        }
         if args.json:
             print(json.dumps(listing, indent=2))
         else:
@@ -245,7 +218,12 @@ def main(argv=None) -> int:
 
     cache = _resolve_cache(args)
     if args.target in FIGURES:
-        payload, cache = _run_figure(args.target, args, cache=cache)
+        fig = _run_figure(args.target, args, cache=cache)
+        payload = (
+            fig.to_dict(include_series=args.series)
+            if args.json
+            else fig.format_table()
+        )
     elif os.path.exists(args.target):
         payload = _run_spec_file(args.target, args, cache=cache)
     else:
@@ -254,7 +232,7 @@ def main(argv=None) -> int:
             f"({', '.join(sorted(FIGURES))}) and not a spec file"
         )
     _report_cache(cache)
-    _print(payload, args.json)
+    _print(payload)
     return 0
 
 

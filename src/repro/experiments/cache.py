@@ -28,7 +28,7 @@ deleted and treated as a miss.  Failures are never cached — a
 :class:`CellFailure` stays ephemeral.
 
 Consumers: ``Sweep.run(cache=...)``, ``run_cells(cache=...)``,
-:meth:`ProcessPoolRunner.run`, the sweep figures' ``run(cache=...)`` and the
+:meth:`ProcessPoolRunner.run`, every figure's ``FIGURE.run(cache=...)`` and the
 CLI's ``--cache DIR`` / ``--no-cache`` (see EXPERIMENTS.md "Result
 caching").
 """

@@ -13,16 +13,16 @@ false fencings on the partition leg of the schedule.
 Pure spec composition: one base :class:`ScenarioSpec` expanded by
 :class:`Sweep` over ``faults.detector_interval`` x ``faults.detector_misses``
 x ``faults.detector_vote_gate``.  The 18-cell grid is the repo's canonical
-parallel-sweep workload: ``run(workers=N)`` / ``--workers N`` farm cells out
-to a process pool with bit-identical results.
+parallel-sweep workload: ``FIGURE.run(workers=N)`` / ``--workers N`` farm
+cells out to a process pool with bit-identical results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.harness import FigureResult, scaled
-from repro.experiments.parallel import raise_failures
+from repro.experiments.figure import Figure, Grid
+from repro.experiments.harness import scaled
 from repro.experiments.spec import (
     FaultSpec,
     ScenarioSpec,
@@ -31,7 +31,7 @@ from repro.experiments.spec import (
     WorkloadSpec,
 )
 
-__all__ = ["build_sweep", "run", "summarize"]
+__all__ = ["FIGURE", "build_sweep"]
 
 #: Noise, not death: lossy link, a clock-jittered node, and one transient
 #: symmetric isolation of node 2 — everything heals by t=7.
@@ -78,65 +78,55 @@ def build_sweep(
     )
 
 
-def summarize(results) -> FigureResult:
-    """``results`` is ``Sweep.run()`` output: ``[(point, SpecRunResult)]``."""
-    fig = FigureResult(
-        "Detector sweep", "False-positive fencing vs. detector parameters"
+def sweep_cell(
+    vote_gate: bool, interval: float, misses: int, scale: float = 1.0, seed: int = 1
+) -> ScenarioSpec:
+    """One grid point, built by the same :class:`Sweep` as the whole grid."""
+    sweep = build_sweep(scale, seed, [interval], [misses], [vote_gate])
+    ((_point, spec),) = sweep.expand()
+    return spec
+
+
+def row(point, result):
+    m = result.metrics
+    return dict(
+        interval_s=point["interval"],
+        misses=point["misses"],
+        vote_gate=bool(point["vote_gate"]),
+        false_fencings=len(m.failovers),
+        fenced_nodes=sorted({dead for _t, dead, _g in m.failovers}),
+        committed=m.total_committed,
+        abort_ratio=m.abort_ratio(),
     )
-    totals: Dict[bool, int] = {False: 0, True: 0}
-    for point, result in results:
-        m = result.metrics
-        gate = bool(point["faults.detector_vote_gate"])
-        fenced = sorted({dead for _t, dead, _g in m.failovers})
-        totals[gate] += len(m.failovers)
-        fig.add_row(
-            interval_s=point["faults.detector_interval"],
-            misses=point["faults.detector_misses"],
-            vote_gate=gate,
-            false_fencings=len(m.failovers),
-            fenced_nodes=fenced,
-            committed=m.total_committed,
-            abort_ratio=m.abort_ratio(),
-        )
-    fig.findings["false_fencings_no_gate"] = float(totals[False])
-    fig.findings["false_fencings_gate"] = float(totals[True])
-    if totals[False]:
-        fig.findings["gate_reduction"] = (
-            (totals[False] - totals[True]) / totals[False]
-        )
-    lenient = [
-        row["false_fencings"]
-        for row in fig.rows
-        if row["misses"] == max(r["misses"] for r in fig.rows)
-    ]
-    fig.findings["lenient_false_fencings"] = float(sum(lenient))
-    return fig
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    intervals: Sequence[float] = INTERVALS,
-    misses: Sequence[int] = MISSES,
-    vote_gate: Sequence[bool] = (False, True),
-    results=None,
-    workers: Optional[int] = None,
-    cache=None,
-) -> FigureResult:
-    if results is None:
-        sweep = build_sweep(
-            scale=scale,
-            seed=seed,
-            intervals=intervals,
-            misses=misses,
-            vote_gate=vote_gate,
+def findings(rows, results):
+    fencings = {
+        gate: sum(r["false_fencings"] for r in rows if r["vote_gate"] is gate)
+        for gate in (False, True)
+    }
+    out = {
+        "false_fencings_no_gate": float(fencings[False]),
+        "false_fencings_gate": float(fencings[True]),
+    }
+    if fencings[False]:
+        out["gate_reduction"] = (
+            (fencings[False] - fencings[True]) / fencings[False]
         )
-        results = sweep.run(workers=workers, cache=cache)
-        raise_failures(
-            [cell for _point, cell in results], context="detector_sweep"
-        )
-    return summarize(results)
+    most_lenient = max(r["misses"] for r in rows)
+    out["lenient_false_fencings"] = float(
+        sum(r["false_fencings"] for r in rows if r["misses"] == most_lenient)
+    )
+    return out
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.5).format_table())
+#: Axis order (vote gate slowest, misses fastest) is ``build_sweep``'s.
+FIGURE = Figure(
+    "Detector sweep", "False-positive fencing vs. detector parameters",
+    Grid(
+        "detector_sweep",
+        {"vote_gate": (False, True), "interval": INTERVALS, "misses": MISSES},
+        sweep_cell,
+    ),
+    row, findings,
+)

@@ -8,13 +8,13 @@ EXPERIMENTS.md for the scale-factor rationale.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
-from repro.experiments.harness import ScenarioResult, scaled
-from repro.experiments.runner import run_spec
+from repro.experiments.figure import Grid
+from repro.experiments.harness import scaled
 from repro.experiments.spec import ScenarioSpec, scale_out_spec
 
-__all__ = ["DEFAULT_SYSTEMS", "family_spec", "run_family"]
+__all__ = ["DEFAULT_SYSTEMS", "GRID", "family_spec"]
 
 DEFAULT_SYSTEMS = ("marlin", "zk-small", "zk-large")
 
@@ -49,32 +49,12 @@ def family_spec(
     )
 
 
-def run_family(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    workload: str = "ycsb",
-    seed: int = 1,
-    granules: Optional[int] = None,
-    clients: Optional[int] = None,
-) -> Dict[str, ScenarioResult]:
-    """Run the 8->16 scale-out scenario once per system.
-
-    ``scale`` shrinks the table (and so the migration volume); the client
-    population stays at the paper's saturation point by default — the 2x
-    post-scale-out throughput jump of Figure 9 requires the 8-node cluster
-    to be overloaded, which is a clients-to-capacity ratio, not a data size.
-    Pass ``clients`` explicitly for quick shape tests.
-    """
-    return {
-        system: run_spec(
-            family_spec(
-                system,
-                scale=scale,
-                workload=workload,
-                seed=seed,
-                granules=granules,
-                clients=clients,
-            )
-        )
-        for system in systems
-    }
+#: One run per system, shared by fig8/fig9/fig10.  ``scale`` shrinks the
+#: table (and so the migration volume); the client population stays at the
+#: paper's saturation point by default — the 2x post-scale-out throughput
+#: jump of Figure 9 requires the 8-node cluster to be overloaded, which is a
+#: clients-to-capacity ratio, not a data size.  Override ``clients`` for
+#: quick shape tests.
+GRID = Grid(
+    "family", {"system": DEFAULT_SYSTEMS, "clients": (None,)}, family_spec
+)

@@ -8,65 +8,34 @@ disappears.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from repro.experiments import family
+from repro.experiments.figure import Figure, label, vs_marlin
 
-from repro.experiments.family import DEFAULT_SYSTEMS, run_family
-from repro.experiments.harness import (
-    FigureResult,
-    ScenarioResult,
-    SYSTEM_LABELS,
-)
-
-__all__ = ["run", "summarize"]
+__all__ = ["FIGURE"]
 
 
-def summarize(results: Dict[str, ScenarioResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 10", "Migration latency (a) and cost of UserTxn (b)"
+def row(point, result):
+    stats = result.metrics.migration_latency_stats()
+    report = result.cost
+    return dict(
+        system=label(point["system"]),
+        migr_latency_mean_s=stats["mean"],
+        migr_latency_p99_s=stats["p99"],
+        db_cost_usd=report.db_cost,
+        meta_cost_usd=report.meta_cost,
+        cost_per_mtxn_usd=report.cost_per_million_txns,
+        meta_fraction=report.meta_fraction,
     )
-    latency: Dict[str, float] = {}
-    cost_per_m: Dict[str, float] = {}
-    for system, result in results.items():
-        stats = result.metrics.migration_latency_stats()
-        report = result.cost
-        latency[system] = stats["mean"]
-        cost_per_m[system] = report.cost_per_million_txns
-        fig.add_row(
-            system=SYSTEM_LABELS.get(system, system),
-            migr_latency_mean_s=stats["mean"],
-            migr_latency_p99_s=stats["p99"],
-            db_cost_usd=report.db_cost,
-            meta_cost_usd=report.meta_cost,
-            cost_per_mtxn_usd=report.cost_per_million_txns,
-            meta_fraction=report.meta_fraction,
-        )
-    if "marlin" in results:
-        for base in results:
-            if base == "marlin":
-                continue
-            label = SYSTEM_LABELS.get(base, base)
-            if latency.get("marlin"):
-                fig.findings[f"latency_reduction_vs_{label}"] = (
-                    latency[base] / latency["marlin"]
-                )
-            if cost_per_m.get("marlin"):
-                fig.findings[f"cost_reduction_vs_{label}"] = (
-                    cost_per_m[base] / cost_per_m["marlin"]
-                )
-    return fig
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[str, ScenarioResult]] = None,
-    clients: Optional[int] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_family(scale=scale, systems=systems, seed=seed, clients=clients)
-    return summarize(results)
+def findings(rows, results):
+    return {
+        **vs_marlin(rows, "latency_reduction_vs_{}", "migr_latency_mean_s"),
+        **vs_marlin(rows, "cost_reduction_vs_{}", "cost_per_mtxn_usd"),
+    }
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())
+FIGURE = Figure(
+    "Figure 10", "Migration latency (a) and cost of UserTxn (b)",
+    family.GRID, row, findings,
+)

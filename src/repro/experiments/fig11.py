@@ -9,21 +9,14 @@ NEW-ORDER and 15% of PAYMENT cross warehouses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
 import numpy as np
 
 from repro.experiments.family import DEFAULT_SYSTEMS
-from repro.experiments.harness import (
-    FigureResult,
-    ScenarioResult,
-    SYSTEM_LABELS,
-    scaled,
-)
-from repro.experiments.runner import run_spec
-from repro.experiments.spec import scale_out_spec
+from repro.experiments.figure import Figure, Grid, label, vs_marlin
+from repro.experiments.harness import scaled
+from repro.experiments.spec import ScenarioSpec, scale_out_spec
 
-__all__ = ["run", "run_tpcc_family", "summarize"]
+__all__ = ["FIGURE", "tpcc_spec"]
 
 #: Paper: 1600 warehouses/server x 8 servers = 12.8K warehouses for 800
 #: clients (16 per client).  Scaled: 1600 warehouses for 100 clients keeps
@@ -33,70 +26,44 @@ BASE_CLIENTS = 100
 SCALE_AT = 5.0
 
 
-def run_tpcc_family(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-) -> Dict[str, ScenarioResult]:
-    results = {}
-    for system in systems:
-        spec = scale_out_spec(
-            system,
-            initial_nodes=8,
-            added_nodes=8,
-            clients=scaled(BASE_CLIENTS, scale),
-            granules=scaled(BASE_WAREHOUSES, scale, minimum=16),
-            scale_at=SCALE_AT,
-            tail=5.0,
-            workload="tpcc",
-            seed=seed,
-            name=f"fig11-tpcc-{system}",
-        )
-        results[system] = run_spec(spec)
-    return results
-
-
-def summarize(results: Dict[str, ScenarioResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 11", "Realtime throughput of user transactions (TPC-C)"
+def tpcc_spec(system: str, scale: float = 1.0, seed: int = 1) -> ScenarioSpec:
+    """The §6.2 8->16 scale-out cell under TPC-C for one system."""
+    return scale_out_spec(
+        system,
+        initial_nodes=8,
+        added_nodes=8,
+        clients=scaled(BASE_CLIENTS, scale),
+        granules=scaled(BASE_WAREHOUSES, scale, minimum=16),
+        scale_at=SCALE_AT,
+        tail=5.0,
+        workload="tpcc",
+        seed=seed,
+        name=f"fig11-tpcc-{system}",
     )
-    durations: Dict[str, float] = {}
-    for system, result in results.items():
-        tput = result.throughput_series()
-        aborts = result.abort_series()
-        end = min(SCALE_AT + result.migration_duration, result.duration - 1.0)
-        during_t = [tps for t, tps in tput if SCALE_AT <= t < end + 1.0]
-        during_a = [r for t, r in aborts if SCALE_AT <= t < end + 1.0]
-        durations[system] = result.migration_duration
-        fig.add_row(
-            system=SYSTEM_LABELS.get(system, system),
-            warehouses_migrated=result.metrics.total_migrations,
-            migration_duration_s=result.migration_duration,
-            tput_during_reconfig=float(np.mean(during_t)) if during_t else 0.0,
-            abort_ratio_during=float(np.mean(during_a)) if during_a else 0.0,
-        )
-        fig.rows[-1]["tput_series"] = tput
-    if "marlin" in results and durations.get("marlin"):
-        for base in results:
-            if base == "marlin":
-                continue
-            label = SYSTEM_LABELS.get(base, base)
-            fig.findings[f"migration_speedup_vs_{label}"] = (
-                durations[base] / durations["marlin"]
-            )
-    return fig
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[str, ScenarioResult]] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_tpcc_family(scale=scale, systems=systems, seed=seed)
-    return summarize(results)
+def row(point, result):
+    tput = result.throughput_series()
+    end = min(SCALE_AT + result.migration_duration, result.duration - 1.0)
+    during_t = [tps for t, tps in tput if SCALE_AT <= t < end + 1.0]
+    during_a = [
+        r for t, r in result.abort_series() if SCALE_AT <= t < end + 1.0
+    ]
+    return dict(
+        system=label(point["system"]),
+        warehouses_migrated=result.metrics.total_migrations,
+        migration_duration_s=result.migration_duration,
+        tput_during_reconfig=float(np.mean(during_t)) if during_t else 0.0,
+        abort_ratio_during=float(np.mean(during_a)) if during_a else 0.0,
+        tput_series=tput,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())
+def findings(rows, results):
+    return vs_marlin(rows, "migration_speedup_vs_{}", "migration_duration_s")
+
+
+FIGURE = Figure(
+    "Figure 11", "Realtime throughput of user transactions (TPC-C)",
+    Grid("fig11", {"system": DEFAULT_SYSTEMS}, tpcc_spec), row, findings,
+)

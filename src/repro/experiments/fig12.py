@@ -15,136 +15,96 @@ growing proportionally.  Paper findings:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.harness import (
-    FigureResult,
-    ScenarioResult,
-    SYSTEM_LABELS,
-    scaled,
-)
-from repro.experiments.parallel import raise_failures, run_cells
-from repro.experiments.spec import scale_out_spec
+from repro.experiments.figure import Figure, Grid, label, vs_marlin
+from repro.experiments.harness import scaled
+from repro.experiments.spec import ScenarioSpec, scale_out_spec
 
-__all__ = ["SCALE_OUTS", "run", "run_sweep", "summarize"]
+__all__ = ["FIGURE", "SCALE_OUTS", "size_spec"]
 
 ALL_SYSTEMS = ("marlin", "zk-small", "zk-large", "fdb")
 
-#: (name, initial_nodes, clients, granules) — §6.4's SO1-2 .. SO8-16,
+#: name -> (initial_nodes, clients, granules) — §6.4's SO1-2 .. SO8-16,
 #: clients 100..800 and tables 3..24 GB scaled down proportionally.
-SCALE_OUTS: Tuple[Tuple[str, int, int, int], ...] = (
-    ("SO1-2", 1, 12, 1562),
-    ("SO2-4", 2, 25, 3125),
-    ("SO4-8", 4, 50, 6250),
-    ("SO8-16", 8, 100, 12500),
-)
+SCALE_OUTS: Dict[str, Tuple[int, int, int]] = {
+    "SO1-2": (1, 12, 1562),
+    "SO2-4": (2, 25, 3125),
+    "SO4-8": (4, 50, 6250),
+    "SO8-16": (8, 100, 12500),
+}
 
 
-def run_sweep(
-    scale: float = 1.0,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seed: int = 1,
-    scale_outs: Sequence[Tuple[str, int, int, int]] = SCALE_OUTS,
+def size_spec(
+    system: str,
+    scale_out: str,
     regions: Tuple[str, ...] = ("us-west",),
-    workers: Optional[int] = None,
-    cache=None,
-) -> Dict[Tuple[str, str], ScenarioResult]:
-    """The (scale-out x system) grid; ``workers > 1`` runs cells on a
-    :class:`~repro.experiments.parallel.ProcessPoolRunner` (seeded results
-    are bit-identical to the serial path); ``cache`` short-circuits cells
-    already stored in a content-addressed result cache (EXPERIMENTS.md
-    "Result caching")."""
-    keys: List[Tuple[str, str]] = []
-    specs = []
-    for name, initial, clients, granules in scale_outs:
-        for system in systems:
-            keys.append((name, system))
-            specs.append(
-                scale_out_spec(
-                    system,
-                    initial_nodes=initial,
-                    added_nodes=initial,
-                    clients=scaled(clients, scale),
-                    granules=scaled(granules, scale, minimum=8 * initial),
-                    scale_at=2.0,
-                    tail=5.0,
-                    regions=regions,
-                    seed=seed,
-                    name=f"fig12-{name}-{system}",
-                )
-            )
-    results = run_cells(specs, workers=workers, cache=cache)
-    raise_failures(results, context="fig12")
-    return dict(zip(keys, results))
+    scale: float = 1.0,
+    seed: int = 1,
+) -> ScenarioSpec:
+    """One (scale-out size, system) cell: the cluster doubles at t=2."""
+    initial, clients, granules = SCALE_OUTS[scale_out]
+    return scale_out_spec(
+        system,
+        initial_nodes=initial,
+        added_nodes=initial,
+        clients=scaled(clients, scale),
+        granules=scaled(granules, scale, minimum=8 * initial),
+        scale_at=2.0,
+        tail=5.0,
+        regions=regions,
+        seed=seed,
+        name=f"fig12-{scale_out}-{system}",
+    )
 
 
-def summarize(
-    results: Dict[Tuple[str, str], ScenarioResult],
-    figure: str = "Figure 12",
-    title: str = "Cost vs. migration duration (single-region)",
-) -> FigureResult:
-    fig = FigureResult(figure, title)
-    by_key: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for (scale_name, system), result in sorted(results.items()):
-        report = result.cost
-        busy = [tps for _t, tps in result.migration_series() if tps > 0]
-        row = {
-            "scale_out": scale_name,
-            "system": SYSTEM_LABELS.get(system, system),
-            "migration_duration_s": result.migration_duration,
-            "migration_tps": max(busy, default=0.0),
-            "cost_per_mtxn_usd": report.cost_per_million_txns,
-            "meta_fraction": report.meta_fraction,
-        }
-        by_key[(scale_name, system)] = row
-        fig.add_row(**row)
+def row(point, result):
+    report = result.cost
+    busy = [tps for _t, tps in result.migration_series() if tps > 0]
+    return dict(
+        scale_out=point["scale_out"],
+        system=label(point["system"]),
+        migration_duration_s=result.migration_duration,
+        migration_tps=max(busy, default=0.0),
+        cost_per_mtxn_usd=report.cost_per_million_txns,
+        meta_fraction=report.meta_fraction,
+    )
 
-    scale_names = sorted({k[0] for k in results})
-    systems = sorted({k[1] for k in results})
+
+def findings(rows, results):
+    # The extremes are the first and last *declared* sizes (rows come in
+    # axis order), never a sort of their names: "SO16-32" < "SO2-4".
+    smallest, largest = rows[0]["scale_out"], rows[-1]["scale_out"]
+    small = [r for r in rows if r["scale_out"] == smallest]
+    large = [r for r in rows if r["scale_out"] == largest]
     # 12a headline ratios at the extremes.
-    for other in systems:
-        if other == "marlin":
-            continue
-        label = SYSTEM_LABELS.get(other, other)
-        smallest, largest = scale_names[0], scale_names[-1]
-        small_m = by_key.get((smallest, "marlin"))
-        small_o = by_key.get((smallest, other))
-        if small_m and small_o and small_m["cost_per_mtxn_usd"]:
-            fig.findings[f"cost_ratio_{label}_at_{smallest}"] = (
-                small_o["cost_per_mtxn_usd"] / small_m["cost_per_mtxn_usd"]
-            )
-        large_m = by_key.get((largest, "marlin"))
-        large_o = by_key.get((largest, other))
-        if large_m and large_o and large_m["migration_duration_s"]:
-            fig.findings[f"migration_speedup_{label}_at_{largest}"] = (
-                large_o["migration_duration_s"] / large_m["migration_duration_s"]
-            )
+    out = {
+        **vs_marlin(
+            small, f"cost_ratio_{{}}_at_{smallest}", "cost_per_mtxn_usd"
+        ),
+        **vs_marlin(
+            large, f"migration_speedup_{{}}_at_{largest}", "migration_duration_s"
+        ),
+    }
     # 12c scaling linearity: peak migration tps largest/smallest scale.
-    for system in systems:
-        label = SYSTEM_LABELS.get(system, system)
-        first = by_key.get((scale_names[0], system))
-        last = by_key.get((scale_names[-1], system))
-        if first and last and first["migration_tps"]:
-            fig.findings[f"tps_scaling_{label}"] = (
+    for first, last in zip(small, large):
+        if first["migration_tps"]:
+            out[f"tps_scaling_{first['system']}"] = (
                 last["migration_tps"] / first["migration_tps"]
             )
-    return fig
+    return out
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[Tuple[str, str], ScenarioResult]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-) -> FigureResult:
-    if results is None:
-        results = run_sweep(
-            scale=scale, systems=systems, seed=seed, workers=workers, cache=cache
-        )
-    return summarize(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.1).format_table())
+FIGURE = Figure(
+    "Figure 12", "Cost vs. migration duration (single-region)",
+    Grid(
+        "fig12",
+        {
+            "scale_out": tuple(SCALE_OUTS),
+            "system": ALL_SYSTEMS,
+            "regions": (("us-west",),),
+        },
+        size_spec,
+    ),
+    row, findings,
+)

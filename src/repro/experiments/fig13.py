@@ -10,72 +10,43 @@ is erased by cross-region latency; cost ratios match the single-region case.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import replace
 
 from repro.experiments import fig12
-from repro.experiments.harness import FigureResult, ScenarioResult, SYSTEM_LABELS
+from repro.experiments.figure import Figure, label
 from repro.sim.network import AZURE_REGIONS
 
-__all__ = ["GEO_SCALE_OUTS", "run", "run_sweep", "summarize"]
-
-#: Geo sweep uses initial node counts divisible by the 4 regions.
-GEO_SCALE_OUTS: Tuple[Tuple[str, int, int, int], ...] = (
-    ("SO4-8", 4, 50, 6250),
-    ("SO8-16", 8, 100, 12500),
-)
+__all__ = ["FIGURE"]
 
 
-def run_sweep(
-    scale: float = 1.0,
-    systems: Sequence[str] = fig12.ALL_SYSTEMS,
-    seed: int = 1,
-    scale_outs: Sequence[Tuple[str, int, int, int]] = GEO_SCALE_OUTS,
-    workers: Optional[int] = None,
-    cache=None,
-) -> Dict[Tuple[str, str], ScenarioResult]:
-    return fig12.run_sweep(
-        scale=scale,
-        systems=systems,
-        seed=seed,
-        scale_outs=scale_outs,
-        regions=tuple(AZURE_REGIONS),
-        workers=workers,
-        cache=cache,
-    )
-
-
-def summarize(results: Dict[Tuple[str, str], ScenarioResult]) -> FigureResult:
-    fig = fig12.summarize(
-        results,
-        figure="Figure 13",
-        title="Cost vs. migration duration (geo-distributed, 4 regions)",
-    )
+def findings(rows, results):
+    out = fig12.findings(rows, results)
     # Geo-specific headline: L-ZK's advantage over S-ZK disappears.
-    scale_names = sorted({k[0] for k in results})
-    largest = scale_names[-1]
-    szk = results.get((largest, "zk-small"))
-    lzk = results.get((largest, "zk-large"))
-    if szk and lzk and lzk.migration_duration:
-        fig.findings["szk_over_lzk_duration_geo"] = (
-            szk.migration_duration / lzk.migration_duration
-        )
-    return fig
+    duration = {
+        r["system"]: r["migration_duration_s"]
+        for r in rows
+        if r["scale_out"] == rows[-1]["scale_out"]
+    }
+    szk, lzk = duration.get(label("zk-small")), duration.get(label("zk-large"))
+    if szk is not None and lzk:
+        out["szk_over_lzk_duration_geo"] = szk / lzk
+    return out
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = fig12.ALL_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[Tuple[str, str], ScenarioResult]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-) -> FigureResult:
-    if results is None:
-        results = run_sweep(
-            scale=scale, systems=systems, seed=seed, workers=workers, cache=cache
-        )
-    return summarize(results)
+_GRID = fig12.FIGURE.grid
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.1).format_table())
+FIGURE = Figure(
+    "Figure 13", "Cost vs. migration duration (geo-distributed, 4 regions)",
+    # fig12's grid over the sizes whose initial node count the 4 regions
+    # divide, spread over those regions.
+    replace(
+        _GRID,
+        name="fig13",
+        axes={
+            **_GRID.axes,
+            "scale_out": ("SO4-8", "SO8-16"),
+            "regions": (tuple(AZURE_REGIONS),),
+        },
+    ),
+    fig12.row, findings,
+)

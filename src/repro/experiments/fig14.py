@@ -11,15 +11,15 @@ realtime cost.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
-from repro.experiments.harness import (
-    FigureResult,
-    ScenarioResult,
-    SYSTEM_LABELS,
-    scaled,
+from repro.experiments.figure import (
+    Figure,
+    Grid,
+    against_marlin,
+    label,
+    vs_marlin,
 )
-from repro.experiments.runner import run_spec
+from repro.experiments.harness import scaled
+from repro.experiments.runner import build_config
 from repro.experiments.spec import (
     PhaseSpec,
     ScenarioSpec,
@@ -27,7 +27,7 @@ from repro.experiments.spec import (
     WorkloadSpec,
 )
 
-__all__ = ["dynamic_spec", "run", "run_dynamic", "summarize"]
+__all__ = ["FIGURE", "dynamic_spec"]
 
 DEFAULT_SYSTEMS = ("marlin", "zk-small", "zk-large")
 
@@ -86,83 +86,49 @@ def dynamic_spec(system: str, scale: float = 1.0, seed: int = 1) -> ScenarioSpec
     )
 
 
-def run_dynamic(
-    system: str,
-    scale: float = 1.0,
-    seed: int = 1,
-) -> ScenarioResult:
-    return run_spec(dynamic_spec(system, scale=scale, seed=seed))
-
-
-def summarize(results: Dict[str, ScenarioResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 14", "Realtime performance of dynamic workloads"
-    )
-    out_duration: Dict[str, float] = {}
-    in_duration: Dict[str, float] = {}
-    release_delay: Dict[str, float] = {}
-    for system, result in results.items():
-        outs = [e for e in result.scale_summaries if e["kind"] == "scale-out"]
-        ins = [e for e in result.scale_summaries if e["kind"] == "scale-in"]
-        out_d = sum(e["duration"] for e in outs)
-        in_d = sum(e["duration"] for e in ins)
+def row(point, result):
+    outs = [e for e in result.scale_summaries if e["kind"] == "scale-out"]
+    ins = [e for e in result.scale_summaries if e["kind"] == "scale-in"]
+    report = result.cost
+    return dict(
+        system=label(point["system"]),
+        scale_out_s=sum(e["duration"] for e in outs),
+        scale_in_s=sum(e["duration"] for e in ins),
         # Time from the load drop until compute nodes are actually released.
-        release = (
+        node_release_after_drop_s=(
             min(e["start"] + e["duration"] for e in ins) - DROP_AT
             if ins
             else float("nan")
-        )
-        out_duration[system] = out_d
-        in_duration[system] = in_d
-        release_delay[system] = release
-        report = result.cost
-        fig.add_row(
-            system=SYSTEM_LABELS.get(system, system),
-            scale_out_s=out_d,
-            scale_in_s=in_d,
-            node_release_after_drop_s=release,
-            total_cost_usd=report.total,
-            cost_per_mtxn_usd=report.cost_per_million_txns,
-            committed=result.metrics.total_committed,
-        )
-        fig.rows[-1]["tput_series"] = result.throughput_series()
-        fig.rows[-1]["cost_series"] = result.cluster.cost_model.realtime_cost_series(
+        ),
+        total_cost_usd=report.total,
+        cost_per_mtxn_usd=report.cost_per_million_txns,
+        committed=result.metrics.total_committed,
+        tput_series=result.throughput_series(),
+        # Priced from the spec's rate card, not ``result.cluster``: a cached
+        # or pooled cell comes back without its cluster.
+        cost_series=build_config(result.spec).cost_model().realtime_cost_series(
             result.metrics, until=result.duration
-        )
-        fig.rows[-1]["latency_series"] = result.latency_series()
-        fig.rows[-1]["abort_series"] = result.abort_series()
-        fig.rows[-1]["migration_series"] = result.migration_series()
-    if "marlin" in results:
-        for base in results:
-            if base == "marlin":
-                continue
-            label = SYSTEM_LABELS.get(base, base)
-            if out_duration.get("marlin"):
-                fig.findings[f"scale_out_speedup_vs_{label}"] = (
-                    out_duration[base] / out_duration["marlin"]
-                )
-            if in_duration.get("marlin"):
-                fig.findings[f"scale_in_speedup_vs_{label}"] = (
-                    in_duration[base] / in_duration["marlin"]
-                )
-            fig.findings[f"release_delay_{label}_s"] = release_delay[base]
-        fig.findings["release_delay_marlin_s"] = release_delay["marlin"]
-    return fig
+        ),
+        latency_series=result.latency_series(),
+        abort_series=result.abort_series(),
+        migration_series=result.migration_series(),
+    )
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[str, ScenarioResult]] = None,
-) -> FigureResult:
-    if results is None:
-        results = {
-            system: run_dynamic(system, scale=scale, seed=seed)
-            for system in systems
-        }
-    return summarize(results)
+def findings(rows, results):
+    out = {
+        **vs_marlin(rows, "scale_out_speedup_vs_{}", "scale_out_s"),
+        **vs_marlin(rows, "scale_in_speedup_vs_{}", "scale_in_s"),
+    }
+    for _marlin, base in against_marlin(rows):
+        out[f"release_delay_{base['system']}_s"] = base["node_release_after_drop_s"]
+    for row in rows:
+        if row["system"] == label("marlin"):
+            out["release_delay_marlin_s"] = row["node_release_after_drop_s"]
+    return out
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.2).format_table())
+FIGURE = Figure(
+    "Figure 14", "Realtime performance of dynamic workloads",
+    Grid("fig14", {"system": DEFAULT_SYSTEMS}, dynamic_spec), row, findings,
+)

@@ -12,10 +12,7 @@ contention knee at the paper's scale.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
-
-from repro.experiments.harness import FigureResult, SYSTEM_LABELS
-from repro.experiments.runner import run_spec
+from repro.experiments.figure import Figure, Grid, label
 from repro.experiments.spec import (
     PhaseSpec,
     ScenarioSpec,
@@ -23,7 +20,7 @@ from repro.experiments.spec import (
     WorkloadSpec,
 )
 
-__all__ = ["run", "run_stress", "stress_spec", "summarize"]
+__all__ = ["FIGURE", "stress_spec"]
 
 ALL_SYSTEMS = ("marlin", "zk-small", "zk-large", "fdb")
 NODE_COUNTS = (20, 40, 80, 160, 240)
@@ -68,64 +65,53 @@ def stress_spec(
     )
 
 
-def run_stress(
-    system: str,
-    num_nodes: int,
-    interval: float = UPDATE_INTERVAL,
-    duration: float = RUN_SECONDS,
-    seed: int = 1,
-) -> Dict[str, float]:
-    """One (system, node-count) cell: offered vs. achieved update rate."""
-    result = run_spec(
-        stress_spec(system, num_nodes, interval=interval, duration=duration, seed=seed)
+def scaled_cell(
+    system: str, num_nodes: int, scale: float = 1.0, seed: int = 1
+) -> ScenarioSpec:
+    """``num_nodes`` is the paper's cluster size; ``scale`` shrinks it."""
+    return stress_spec(
+        system, max(4, int(round(num_nodes * scale))), seed=seed
     )
-    return result.extras["membership_churn"]
 
 
-def summarize(results: Dict[Tuple[str, int], Dict[str, float]]) -> FigureResult:
-    fig = FigureResult("Figure 15", "MTable stress test (membership updates)")
-    for (system, nodes), cell in sorted(results.items(), key=lambda x: (x[0][1], x[0][0])):
-        fig.add_row(
-            nodes=nodes,
-            system=SYSTEM_LABELS.get(system, system),
-            offered_tps=cell["offered_tps"],
-            achieved_tps=cell["achieved_tps"],
-            efficiency=cell["efficiency"],
-            mean_latency_s=cell["mean_latency_s"],
-        )
-    node_counts = sorted({k[1] for k in results})
-    systems = sorted({k[0] for k in results})
-    if "marlin" in systems and len(node_counts) >= 2:
-        small, large = node_counts[0], node_counts[-1]
-        small_eff = results[("marlin", small)]["efficiency"]
-        large_eff = results[("marlin", large)]["efficiency"]
-        fig.findings["marlin_efficiency_small"] = small_eff
-        fig.findings["marlin_efficiency_large"] = large_eff
-        fig.findings["marlin_degradation"] = (
+def row(point, result):
+    """Offered vs. achieved membership-update rate of one cell."""
+    cell = result.extras["membership_churn"]
+    return dict(
+        nodes=result.spec.topology.nodes,
+        system=label(point["system"]),
+        offered_tps=cell["offered_tps"],
+        achieved_tps=cell["achieved_tps"],
+        efficiency=cell["efficiency"],
+        mean_latency_s=cell["mean_latency_s"],
+    )
+
+
+def findings(rows, results):
+    small, large = rows[0]["nodes"], rows[-1]["nodes"]
+    efficiency = {
+        (point["system"], row["nodes"]): row["efficiency"]
+        for row, (point, _result) in zip(rows, results)
+    }
+    out = {}
+    if ("marlin", small) in efficiency and small != large:
+        small_eff = efficiency[("marlin", small)]
+        large_eff = efficiency[("marlin", large)]
+        out["marlin_efficiency_small"] = small_eff
+        out["marlin_efficiency_large"] = large_eff
+        out["marlin_degradation"] = (
             small_eff / large_eff if large_eff else float("inf")
         )
-        for other in systems:
-            if other != "marlin":
-                fig.findings[f"{other}_efficiency_large"] = results[
-                    (other, large)
-                ]["efficiency"]
-    return fig
+        for (system, nodes), value in efficiency.items():
+            if system != "marlin" and nodes == large:
+                out[f"{system}_efficiency_large"] = value
+    return out
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = ALL_SYSTEMS,
-    seed: int = 1,
-    node_counts: Optional[Sequence[int]] = None,
-) -> FigureResult:
-    if node_counts is None:
-        node_counts = [max(4, int(round(n * scale))) for n in NODE_COUNTS]
-    results = {}
-    for system in systems:
-        for nodes in node_counts:
-            results[(system, nodes)] = run_stress(system, nodes, seed=seed)
-    return summarize(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.5, systems=("marlin", "zk-small")).format_table())
+FIGURE = Figure(
+    "Figure 15", "MTable stress test (membership updates)",
+    Grid(
+        "fig15", {"num_nodes": NODE_COUNTS, "system": ALL_SYSTEMS}, scaled_cell
+    ),
+    row, findings,
+)

@@ -20,36 +20,36 @@ timing across systems, same as fig7.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.participant import EDGE_NAMES
-from repro.experiments.harness import FigureResult, SYSTEM_LABELS, scaled
-from repro.experiments.parallel import raise_failures, run_cells
-from repro.experiments.runner import SpecRunResult
+from repro.experiments.figure import (
+    FAULT_AT,
+    Figure,
+    Grid,
+    chaos_cell,
+    label,
+    span_columns,
+)
 from repro.experiments.spec import (
     FaultSpec,
     ProbeSpec,
     ScenarioSpec,
     TopologySpec,
     TraceSpec,
-    WorkloadSpec,
 )
 
 __all__ = [
     "ALL_KINDS",
     "CRASH_KINDS",
     "EDGE_POINTS",
+    "FIGURE",
     "edge_kind",
     "recovery_spec",
-    "run",
-    "run_grid",
-    "summarize",
 ]
 
 DEFAULT_SYSTEMS = ("marlin",)
 
-FAULT_AT = 3.0
-DURATION = 14.0
 #: Fraction of transactions that are cross-granule global-counter
 #: increments (the coordination-free fast-path population).
 INCR_FRACTION = 0.25
@@ -170,155 +170,89 @@ def recovery_spec(
             f"unknown crash kind {crash_kind!r}; expected one of "
             f"{sorted(ALL_KINDS)}"
         )
-    clients = scaled(32, scale, minimum=8)
     # Under TPC-C, ``remote_fraction`` becomes the remote-warehouse mix
     # (NEW-ORDER and PAYMENT both) and ``incr_fraction`` is ignored by the
     # workload — TPC-C has no coordination-free increment population.
     name = f"fig16-{crash_kind}-{system}"
     if workload != "ycsb":
         name = f"fig16-{crash_kind}-{workload}-{system}"
-    return ScenarioSpec(
-        name=name,
-        topology=TopologySpec(nodes=4, coordination=system),
-        workload=WorkloadSpec(
-            kind=workload,
-            clients=clients,
-            granules=scaled(1600, scale, minimum=64),
-            incr_fraction=incr_fraction,
-            remote_fraction=remote_fraction,
-        ),
-        faults=FaultSpec(
+    return chaos_cell(
+        name,
+        TopologySpec(nodes=4, coordination=system),
+        FaultSpec(
             schedule=schedule,
             fault_points=fault_points,
             failure_detection=True,
         ),
-        probes=[
-            ProbeSpec(
-                name="p99_latency", kind="latency", pct=99.0,
-                threshold=SLO_P99_S,
-            ),
+        SLO_P99_S,
+        [
             ProbeSpec(
                 name="unavailability",
                 kind="unavailability",
                 threshold=SLO_UNAVAILABILITY_S,
             ),
         ],
-        trace=trace,
-        seed=seed,
-        duration=DURATION,
-        # Fenced-but-alive victims hold stale views at quiescence; the
-        # chaos/recovery tests own the ground-truth invariant assertions.
-        check_invariants=False,
+        scale=scale, seed=seed, trace=trace,
+        kind=workload,
+        incr_fraction=incr_fraction,
+        remote_fraction=remote_fraction,
     )
 
 
-def run_grid(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    crash_kinds: Optional[Sequence[str]] = None,
-    workload: str = "ycsb",
-    workers: Optional[int] = None,
-    cache=None,
-    trace: Optional[TraceSpec] = None,
-) -> Dict[Tuple[str, str], SpecRunResult]:
-    """The (crash kind x system) grid; same pool/cache semantics as fig7.
-
-    ``trace`` (a :class:`TraceSpec`) turns on deterministic tracing for
-    every cell, populating the per-cell ``prepare_s`` / ``decision_s``
-    span-summary columns (zero when untraced).  ``workload`` runs the same
-    crash grid under ``"tpcc"`` instead of the default ``"ycsb"``.
-    """
-    kinds = list(crash_kinds) if crash_kinds is not None else list(ALL_KINDS)
-    keys = [(kind, system) for kind in kinds for system in systems]
-    specs = [
-        recovery_spec(
-            system, kind, scale=scale, seed=seed, workload=workload,
-            trace=trace,
-        )
-        for kind, system in keys
-    ]
-    results = run_cells(specs, workers=workers, cache=cache)
-    raise_failures(results, context="fig16_recovery")
-    return dict(zip(keys, results))
-
-
-def summarize(results: Dict[Tuple[str, str], SpecRunResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 16",
-        "Crash recovery (WAL redo/undo) + coordination-avoidance fraction",
+def row(point, result):
+    m = result.metrics
+    probes = {p.name: p for p in result.probes}
+    coord = result.extras.get("coordination", {})
+    recovery = result.extras.get("recovery", {})
+    return dict(
+        crash=point["crash_kind"],
+        system=label(point["system"]),
+        committed=m.total_committed,
+        aborted=m.total_aborted,
+        recovery_passes=recovery.get("passes", 0),
+        in_doubt=recovery.get("in_doubt", 0),
+        begun_unvoted=recovery.get("begun_unvoted", 0),
+        coordinator_open=recovery.get("coordinator_open", 0),
+        recovered_commit=recovery.get("committed", 0),
+        recovered_abort=recovery.get("aborted", 0),
+        fast_commits=coord.get("fast_path_commits", 0),
+        two_pc_commits=coord.get("two_pc_commits", 0),
+        fast_frac=coord.get("avoided_fraction", 0.0),
+        p99_s=probes["p99_latency"].value,
+        unavail_s=probes["unavailability"].value,
+        **span_columns(result),
+        slo_ok=result.slo_ok,
     )
-    for (kind, system), result in sorted(results.items()):
-        m = result.metrics
-        probes = {p.name: p for p in result.probes}
-        coord = result.extras.get("coordination", {})
-        recovery = result.extras.get("recovery", {})
-        spans = result.extras.get("span_summary", {})
-        fig.add_row(
-            crash=kind,
-            system=SYSTEM_LABELS.get(system, system),
-            committed=m.total_committed,
-            aborted=m.total_aborted,
-            recovery_passes=recovery.get("passes", 0),
-            in_doubt=recovery.get("in_doubt", 0),
-            begun_unvoted=recovery.get("begun_unvoted", 0),
-            coordinator_open=recovery.get("coordinator_open", 0),
-            recovered_commit=recovery.get("committed", 0),
-            recovered_abort=recovery.get("aborted", 0),
-            fast_commits=coord.get("fast_path_commits", 0),
-            two_pc_commits=coord.get("two_pc_commits", 0),
-            fast_frac=coord.get("avoided_fraction", 0.0),
-            p99_s=probes["p99_latency"].value,
-            unavail_s=probes["unavailability"].value,
-            # Traced runs only: total sim time spent in each 2PC phase
-            # (zero when the grid ran without a TraceSpec).
-            prepare_s=spans.get("2pc.prepare", {}).get("total_s", 0.0),
-            decision_s=spans.get("2pc.decision", {}).get("total_s", 0.0),
-            slo_ok=result.slo_ok,
-        )
-    marlin_rows = [
-        row for row in fig.rows if row["system"] == SYSTEM_LABELS["marlin"]
-    ]
+
+
+def findings(rows, results):
+    out = {}
+    marlin_rows = [r for r in rows if r["system"] == label("marlin")]
     if marlin_rows:
-        fig.findings["marlin_recovery_passes"] = sum(
-            row["recovery_passes"] for row in marlin_rows
+        out["marlin_recovery_passes"] = sum(
+            r["recovery_passes"] for r in marlin_rows
         )
-        fig.findings["marlin_recovered_txns"] = sum(
-            row["recovered_commit"] + row["recovered_abort"]
-            for row in marlin_rows
+        out["marlin_recovered_txns"] = sum(
+            r["recovered_commit"] + r["recovered_abort"] for r in marlin_rows
         )
-        fracs = [row["fast_frac"] for row in marlin_rows if row["fast_frac"]]
+        fracs = [r["fast_frac"] for r in marlin_rows if r["fast_frac"]]
         if fracs:
-            fig.findings["marlin_mean_avoided_fraction"] = sum(fracs) / len(
-                fracs
-            )
-    return fig
+            out["marlin_mean_avoided_fraction"] = sum(fracs) / len(fracs)
+    return out
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    crash_kinds: Optional[Sequence[str]] = None,
-    workload: str = "ycsb",
-    results: Optional[Dict[Tuple[str, str], SpecRunResult]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-    trace: Optional[TraceSpec] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_grid(
-            scale=scale,
-            systems=systems,
-            seed=seed,
-            crash_kinds=crash_kinds,
-            workload=workload,
-            workers=workers,
-            cache=cache,
-            trace=trace,
-        )
-    return summarize(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())
+FIGURE = Figure(
+    "Figure 16",
+    "Crash recovery (WAL redo/undo) + coordination-avoidance fraction",
+    Grid(
+        "fig16_recovery",
+        {
+            "crash_kind": tuple(sorted(ALL_KINDS)),
+            "system": DEFAULT_SYSTEMS,
+            # "tpcc" runs the same crash grid under TPC-C.
+            "workload": ("ycsb",),
+        },
+        recovery_spec,
+    ),
+    row, findings,
+)

@@ -27,40 +27,34 @@ async lag that the crash then converts into measured RPO.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro.chaos.events import Crash
 from repro.chaos.scenarios import replica_link_degradation
 from repro.engine.replication import planned_followers
-from repro.experiments.harness import FigureResult, SYSTEM_LABELS, scaled
-from repro.experiments.parallel import raise_failures, run_cells
-from repro.experiments.runner import SpecRunResult
+from repro.experiments.figure import FAULT_AT, Figure, Grid, chaos_cell, label
 from repro.experiments.spec import (
     FaultSpec,
     ProbeSpec,
     ScenarioSpec,
     TopologySpec,
     TraceSpec,
-    WorkloadSpec,
 )
 from repro.sim.network import AZURE_REGIONS
 
 __all__ = [
     "CRASH_KINDS",
+    "FIGURE",
     "MODE_CELLS",
     "crash_schedule",
     "replication_spec",
-    "run",
-    "run_grid",
-    "summarize",
 ]
 
 SYSTEM = "marlin"
 
-FAULT_AT = 3.0
 #: Long enough that suspicion (~2.5 s of missed probes), the quorum vote and
 #: the promotion all land while the primary is genuinely dead.
 DOWN_FOR = 6.0
-DURATION = 14.0
 #: The crashed primary; node ids are stable (one per region, in
 #: :data:`AZURE_REGIONS` order), so the schedule is pure data.
 VICTIM = 1
@@ -121,17 +115,13 @@ def crash_schedule(kind: str, seed: int) -> list:
         schedule = replica_link_degradation(
             VICTIM, followers, at=1.5, duration=1.0
         )
-        schedule.at(FAULT_AT, _crash_event())
+        schedule.at(
+            FAULT_AT, Crash(node=VICTIM, rejoin=True, duration=DOWN_FOR)
+        )
         return schedule.to_spec()
     raise ValueError(
         f"unknown crash kind {kind!r}; expected one of {CRASH_KINDS}"
     )
-
-
-def _crash_event():
-    from repro.chaos.events import Crash
-
-    return Crash(node=VICTIM, rejoin=True, duration=DOWN_FOR)
 
 
 def replication_spec(
@@ -153,141 +143,82 @@ def replication_spec(
     name = f"fig17-{cell}-{crash_kind}"
     if workload != "ycsb":
         name = f"{name}-{workload}"
-    return ScenarioSpec(
-        name=name,
-        topology=TopologySpec(
+    return chaos_cell(
+        name,
+        TopologySpec(
             nodes=NODES,
             coordination=SYSTEM,
             regions=tuple(AZURE_REGIONS),
             replication=replication,
         ),
-        workload=WorkloadSpec(
-            kind=workload,
-            clients=scaled(32, scale, minimum=8),
-            granules=scaled(1600, scale, minimum=64),
-            remote_fraction=remote_fraction,
-        ),
-        faults=FaultSpec(
-            schedule=crash_schedule(crash_kind, seed), **DETECTOR
-        ),
-        probes=[
-            ProbeSpec(
-                name="p99_latency", kind="latency", pct=99.0,
-                threshold=SLO_P99_S,
-            ),
+        FaultSpec(schedule=crash_schedule(crash_kind, seed), **DETECTOR),
+        SLO_P99_S,
+        [
             ProbeSpec(
                 name="rpo_bytes", kind="rpo_bytes", threshold=SLO_RPO_BYTES
             ),
             ProbeSpec(name="rto_s", kind="rto_s", threshold=SLO_RTO_S),
         ],
-        trace=trace,
-        seed=seed,
-        duration=DURATION,
-        # The fenced-then-restarted victim holds stale views at quiescence;
-        # invariants are owned by the replication/chaos test suites.
-        check_invariants=False,
+        scale=scale, seed=seed, trace=trace,
+        kind=workload,
+        remote_fraction=remote_fraction,
     )
 
 
-def run_grid(
-    scale: float = 1.0,
-    seed: int = 1,
-    cells: Optional[Sequence[str]] = None,
-    crash_kinds: Sequence[str] = CRASH_KINDS,
-    workload: str = "ycsb",
-    workers: Optional[int] = None,
-    cache=None,
-    trace: Optional[TraceSpec] = None,
-) -> Dict[Tuple[str, str], SpecRunResult]:
-    """The (mode cell x crash kind) grid; pool/cache semantics as fig7."""
-    names = list(cells) if cells is not None else [n for n, _ in MODE_CELLS]
-    keys = [(cell, kind) for cell in names for kind in crash_kinds]
-    specs = [
-        replication_spec(
-            cell, kind, scale=scale, seed=seed, workload=workload,
-            trace=trace,
-        )
-        for cell, kind in keys
-    ]
-    results = run_cells(specs, workers=workers, cache=cache)
-    raise_failures(results, context="fig17_replication")
-    return dict(zip(keys, results))
-
-
-def summarize(results: Dict[Tuple[str, str], SpecRunResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 17",
-        "Replication modes: RPO/RTO vs. commit latency "
-        f"({SYSTEM_LABELS[SYSTEM]}, geo, primary crash)",
+def row(point, result):
+    m = result.metrics
+    probes = {p.name: p for p in result.probes}
+    repl = result.extras.get("replication", {})
+    return dict(
+        mode=repl.get("mode", "off"),
+        cell=point["cell"],
+        crash=point["crash_kind"],
+        quorum=repl.get("quorum", 0),
+        committed=m.total_committed,
+        aborted=m.total_aborted,
+        failovers=len(m.failovers),
+        promotions=repl.get("promotions", 0),
+        ships=repl.get("ships", 0),
+        bytes_shipped=repl.get("bytes_shipped", 0),
+        quorum_stalls=repl.get("quorum_stalls", 0),
+        p99_s=probes["p99_latency"].value,
+        rpo_bytes=probes["rpo_bytes"].value,
+        rto_s=probes["rto_s"].value,
+        slo_ok=result.slo_ok,
     )
-    for (cell, kind), result in sorted(results.items()):
-        m = result.metrics
-        probes = {p.name: p for p in result.probes}
-        repl = result.extras.get("replication", {})
-        fig.add_row(
-            mode=repl.get("mode", "off"),
-            cell=cell,
-            crash=kind,
-            quorum=repl.get("quorum", 0),
-            committed=m.total_committed,
-            aborted=m.total_aborted,
-            failovers=len(m.failovers),
-            promotions=repl.get("promotions", 0),
-            ships=repl.get("ships", 0),
-            bytes_shipped=repl.get("bytes_shipped", 0),
-            quorum_stalls=repl.get("quorum_stalls", 0),
-            p99_s=probes["p99_latency"].value,
-            rpo_bytes=probes["rpo_bytes"].value,
-            rto_s=probes["rto_s"].value,
-            slo_ok=result.slo_ok,
-        )
-    sync_rpo = [
-        row["rpo_bytes"]
-        for row in fig.rows
-        if row["cell"].startswith("sync") and row["rpo_bytes"] is not None
-    ]
-    async_rpo = [
-        row["rpo_bytes"]
-        for row in fig.rows
-        if row["cell"] == "async" and row["rpo_bytes"] is not None
-    ]
+
+
+def findings(rows, results):
+    out = {}
+    measured = [r for r in rows if r["rpo_bytes"] is not None]
+    sync_rpo = [r["rpo_bytes"] for r in measured if r["cell"].startswith("sync")]
+    async_rpo = [r["rpo_bytes"] for r in measured if r["cell"] == "async"]
     if sync_rpo:
-        fig.findings["sync_max_rpo_bytes"] = max(sync_rpo)
+        out["sync_max_rpo_bytes"] = max(sync_rpo)
     if async_rpo:
-        fig.findings["async_max_rpo_bytes"] = max(async_rpo)
+        out["async_max_rpo_bytes"] = max(async_rpo)
     if sync_rpo and async_rpo:
-        fig.findings["sync_rpo_zero"] = float(max(sync_rpo) == 0.0)
-        fig.findings["async_loses_data"] = float(max(async_rpo) > 0.0)
-    rtos = [r["rto_s"] for r in fig.rows if r["rto_s"] is not None]
+        out["sync_rpo_zero"] = float(max(sync_rpo) == 0.0)
+        out["async_loses_data"] = float(max(async_rpo) > 0.0)
+    rtos = [r["rto_s"] for r in rows if r["rto_s"] is not None]
     if rtos:
-        fig.findings["worst_rto_s"] = max(rtos)
-    return fig
+        out["worst_rto_s"] = max(rtos)
+    return out
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 1,
-    cells: Optional[Sequence[str]] = None,
-    crash_kinds: Sequence[str] = CRASH_KINDS,
-    workload: str = "ycsb",
-    results: Optional[Dict[Tuple[str, str], SpecRunResult]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-    trace: Optional[TraceSpec] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_grid(
-            scale=scale,
-            seed=seed,
-            cells=cells,
-            crash_kinds=crash_kinds,
-            workload=workload,
-            workers=workers,
-            cache=cache,
-            trace=trace,
-        )
-    return summarize(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())
+FIGURE = Figure(
+    "Figure 17",
+    "Replication modes: RPO/RTO vs. commit latency "
+    f"({label(SYSTEM)}, geo, primary crash)",
+    Grid(
+        "fig17_replication",
+        {
+            "cell": tuple(name for name, _ in MODE_CELLS),
+            "crash_kind": CRASH_KINDS,
+            # "tpcc" runs the same crash grid under TPC-C.
+            "workload": ("ycsb",),
+        },
+        replication_spec,
+    ),
+    row, findings,
+)

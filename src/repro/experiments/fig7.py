@@ -16,30 +16,31 @@ the controlled comparison the old 17-kwarg harness could not express.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.experiments.harness import FigureResult, SYSTEM_LABELS, scaled
-from repro.experiments.parallel import raise_failures, run_cells
-from repro.experiments.runner import SpecRunResult
+from repro.experiments.figure import (
+    FAULT_AT,
+    Figure,
+    Grid,
+    chaos_cell,
+    chaos_clients,
+    label,
+    span_columns,
+    vs_marlin,
+)
 from repro.experiments.spec import (
     FaultSpec,
     ProbeSpec,
     ScenarioSpec,
     TopologySpec,
     TraceSpec,
-    WorkloadSpec,
 )
 
-__all__ = ["FAULT_KINDS", "run", "run_grid", "slo_spec", "summarize"]
+__all__ = ["FAULT_KINDS", "FIGURE", "slo_spec"]
 
 DEFAULT_SYSTEMS = ("marlin", "zk-small", "fdb", "lease")
-
-#: The fault lands at t=3 into steady state; the run ends at a fixed horizon
-#: so every (system, fault) cell is measured over the same window.
-FAULT_AT = 3.0
-DURATION = 14.0
 
 #: One declarative schedule per fault kind (CHAOS.md vocabulary).  Node 1 is
 #: always the victim; storage stalls hit the home region.
@@ -123,28 +124,17 @@ def slo_spec(
             f"unknown fault kind {fault_kind!r}; expected one of "
             f"{sorted(FAULT_KINDS)}"
         )
-    clients = scaled(32, scale, minimum=8)
-    return ScenarioSpec(
-        name=f"fig7-{fault_kind}-{system}",
-        topology=TopologySpec(nodes=4, coordination=system),
-        workload=WorkloadSpec(
-            kind="ycsb", clients=clients, granules=scaled(1600, scale, minimum=64)
-        ),
-        faults=FaultSpec(schedule=schedule, failure_detection=True),
-        probes=[
-            ProbeSpec(
-                name="p99_latency",
-                kind="latency",
-                pct=99.0,
-                threshold=SLO_P99_S,
-                # Per-window series: which seconds of the fault violated p99.
-                every=PROBE_WINDOW_S,
-            ),
+    return chaos_cell(
+        f"fig7-{fault_kind}-{system}",
+        TopologySpec(nodes=4, coordination=system),
+        FaultSpec(schedule=schedule, failure_detection=True),
+        SLO_P99_S,
+        [
             ProbeSpec(
                 name="throughput_floor",
                 kind="throughput_floor",
                 # A quarter of the nominal closed-loop rate (~10 tps/client).
-                threshold=2.5 * clients,
+                threshold=2.5 * chaos_clients(scale),
                 every=PROBE_WINDOW_S,
             ),
             ProbeSpec(
@@ -162,145 +152,78 @@ def slo_spec(
                 threshold=SLO_MIGRATION_P99_S,
             ),
         ],
-        trace=trace,
-        seed=seed,
-        duration=DURATION,
-        # Fenced-but-alive victims legitimately hold stale views at the end
-        # of a chaos run; ground-truth invariants are asserted by the chaos
-        # tests, not per cell here.
-        check_invariants=False,
+        scale=scale, seed=seed, trace=trace,
+        # Per-window series: which seconds of the fault violated p99.
+        p99_window=PROBE_WINDOW_S,
     )
 
 
-def run_grid(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    fault_kinds: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-    trace: Optional[TraceSpec] = None,
-) -> Dict[Tuple[str, str], SpecRunResult]:
-    """The (fault kind x system) grid; ``workers > 1`` runs cells on a
-    process pool (every cell is an independent seeded simulation);
-    ``cache`` reuses stored cell results (EXPERIMENTS.md "Result
-    caching"); ``trace`` (a :class:`TraceSpec`) turns on deterministic
-    tracing per cell, populating the ``prepare_s`` / ``decision_s``
-    span-summary columns."""
-    kinds = list(fault_kinds) if fault_kinds is not None else sorted(FAULT_KINDS)
-    keys = [(kind, system) for kind in kinds for system in systems]
-    specs = [
-        slo_spec(system, kind, scale=scale, seed=seed, trace=trace)
-        for kind, system in keys
-    ]
-    results = run_cells(specs, workers=workers, cache=cache)
-    raise_failures(results, context="fig7")
-    return dict(zip(keys, results))
-
-
-def summarize(results: Dict[Tuple[str, str], SpecRunResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 7", "SLO under chaos (identical fault schedules per system)"
-    )
-    committed: Dict[Tuple[str, str], int] = {}
-    for (kind, system), result in sorted(results.items()):
-        m = result.metrics
-        probes = {p.name: p for p in result.probes}
-        spans = result.extras.get("span_summary", {})
-        fd = result.extras.get("failure_detection") or {}
-        first_failover = fd.get("first_failover_s")
-        tput = result.throughput_series()
-        during = [
-            tps for t, tps in tput if FAULT_AT <= t < result.duration - 1.0
-        ]
-        committed[(kind, system)] = m.total_committed
-        fig.add_row(
-            fault=kind,
-            system=SYSTEM_LABELS.get(system, system),
-            committed=m.total_committed,
-            tput_through_fault=float(np.mean(during)) if during else 0.0,
-            p99_s=probes["p99_latency"].value,
-            # Share of 1 s windows violating the p99 SLO — "how long was it
-            # bad", which the whole-run percentile alone hides.
-            p99_violation_frac=probes["p99_latency"].violation_fraction,
-            abort_ratio=probes["abort_ceiling"].value,
-            unavail_s=probes["unavailability"].value,
-            migration_p99_s=probes["migration_p99"].value,
-            failovers=len(m.failovers),
-            # Fault injection to first confirmed failover — each mode's
-            # detection latency (None when no failover ran); and the
-            # liveness-maintenance traffic (ring heartbeats + session
-            # pings, or lease renews/acquires/scans) paid for it — the
-            # detection-latency/renewal-traffic trade-off, per cell.
-            detection_latency_s=(
-                first_failover - FAULT_AT
-                if first_failover is not None
-                else None
-            ),
-            renewal_rpcs=fd.get("renewal_rpcs", 0),
-            # Traced runs only: total sim time each 2PC phase held (zero
-            # when the grid ran without a TraceSpec).
-            prepare_s=spans.get("2pc.prepare", {}).get("total_s", 0.0),
-            decision_s=spans.get("2pc.decision", {}).get("total_s", 0.0),
-            slo_ok=result.slo_ok,
-        )
-        fig.rows[-1]["tput_series"] = tput
-        fig.rows[-1]["latency_series"] = result.latency_series(pct=99.0)
-        fig.rows[-1]["abort_series"] = result.abort_series()
+def row(point, result):
+    m = result.metrics
+    probes = {p.name: p for p in result.probes}
+    fd = result.extras.get("failure_detection") or {}
+    first_failover = fd.get("first_failover_s")
+    tput = result.throughput_series()
+    during = [tps for t, tps in tput if FAULT_AT <= t < result.duration - 1.0]
+    return dict(
+        fault=point["fault_kind"],
+        system=label(point["system"]),
+        committed=m.total_committed,
+        tput_through_fault=float(np.mean(during)) if during else 0.0,
+        p99_s=probes["p99_latency"].value,
+        # Share of 1 s windows violating the p99 SLO — "how long was it
+        # bad", which the whole-run percentile alone hides.
+        p99_violation_frac=probes["p99_latency"].violation_fraction,
+        abort_ratio=probes["abort_ceiling"].value,
+        unavail_s=probes["unavailability"].value,
+        migration_p99_s=probes["migration_p99"].value,
+        failovers=len(m.failovers),
+        # Fault injection to first confirmed failover — each mode's
+        # detection latency (None when no failover ran); and the
+        # liveness-maintenance traffic (ring heartbeats + session
+        # pings, or lease renews/acquires/scans) paid for it — the
+        # detection-latency/renewal-traffic trade-off, per cell.
+        detection_latency_s=(
+            first_failover - FAULT_AT if first_failover is not None else None
+        ),
+        renewal_rpcs=fd.get("renewal_rpcs", 0),
+        **span_columns(result),
+        slo_ok=result.slo_ok,
+        tput_series=tput,
+        latency_series=result.latency_series(pct=99.0),
+        abort_series=result.abort_series(),
         #: Per-window probe verdicts: [(window_start, value, ok)] per probe.
-        fig.rows[-1]["slo_series"] = {
+        slo_series={
             p.name: p.series for p in result.probes if p.series is not None
-        }
-    kinds = sorted({k for k, _s in results})
-    systems = sorted({s for _k, s in results})
-    if "marlin" in systems:
-        for kind in kinds:
-            for other in systems:
-                if other == "marlin" or not committed.get((kind, other)):
-                    continue
-                label = SYSTEM_LABELS.get(other, other)
-                fig.findings[f"{kind}_committed_vs_{label}"] = (
-                    committed[(kind, "marlin")] / committed[(kind, other)]
-                )
-        fig.findings["marlin_slo_ok_cells"] = sum(
-            1
-            for (kind, system), result in results.items()
-            if system == "marlin" and result.slo_ok
-        )
-        marlin_fracs = [
-            row["p99_violation_frac"]
-            for row in fig.rows
-            if row["system"] == SYSTEM_LABELS["marlin"]
-        ]
-        if marlin_fracs:
-            fig.findings["marlin_mean_p99_violation_frac"] = float(
-                np.mean(marlin_fracs)
+        },
+    )
+
+
+def findings(rows, results):
+    out = {}
+    marlin_rows = [r for r in rows if r["system"] == label("marlin")]
+    if not marlin_rows:
+        return out
+    for kind in dict.fromkeys(r["fault"] for r in rows):
+        cells = [r for r in rows if r["fault"] == kind]
+        out.update(
+            vs_marlin(
+                cells, f"{kind}_committed_vs_{{}}", "committed", marlin_on_top=True
             )
-    return fig
-
-
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    fault_kinds: Optional[Sequence[str]] = None,
-    results: Optional[Dict[Tuple[str, str], SpecRunResult]] = None,
-    workers: Optional[int] = None,
-    cache=None,
-    trace: Optional[TraceSpec] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_grid(
-            scale=scale,
-            systems=systems,
-            seed=seed,
-            fault_kinds=fault_kinds,
-            workers=workers,
-            cache=cache,
-            trace=trace,
         )
-    return summarize(results)
+    out["marlin_slo_ok_cells"] = sum(1 for r in marlin_rows if r["slo_ok"])
+    out["marlin_mean_p99_violation_frac"] = float(
+        np.mean([r["p99_violation_frac"] for r in marlin_rows])
+    )
+    return out
 
 
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())
+FIGURE = Figure(
+    "Figure 7", "SLO under chaos (identical fault schedules per system)",
+    Grid(
+        "fig7",
+        {"fault_kind": tuple(sorted(FAULT_KINDS)), "system": DEFAULT_SYSTEMS},
+        slo_spec,
+    ),
+    row, findings,
+)

@@ -8,65 +8,35 @@ single-writer leader is the bottleneck.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from repro.experiments import family
+from repro.experiments.figure import Figure, label, vs_marlin
 
-from repro.experiments.family import DEFAULT_SYSTEMS, run_family
-from repro.experiments.harness import (
-    FigureResult,
-    ScenarioResult,
-    SYSTEM_LABELS,
+__all__ = ["FIGURE"]
+
+
+def row(point, result):
+    series = [(t, tps) for t, tps in result.migration_series() if tps > 0]
+    busy = [tps for _t, tps in series]
+    return dict(
+        system=label(point["system"]),
+        migrations=result.metrics.total_migrations,
+        mean_migr_tps=sum(busy) / len(busy) if busy else 0.0,
+        peak_migr_tps=max(busy, default=0.0),
+        migration_duration_s=result.migration_duration,
+        series=series,
+    )
+
+
+def findings(rows, results):
+    return {
+        **vs_marlin(
+            rows, "migration_tps_vs_{}", "peak_migr_tps", marlin_on_top=True
+        ),
+        **vs_marlin(rows, "scaleout_speedup_vs_{}", "migration_duration_s"),
+    }
+
+
+FIGURE = Figure(
+    "Figure 8", "MigrationTxn throughput over time (YCSB)",
+    family.GRID, row, findings,
 )
-
-__all__ = ["run", "summarize"]
-
-
-def summarize(results: Dict[str, ScenarioResult]) -> FigureResult:
-    fig = FigureResult("Figure 8", "MigrationTxn throughput over time (YCSB)")
-    peak: Dict[str, float] = {}
-    duration: Dict[str, float] = {}
-    for system, result in results.items():
-        series = result.migration_series()
-        busy = [tps for _t, tps in series if tps > 0]
-        mean_tps = sum(busy) / len(busy) if busy else 0.0
-        peak[system] = max(busy, default=0.0)
-        duration[system] = result.migration_duration
-        fig.add_row(
-            system=SYSTEM_LABELS.get(system, system),
-            migrations=result.metrics.total_migrations,
-            mean_migr_tps=mean_tps,
-            peak_migr_tps=peak[system],
-            migration_duration_s=duration[system],
-        )
-        fig.rows[-1]["series"] = [
-            (t, tps) for t, tps in series if tps > 0
-        ]
-    if "marlin" in results:
-        for base in results:
-            if base == "marlin":
-                continue
-            label = SYSTEM_LABELS.get(base, base)
-            if peak.get(base):
-                fig.findings[f"migration_tps_vs_{label}"] = (
-                    peak["marlin"] / peak[base]
-                )
-            if duration.get("marlin"):
-                fig.findings[f"scaleout_speedup_vs_{label}"] = (
-                    duration[base] / duration["marlin"]
-                )
-    return fig
-
-
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[str, ScenarioResult]] = None,
-    clients: Optional[int] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_family(scale=scale, systems=systems, seed=seed, clients=clients)
-    return summarize(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())

@@ -8,83 +8,53 @@ and conflict less with user transactions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
 import numpy as np
 
-from repro.experiments.family import DEFAULT_SYSTEMS, SCALE_AT, run_family
-from repro.experiments.harness import (
-    FigureResult,
-    ScenarioResult,
-    SYSTEM_LABELS,
-)
+from repro.experiments import family
+from repro.experiments.family import SCALE_AT
+from repro.experiments.figure import Figure, against_marlin, label, vs_marlin
 
-__all__ = ["run", "summarize"]
+__all__ = ["FIGURE"]
 
 
-def summarize(results: Dict[str, ScenarioResult]) -> FigureResult:
-    fig = FigureResult(
-        "Figure 9", "Realtime throughput of user transactions (YCSB)"
+def row(point, result):
+    tput = result.throughput_series()
+    aborts = result.abort_series()
+    before = [tps for t, tps in tput if 1.0 <= t < SCALE_AT]
+    before_mean = float(np.mean(before)) if before else 0.0
+    end = result.migration_duration + SCALE_AT
+    # Exclude the final (partial) bucket from the after-phase average.
+    after = [tps for t, tps in tput if end + 1.0 <= t < result.duration - 1.0]
+    after_mean = float(np.mean(after)) if after else 0.0
+    during = [r for t, r in aborts if SCALE_AT <= t < end + 1.0]
+    # Time (from scale-out start) until throughput first reaches 90% of
+    # the after-phase plateau — the paper's "reaches higher level sooner".
+    target = 0.9 * after_mean
+    reached = next(
+        (t for t, tps in tput if t >= SCALE_AT and tps >= target), end
     )
-    recovery_time: Dict[str, float] = {}
-    reconfig_abort: Dict[str, float] = {}
-    for system, result in results.items():
-        tput = result.throughput_series()
-        aborts = result.abort_series()
-        before = [tps for t, tps in tput if 1.0 <= t < SCALE_AT]
-        before_mean = float(np.mean(before)) if before else 0.0
-        end = result.migration_duration + SCALE_AT
-        # Exclude the final (partial) bucket from the after-phase average.
-        after = [
-            tps for t, tps in tput if end + 1.0 <= t < result.duration - 1.0
-        ]
-        after_mean = float(np.mean(after)) if after else 0.0
-        during = [ratio for t, ratio in aborts if SCALE_AT <= t < end + 1.0]
-        during_abort = float(np.mean(during)) if during else 0.0
-        # Time (from scale-out start) until throughput first reaches 90% of
-        # the after-phase plateau — the paper's "reaches higher level sooner".
-        target = 0.9 * after_mean
-        reached = next(
-            (t for t, tps in tput if t >= SCALE_AT and tps >= target), end
+    return dict(
+        system=label(point["system"]),
+        tput_before=before_mean,
+        tput_after=after_mean,
+        speedup_after=after_mean / before_mean if before_mean else 0.0,
+        abort_ratio_during=float(np.mean(during)) if during else 0.0,
+        time_to_plateau_s=reached - SCALE_AT,
+        tput_series=tput,
+        abort_series=aborts,
+    )
+
+
+def findings(rows, results):
+    out = vs_marlin(rows, "plateau_speedup_vs_{}", "time_to_plateau_s")
+    for marlin, base in against_marlin(rows):
+        out[f"abort_ratio_{base['system']}_minus_marlin"] = (
+            base["abort_ratio_during"] - marlin["abort_ratio_during"]
         )
-        recovery_time[system] = reached - SCALE_AT
-        reconfig_abort[system] = during_abort
-        fig.add_row(
-            system=SYSTEM_LABELS.get(system, system),
-            tput_before=before_mean,
-            tput_after=after_mean,
-            speedup_after=after_mean / before_mean if before_mean else 0.0,
-            abort_ratio_during=during_abort,
-            time_to_plateau_s=recovery_time[system],
-        )
-        fig.rows[-1]["tput_series"] = tput
-        fig.rows[-1]["abort_series"] = aborts
-    if "marlin" in results:
-        for base in results:
-            if base == "marlin":
-                continue
-            label = SYSTEM_LABELS.get(base, base)
-            if recovery_time.get("marlin"):
-                fig.findings[f"plateau_speedup_vs_{label}"] = (
-                    recovery_time[base] / recovery_time["marlin"]
-                )
-            fig.findings[f"abort_ratio_{label}_minus_marlin"] = (
-                reconfig_abort[base] - reconfig_abort["marlin"]
-            )
-    return fig
+    return out
 
 
-def run(
-    scale: float = 1.0,
-    systems: Sequence[str] = DEFAULT_SYSTEMS,
-    seed: int = 1,
-    results: Optional[Dict[str, ScenarioResult]] = None,
-    clients: Optional[int] = None,
-) -> FigureResult:
-    if results is None:
-        results = run_family(scale=scale, systems=systems, seed=seed, clients=clients)
-    return summarize(results)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(run(scale=0.25).format_table())
+FIGURE = Figure(
+    "Figure 9", "Realtime throughput of user transactions (YCSB)",
+    family.GRID, row, findings,
+)

@@ -55,8 +55,8 @@ DETERMINISM_GOLDEN = {
 }
 
 SPEC_PARITY_GOLDENS = {
-    #: fig8.run_family(scale=0.08, systems=("marlin", "zk-small"), seed=11,
-    #: clients=10)
+    #: family.GRID.run(scale=0.08, seed=11, system=("marlin", "zk-small"),
+    #: clients=(10,))
     "family": {
         "marlin": {
             "committed": 1190,
@@ -77,7 +77,7 @@ SPEC_PARITY_GOLDENS = {
             "lat_mean": 0.09629657428228643,
         },
     },
-    #: fig14.run_dynamic("marlin", scale=0.12, seed=11)
+    #: run_spec(fig14.dynamic_spec("marlin", scale=0.12, seed=11))
     "fig14": {
         "duration": 65.0,
         "committed": 5938,
@@ -86,7 +86,8 @@ SPEC_PARITY_GOLDENS = {
         "first_migration": 10.300308064530274,
         "last_migration": 41.987951813266285,
     },
-    #: fig15.run_stress("marlin", 16, interval=1.5, duration=8.0, seed=11)
+    #: run_spec(fig15.stress_spec("marlin", 16, interval=1.5, duration=8.0,
+    #: seed=11)).extras["membership_churn"]
     "fig15": {
         "offered_tps": 21.333333333333332,
         "achieved_tps": 20.125,

@@ -13,11 +13,9 @@ parameters, result containers, table formatting and client binding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster
-from repro.cluster.cost import CostReport
 from repro.engine.node import NodeParams
 from repro.workload.client import Client, Router
 from repro.workload.tpcc import TpccConfig, TpccWorkload
@@ -26,7 +24,7 @@ from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 __all__ = [
     "EXP_NODE_PARAMS",
     "FigureResult",
-    "ScenarioResult",
+    "RunReadings",
     "SYSTEM_LABELS",
     "start_clients",
 ]
@@ -55,26 +53,23 @@ SYSTEM_LABELS = {
 }
 
 
-@dataclass
-class ScenarioResult:
-    """Everything measured in one run of one system."""
+class RunReadings:
+    """What a figure reads off one finished run.
 
-    system: str
-    duration: float
-    cluster: Cluster
-    scale_summaries: List[dict] = field(default_factory=list)
-
-    @property
-    def metrics(self):
-        return self.cluster.metrics
+    A live :class:`~repro.experiments.runner.SpecRunResult` and a detached
+    :class:`~repro.experiments.parallel.PortableRunResult` (a cached or
+    pooled cell: no ``cluster``) both inherit these, computed from what
+    either carries — ``metrics``, ``duration``, ``probes`` — so a figure's
+    ``row`` function cannot tell them apart.
+    """
 
     @property
     def migration_duration(self) -> float:
         return self.metrics.migration_duration
 
     @property
-    def cost(self) -> CostReport:
-        return self.cluster.price(self.duration)
+    def slo_ok(self) -> bool:
+        return all(p.ok for p in self.probes)
 
     def throughput_series(self):
         return self.metrics.throughput_series(self.duration)
@@ -120,7 +115,7 @@ class FigureResult:
     def format_table(self) -> str:
         if not self.rows:
             return f"{self.figure}: (no rows)"
-        columns = list(self.rows[0])
+        columns = [c for c in self.rows[0] if not c.endswith("series")]
         widths = {
             c: max(len(c), *(len(_fmt(r.get(c))) for r in self.rows))
             for c in columns

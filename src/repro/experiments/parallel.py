@@ -25,8 +25,8 @@ three properties the naive ``multiprocessing.Pool.map`` does not give you:
   :class:`~repro.experiments.runner.SpecRunResult`, so figure summarizers
   work on either.
 
-Entry points: ``Sweep.run(workers=N)``, the figure modules'
-``run(..., workers=N)``, ``python -m repro.experiments run ... --workers N``,
+Entry points: ``Sweep.run(workers=N)``, every figure's
+``FIGURE.run(workers=N)``, ``python -m repro.experiments run ... --workers N``,
 or :func:`run_cells` / :class:`ProcessPoolRunner` directly.  See
 EXPERIMENTS.md "Parallel execution".
 
@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cost import CostReport
 from repro.experiments.cache import resolve_cache
+from repro.experiments.harness import RunReadings
 from repro.experiments.runner import ProbeResult, result_summary, run_spec
 from repro.experiments.spec import ScenarioSpec
 
@@ -69,13 +70,13 @@ def default_workers() -> int:
 
 
 @dataclass
-class PortableRunResult:
+class PortableRunResult(RunReadings):
     """A finished cell's measurements, shipped back from a worker process.
 
-    Duck-types the reading surface of
-    :class:`~repro.experiments.runner.SpecRunResult` (``metrics``, ``cost``,
-    series accessors, ``probes``, ``slo_ok``, ``summary()``) minus the live
-    ``cluster``, which never crosses the process boundary.
+    The reading surface of :class:`~repro.experiments.runner.SpecRunResult`
+    (``metrics``, ``cost``, the shared :class:`RunReadings`, ``probes``,
+    ``summary()``) minus the live ``cluster``, which never crosses the
+    process boundary.
     """
 
     system: str
@@ -96,26 +97,6 @@ class PortableRunResult:
     @property
     def cost(self) -> CostReport:
         return self.cost_report
-
-    @property
-    def migration_duration(self) -> float:
-        return self.metrics.migration_duration
-
-    @property
-    def slo_ok(self) -> bool:
-        return all(p.ok for p in self.probes)
-
-    def throughput_series(self):
-        return self.metrics.throughput_series(self.duration)
-
-    def migration_series(self):
-        return self.metrics.migration_series(self.duration)
-
-    def abort_series(self):
-        return self.metrics.abort_ratio_series(self.duration)
-
-    def latency_series(self, pct=50.0):
-        return self.metrics.latency_series(self.duration, pct=pct)
 
     def summary(self) -> Dict[str, Any]:
         return result_summary(self)
@@ -432,7 +413,7 @@ def run_cells(
     start_method: Optional[str] = None,
     cache=None,
 ) -> List[Any]:
-    """Run a list of cells, serially or on a pool — the figures' entry point.
+    """Run a list of cells, serially or on a pool (what ``Grid.run`` calls).
 
     Serial is forced when ``workers`` is None or <= 1, or when there are
     fewer than two cells; the serial path calls

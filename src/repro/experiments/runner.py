@@ -21,10 +21,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.cost import CostReport
 from repro.core.autoscaler import Autoscaler
 from repro.core.invariants import check_view_consistency
 from repro.core.reconfig import NodeAlreadyExistsError, NodeNotExistError
-from repro.experiments.harness import ScenarioResult, start_clients
+from repro.experiments.harness import RunReadings, start_clients
 from repro.experiments.spec import ProbeSpec, ScenarioSpec
 from repro.sim.core import Timeout
 
@@ -77,9 +78,13 @@ class ProbeResult:
 
 
 @dataclass
-class SpecRunResult(ScenarioResult):
-    """A :class:`ScenarioResult` plus the spec, probe verdicts and extras."""
+class SpecRunResult(RunReadings):
+    """Everything measured in one run of one spec, cluster still attached."""
 
+    system: str
+    duration: float
+    cluster: Cluster
+    scale_summaries: List[dict] = field(default_factory=list)
     spec: Optional[ScenarioSpec] = None
     probes: List[ProbeResult] = field(default_factory=list)
     #: Action-specific outputs (e.g. ``membership_churn`` statistics).
@@ -88,8 +93,12 @@ class SpecRunResult(ScenarioResult):
     trace: Any = None
 
     @property
-    def slo_ok(self) -> bool:
-        return all(p.ok for p in self.probes)
+    def metrics(self):
+        return self.cluster.metrics
+
+    @property
+    def cost(self) -> CostReport:
+        return self.cluster.price(self.duration)
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready digest (what the CLI prints for spec-file runs)."""

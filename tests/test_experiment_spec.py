@@ -14,8 +14,8 @@ import pytest
 
 from repro.chaos import rolling_partition
 from repro.engine.node import NodeParams
-from repro.experiments.family import run_family
-from repro.experiments import fig14, fig15
+from repro.experiments import family, fig14, fig15
+from repro.experiments.__main__ import main as cli_main
 from repro.experiments.goldens import SPEC_PARITY_GOLDENS
 from repro.experiments.harness import start_clients
 from repro.experiments.runner import run_spec
@@ -193,9 +193,12 @@ class TestRunnerParity:
 
     def test_family_parity(self):
         golden = SPEC_PARITY_GOLDENS["family"]
-        results = run_family(
-            scale=0.08, systems=tuple(golden), seed=SEED, clients=10
-        )
+        results = {
+            point["system"]: result
+            for point, result in family.GRID.run(
+                scale=0.08, seed=SEED, system=tuple(golden), clients=(10,)
+            )
+        }
         for system, expect in golden.items():
             m = results[system].metrics
             assert m.total_committed == expect["committed"]
@@ -210,7 +213,9 @@ class TestRunnerParity:
 
     def test_fig14_dynamic_parity(self):
         golden = SPEC_PARITY_GOLDENS["fig14"]
-        result = fig14.run_dynamic("marlin", scale=0.12, seed=SEED)
+        ((_point, result),) = fig14.FIGURE.grid.run(
+            scale=0.12, seed=SEED, system=("marlin",)
+        )
         m = result.metrics
         assert result.duration == golden["duration"]
         assert m.total_committed == golden["committed"]
@@ -222,7 +227,9 @@ class TestRunnerParity:
 
     def test_fig15_stress_parity(self):
         golden = SPEC_PARITY_GOLDENS["fig15"]
-        cell = fig15.run_stress("marlin", 16, interval=1.5, duration=8.0, seed=SEED)
+        cell = run_spec(
+            fig15.stress_spec("marlin", 16, interval=1.5, duration=8.0, seed=SEED)
+        ).extras["membership_churn"]
         assert cell["offered_tps"] == pytest.approx(
             golden["offered_tps"], rel=1e-12
         )
@@ -291,9 +298,9 @@ class TestNewExperiments:
     def test_fig7_slo_under_chaos(self):
         from repro.experiments import fig7
 
-        fig = fig7.run(
-            scale=0.25, systems=("marlin",), seed=SEED,
-            fault_kinds=("crash_restart",),
+        fig = fig7.FIGURE.run(
+            scale=0.25, seed=SEED, system=("marlin",),
+            fault_kind=("crash_restart",),
         )
         row = fig.rows[0]
         assert row["committed"] > 0
@@ -304,8 +311,8 @@ class TestNewExperiments:
     def test_detector_sweep_gate_reduces_false_fencing(self):
         from repro.experiments import detector_sweep
 
-        fig = detector_sweep.run(
-            scale=0.5, seed=SEED, intervals=(0.25, 1.0), misses=(1, 4),
+        fig = detector_sweep.FIGURE.run(
+            scale=0.5, seed=SEED, interval=(0.25, 1.0), misses=(1, 4),
         )
         assert len(fig.rows) == 8  # 2 intervals x 2 misses x 2 gate settings
         # Nobody in the schedule dies, so every fencing is a false positive;
@@ -393,6 +400,37 @@ class TestCli:
         assert summary["name"] == "cli-adhoc"
         assert summary["committed"] > 0
         assert summary["migrations"] > 0
+
+    def test_every_figure_takes_workers(self, capsys):
+        """fig15 ran in a private serial loop before the one run path."""
+        assert cli_main(
+            ["run", "fig15", "--workers", "2", "--scale", "0.1", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["figure"] == "Figure 15"
+        # 20 and 40 paper nodes both scale to the 4-node floor: one row.
+        assert [row["nodes"] for row in payload["rows"][::4]] == [4, 8, 16, 24]
+
+    def test_every_figure_takes_cache(self, tmp_path, capsys):
+        args = [
+            "run", "fig8", "--scale", "0.05", "--clients", "6", "--systems",
+            "marlin,zk-small", "--cache", str(tmp_path), "--json",
+        ]
+        assert cli_main(args) == 0
+        cold = capsys.readouterr()
+        assert " hits=0 misses=2 " in cold.err
+        assert cli_main(args) == 0
+        warm = capsys.readouterr()
+        assert " hits=2 misses=0 " in warm.err
+        assert warm.out == cold.out
+
+    def test_undeclared_axis_flag_is_rejected(self):
+        with pytest.raises(SystemExit, match="no 'clients' axis.*system"):
+            cli_main(["run", "fig11", "--clients", "4"])
+
+    def test_unknown_system_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="'nope'.*marlin.*zk-small"):
+            cli_main(["run", "fig8", "--systems", "nope"])
 
     def test_unknown_target_errors(self):
         proc = self._run("run", "fig99")

@@ -4,9 +4,16 @@ Each test asserts the *direction* of the paper's finding at a scale small
 enough for CI; the benchmarks regenerate the full tables.
 """
 
+import hashlib
+import json
+from types import SimpleNamespace
+
 import pytest
 
+from repro.cluster.cost import CostReport
 from repro.experiments import (
+    FIGURES,
+    family as scale_out_family,
     fig8,
     fig9,
     fig10,
@@ -16,9 +23,9 @@ from repro.experiments import (
     fig14,
     fig15,
 )
-from repro.experiments.family import run_family
+from repro.experiments.parallel import PortableRunResult
 from repro.experiments.runner import run_spec
-from repro.experiments.spec import scale_out_spec
+from repro.experiments.spec import ScenarioSpec, TraceSpec, scale_out_spec
 
 SCALE = 0.08
 SEED = 11
@@ -26,8 +33,8 @@ SEED = 11
 
 @pytest.fixture(scope="module")
 def family():
-    return run_family(
-        scale=SCALE, systems=("marlin", "zk-small"), seed=SEED, clients=10
+    return scale_out_family.GRID.run(
+        scale=SCALE, seed=SEED, system=("marlin", "zk-small"), clients=(10,)
     )
 
 
@@ -85,35 +92,35 @@ class TestScenarioRunner:
 
 class TestFig8(object):
     def test_marlin_beats_zk_on_migration(self, family):
-        fig = fig8.summarize(family)
+        fig = fig8.FIGURE.summarize(family)
         assert fig.findings["migration_tps_vs_S-ZK"] > 1.2
         assert fig.findings["scaleout_speedup_vs_S-ZK"] > 1.2
 
     def test_all_migrations_complete(self, family):
-        for result in family.values():
+        for _point, result in family:
             expected = result.scale_summaries[0]["moves"]
             assert result.metrics.total_migrations == expected
 
 
 class TestFig9:
     def test_abort_ratio_lower_for_marlin(self, family):
-        fig = fig9.summarize(family)
+        fig = fig9.FIGURE.summarize(family)
         assert fig.findings["abort_ratio_S-ZK_minus_marlin"] > -0.02
 
     def test_rows_have_series(self, family):
-        fig = fig9.summarize(family)
+        fig = fig9.FIGURE.summarize(family)
         for row in fig.rows:
             assert len(row["tput_series"]) > 5
 
 
 class TestFig10:
     def test_marlin_cheaper_and_faster(self, family):
-        fig = fig10.summarize(family)
+        fig = fig10.FIGURE.summarize(family)
         assert fig.findings["latency_reduction_vs_S-ZK"] > 1.2
         assert fig.findings["cost_reduction_vs_S-ZK"] > 1.0
 
     def test_meta_cost_split(self, family):
-        fig = fig10.summarize(family)
+        fig = fig10.FIGURE.summarize(family)
         by_system = {row["system"]: row for row in fig.rows}
         assert by_system["Marlin"]["meta_cost_usd"] == 0.0
         assert by_system["S-ZK"]["meta_cost_usd"] > 0.0
@@ -121,50 +128,51 @@ class TestFig10:
 
 class TestFig11:
     def test_tpcc_shape(self):
-        fig = fig11.run(scale=0.4, systems=("marlin", "zk-small"), seed=SEED)
+        fig = fig11.FIGURE.run(
+            scale=0.4, seed=SEED, system=("marlin", "zk-small")
+        )
         assert fig.findings["migration_speedup_vs_S-ZK"] > 1.0
 
 
 class TestFig12:
     def test_sweep_findings(self):
-        fig = fig12.run(
+        fig = fig12.FIGURE.run(
             scale=0.08,
-            systems=("marlin", "zk-small"),
             seed=SEED,
+            system=("marlin", "zk-small"),
         )
         assert fig.findings["cost_ratio_S-ZK_at_SO1-2"] > 1.3
         # Marlin's migration throughput grows with scale.
         assert fig.findings["tps_scaling_Marlin"] > 2.0
 
     def test_rows_cover_grid(self):
-        fig = fig12.run(scale=0.05, systems=("marlin",), seed=SEED)
+        fig = fig12.FIGURE.run(scale=0.05, seed=SEED, system=("marlin",))
         names = {row["scale_out"] for row in fig.rows}
         assert names == {"SO1-2", "SO2-4", "SO4-8", "SO8-16"}
 
 
 class TestFig13:
     def test_geo_gap_wider_than_single_region(self):
-        cell = (("SO4-8", 4, 50, 6250),)  # scaled to ~500 granules / 4 clients
-        single = fig12.run_sweep(
-            scale=0.08, systems=("marlin", "zk-small"), seed=SEED,
-            scale_outs=cell,
+        cell = dict(  # SO4-8 scaled to ~500 granules / 4 clients
+            scale=0.08, seed=SEED, system=("marlin", "zk-small"),
+            scale_out=("SO4-8",),
         )
-        geo = fig13.run_sweep(
-            scale=0.08, systems=("marlin", "zk-small"), seed=SEED,
-            scale_outs=cell,
-        )
+        single = fig12.FIGURE.grid.run(**cell)
+        geo = fig13.FIGURE.grid.run(**cell)
 
         def ratio(results):
-            zk = results[("SO4-8", "zk-small")].migration_duration
-            marlin = results[("SO4-8", "marlin")].migration_duration
-            return zk / marlin
+            duration = {
+                (point["scale_out"], point["system"]): r.migration_duration
+                for point, r in results
+            }
+            return duration[("SO4-8", "zk-small")] / duration[("SO4-8", "marlin")]
 
         assert ratio(geo) > ratio(single)
 
 
 class TestFig14:
     def test_dynamic_scales_out_and_in(self):
-        fig = fig14.run(scale=0.12, systems=("marlin",), seed=SEED)
+        fig = fig14.FIGURE.run(scale=0.12, seed=SEED, system=("marlin",))
         row = fig.rows[0]
         assert row["scale_out_s"] > 0
         assert row["scale_in_s"] > 0
@@ -173,34 +181,162 @@ class TestFig14:
 
 class TestFig15:
     def test_marlin_degrades_at_scale_zk_does_not(self):
-        results = {}
-        for system in ("marlin", "zk-small"):
-            for nodes in (8, 96):
-                results[(system, nodes)] = fig15.run_stress(
+        results = [
+            (
+                {"num_nodes": nodes, "system": system},
+                run_spec(fig15.stress_spec(
                     system, nodes, interval=1.5, duration=8.0, seed=SEED
-                )
-        fig = fig15.summarize(results)
-        marlin_large = results[("marlin", 96)]
-        zk_large = results[("zk-small", 96)]
+                )),
+            )
+            for nodes in (8, 96)
+            for system in ("marlin", "zk-small")
+        ]
+        fig = fig15.FIGURE.summarize(results)
+        rows = {(row["system"], row["nodes"]): row for row in fig.rows}
+        marlin_large = rows[("Marlin", 96)]
+        zk_large = rows[("S-ZK", 96)]
         # Under 10x-compressed intervals the contention knee appears by 96
         # nodes: Marlin's latency inflates well past ZooKeeper's.
         assert marlin_large["mean_latency_s"] > 2 * zk_large["mean_latency_s"]
-        assert results[("marlin", 8)]["efficiency"] > 0.9
+        assert rows[("Marlin", 8)]["efficiency"] > 0.9
+        assert fig.findings["marlin_efficiency_small"] > 0.9
+        assert (
+            fig.findings["zk-small_efficiency_large"] == zk_large["efficiency"]
+        )
 
     def test_retries_counted_for_marlin(self):
-        cell = fig15.run_stress("marlin", 32, interval=1.0, duration=6.0, seed=SEED)
-        assert cell["retries"] > 0
+        result = run_spec(
+            fig15.stress_spec("marlin", 32, interval=1.0, duration=6.0, seed=SEED)
+        )
+        assert result.extras["membership_churn"]["retries"] > 0
 
 
 class TestFormatting:
     def test_format_table_renders(self, family):
-        fig = fig8.summarize(family)
-        for row in fig.rows:
-            row.pop("series", None)
+        fig = fig8.FIGURE.summarize(family)
         text = fig.format_table()
         assert "Figure 8" in text and "Marlin" in text
+        assert "series" not in text  # per-bucket series are --json only
 
     def test_empty_figure(self):
         from repro.experiments.harness import FigureResult
 
         assert "(no rows)" in FigureResult("f", "t").format_table()
+
+
+#: sha256 over every default-grid cell's canonical ``to_dict()`` JSON (scale
+#: 0.1, seeds 1 and 2, sorted), captured at the parent of the figures-as-data
+#: refactor from its hand-written grid loops.  Cell specs are result-cache
+#: keys: a drift here orphans every cached cell, so re-pin only on purpose.
+PINNED_GRID_SHA256 = {
+    "fig7": "1f17c94db682a013f321ab6bf829f2e66e4851bed62b58a3648b7c529be702b2",
+    "fig8": "71dc796e1ea0882ea593f9a0ddd546d259e50430bf6a36cba649d017582c0a3f",
+    "fig9": "71dc796e1ea0882ea593f9a0ddd546d259e50430bf6a36cba649d017582c0a3f",
+    "fig10": "71dc796e1ea0882ea593f9a0ddd546d259e50430bf6a36cba649d017582c0a3f",
+    "fig11": "cbc0cf3bc9e30b26000cd50e9cc7aa6fe955fd21013faaa3d1690df04be6d497",
+    "fig12": "fe880c8fa227f0e0523093eccfe8f3d5569a661d7ca9fb3ec5a2175969516128",
+    "fig13": "088f3d5b6d2fda6691db1b5fe79427d6ba91da83e7fbf169312e3c22b122a65e",
+    "fig14": "6f9fbe4f4dc12bc0567c38d8aff48a61071517bd6b0462cfc66ef0ae272a0c2f",
+    "fig15": "4d022e048dcd637c66af93424677856243297a21dd0dff226952f45f98623841",
+    "fig16_recovery": "17bc8c5f6b8739c28d676358e2228284b38b956ee1dccc95426702eb43370cd4",
+    "fig17_replication": "dbe6619b6a33ccb49f891c9244253d9ca90f4c9aeebf69c5f4d59cf0f62362b0",
+    "detector_sweep": "667fb44a6673d48deb12fb4d08519ec0956c71a64c74c3ff900cf75ea6546d85",
+}
+
+
+class TestFigureRegistry:
+    def test_registry_is_pinned(self):
+        assert set(FIGURES) == set(PINNED_GRID_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GRID_SHA256))
+    def test_default_grid_cells(self, name):
+        """No simulation: expand the default grid and check the cells."""
+        grid = FIGURES[name].grid
+        blobs = []
+        for seed in (1, 2):
+            cells = [spec for _point, spec in grid.expand(scale=0.1, seed=seed)]
+            names = [spec.name for spec in cells]
+            assert len(set(names)) == len(names)
+            for spec in cells:
+                assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+                blobs.append(
+                    json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+                )
+        digest = hashlib.sha256("\n".join(sorted(blobs)).encode()).hexdigest()
+        assert digest == PINNED_GRID_SHA256[name]
+
+    def test_unknown_axis_names_the_declared_ones(self):
+        with pytest.raises(ValueError, match=r"no axis \['systems'\].*'system'"):
+            fig8.FIGURE.grid.expand(systems=("marlin",))
+
+    def test_trace_reaches_every_cell(self):
+        """``trace=`` is applied by the one run path, so it works on a grid
+        whose cell builder has no ``trace`` parameter."""
+        cells = fig8.FIGURE.grid.expand(scale=0.1, trace=TraceSpec())
+        assert all(spec.trace == TraceSpec() for _point, spec in cells)
+
+
+class TestTracedFigure:
+    def test_trace_populates_span_columns(self):
+        from repro.experiments import fig16_recovery
+
+        cell = dict(
+            scale=0.25, seed=1, crash_kind=("crash_participant",),
+            system=("marlin",),
+        )
+        (traced,) = fig16_recovery.FIGURE.run(trace=TraceSpec(), **cell).rows
+        (plain,) = fig16_recovery.FIGURE.run(**cell).rows
+        assert traced["prepare_s"] > 0
+        assert plain["prepare_s"] == 0.0
+        assert traced["committed"] == plain["committed"]
+
+
+class TestFig14DetachedResult:
+    def test_row_from_portable_result_equals_live_row(self):
+        """A cached or pooled cell has no ``cluster``; the row (realtime
+        ``cost_series`` included) must not need one."""
+        point = {"system": "zk-small"}
+        live = run_spec(fig14.dynamic_spec("zk-small", scale=0.05, seed=SEED))
+        detached = PortableRunResult.from_run(live)
+        assert not hasattr(detached, "cluster")
+        row = fig14.row(point, detached)
+        assert row == fig14.row(point, live)
+        assert row["cost_series"] == live.cluster.cost_model.realtime_cost_series(
+            live.metrics, until=live.duration
+        )
+        assert row["cost_series"][0][1] > 0
+
+
+class TestDeclaredAxisExtremes:
+    def test_smallest_and_largest_are_declared_not_sorted(self):
+        """"SO16-32" sorts before "SO2-4": the extremes are the first and
+        last declared sizes, not a lexicographic min/max."""
+        sizes = {"SO2-4": 1.0, "SO4-8": 2.0, "SO16-32": 8.0}
+
+        def stub(system, size):
+            slowdown = {
+                "marlin": 1.0, "zk-small": 2.0, "zk-large": 1.5 + size / 16,
+            }[system]
+            return SimpleNamespace(
+                cost=CostReport(
+                    db_cost=size,
+                    meta_cost=0.0 if system == "marlin" else size,
+                    committed=1000,
+                    duration=10.0,
+                ),
+                migration_duration=slowdown * size,
+                migration_series=lambda: [(0.0, 100.0 * size / slowdown)],
+            )
+
+        results = [
+            ({"scale_out": name, "system": system}, stub(system, size))
+            for name, size in sizes.items()
+            for system in ("marlin", "zk-small", "zk-large")
+        ]
+        findings = fig13.FIGURE.summarize(results).findings
+        assert findings["cost_ratio_S-ZK_at_SO2-4"] == 2.0
+        assert findings["migration_speedup_S-ZK_at_SO16-32"] == 2.0
+        assert findings["tps_scaling_Marlin"] == 8.0
+        # S-ZK / L-ZK at the largest size (1.0 there, 1.23 at SO4-8).
+        assert findings["szk_over_lzk_duration_geo"] == 1.0
+        assert not any(key.endswith("_at_SO4-8") for key in findings)

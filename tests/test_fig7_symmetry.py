@@ -101,9 +101,10 @@ def test_summarize_emits_detection_columns(crash_cells):
     """The fig7 table carries the detection-latency/renewal-traffic
     trade-off for every mode."""
     _specs, results = crash_cells
-    fig = fig7.summarize(
-        {("crash_restart", system): results[system] for system in SYSTEMS}
-    )
+    fig = fig7.FIGURE.summarize([
+        ({"fault_kind": "crash_restart", "system": system}, results[system])
+        for system in SYSTEMS
+    ])
     assert len(fig.rows) == len(SYSTEMS)
     for row in fig.rows:
         assert row["detection_latency_s"] is not None
