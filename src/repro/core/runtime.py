@@ -52,7 +52,7 @@ class MarlinRuntime(CoordinationRuntime):
         if pending is not None:
             yield pending
             return
-        fut = node.sim.event(name=f"refresh:{log_name}")
+        fut = node.sim.event(name=("refresh", log_name))
         self._refreshing[log_name] = fut
         try:
             self.refreshes += 1

@@ -8,7 +8,7 @@ ground truth and nothing is written back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["CacheManager", "MISS"]
 
@@ -67,6 +67,38 @@ class CacheManager:
         frame.ref = True
         self.hits += 1
         return frame.value
+
+    def probe(self, keys: Sequence) -> list:
+        """Bulk :meth:`get` that keeps only the verdicts: each cached key has
+        its ref bit set and counts a hit; each uncached key counts a miss and
+        is returned — in order, repeats included."""
+        index, frames = self._index, self._frames
+        missing = []
+        for key in keys:
+            slot = index.get(key)
+            if slot is None:
+                missing.append(key)
+            else:
+                frames[slot].ref = True
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        return missing
+
+    def refresh(self, keys: Sequence, value) -> None:
+        """Bulk "``put`` if cached": each cached key takes ``value`` and a
+        set ref bit and counts a hit; an uncached key counts a miss and stays
+        out (nothing is inserted, so nothing is evicted)."""
+        index, frames = self._index, self._frames
+        hits = 0
+        for key in keys:
+            slot = index.get(key)
+            if slot is not None:
+                frame = frames[slot]
+                frame.value = value
+                frame.ref = True
+                hits += 1
+        self.hits += hits
+        self.misses += len(keys) - hits
 
     def put(self, key, value) -> None:
         """Insert or update; may evict one unpinned page (dropped, no writeback)."""

@@ -48,11 +48,17 @@ class GranuleMap:
             raise KeyError(f"key {key} outside [0, {self.num_keys})")
         return key // self.keys_per_granule
 
-    def granule(self, gid: int) -> Granule:
+    def span(self, gid: int) -> Tuple[int, int]:
+        """``(lo, width)`` of granule ``gid``'s key range: what a generator
+        needs to draw a key in it, without building a :class:`Granule`."""
         if not 0 <= gid < self.num_granules:
             raise KeyError(f"granule {gid} outside [0, {self.num_granules})")
         lo = gid * self.keys_per_granule
-        return Granule(gid, lo, min(lo + self.keys_per_granule, self.num_keys))
+        return lo, min(self.keys_per_granule, self.num_keys - lo)
+
+    def granule(self, gid: int) -> Granule:
+        lo, width = self.span(gid)
+        return Granule(gid, lo, lo + width)
 
     def granules(self) -> Iterator[Granule]:
         for gid in range(self.num_granules):

@@ -72,7 +72,7 @@ class GroupCommitter:
 
     def submit(self, txn_id: str, kind: RecordKind, entries: tuple) -> Future:
         """Enqueue one record; the future resolves with its AppendResult."""
-        fut = self.node.sim.event(name=f"gc:{txn_id}")
+        fut = self.node.sim.event(name=("gc", txn_id))
         self._pending.append((txn_id, kind, entries, fut))
         if self._wakeup is not None and not self._wakeup.done:
             self._wakeup.resolve()
@@ -81,7 +81,7 @@ class GroupCommitter:
     def _flush_loop(self):
         while self._running:
             if not self._pending:
-                self._wakeup = self.node.sim.event(name=f"gc-wake:{self.log_name}")
+                self._wakeup = self.node.sim.event(name=("gc-wake", self.log_name))
                 yield self._wakeup
                 continue
             batch = self._pending[: self.max_batch]

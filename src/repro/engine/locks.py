@@ -17,7 +17,7 @@ entries lock ``("gtable", gid)``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["LockConflict", "LockTable"]
 
@@ -32,13 +32,17 @@ class LockConflict(Exception):
 
 
 class _Lock:
-    __slots__ = ("exclusive", "holders", "waiters")
+    """One key's lock state.  No ``__init__``: a user transaction creates
+    and drops one per key it touches, so the two creation sites fill the
+    slots inline instead of paying a frame per lock."""
 
-    def __init__(self):
-        self.exclusive = False
-        self.holders: Set[str] = set()
-        #: FIFO of (txn_id, exclusive, future) waiting-mode requests.
-        self.waiters: Deque[tuple] = deque()
+    __slots__ = (
+        "exclusive",
+        "holders",
+        #: FIFO deque of (txn_id, exclusive, future) waiting-mode requests;
+        #: ``None`` until a waiter arrives (most locks never see one).
+        "waiters",
+    )
 
 
 class LockTable:
@@ -52,7 +56,12 @@ class LockTable:
     def __init__(self, sim=None):
         self.sim = sim
         self._locks: Dict[object, _Lock] = {}
-        self._held_by_txn: Dict[str, Set[object]] = {}
+        #: txn -> the keys it holds, in acquisition order.  A key is added
+        #: exactly when the txn joins ``holders``, so the list is duplicate-
+        #: free, and ``release_all`` wakes waiters in an order that is a
+        #: function of the run (a set of ``(str, int)`` keys would follow
+        #: the interpreter's string-hash seed).
+        self._held_by_txn: Dict[str, List[object]] = {}
         self.conflicts = 0
         self.acquisitions = 0
         self.waits = 0
@@ -66,25 +75,56 @@ class LockTable:
 
     def acquire(self, txn_id: str, key: object, exclusive: bool) -> None:
         """Grant the lock or raise :class:`LockConflict` (NO_WAIT)."""
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = self._locks[key] = _Lock()
-        if txn_id in lock.holders:
-            if exclusive and not lock.exclusive:
-                # Upgrade S -> X permitted only for a sole holder.
-                if len(lock.holders) > 1 or lock.waiters:
-                    self.conflicts += 1
-                    raise LockConflict(key, lock.holders - {txn_id})
-                lock.exclusive = True
-            self.acquisitions += 1
-            return
-        blocked = bool(lock.waiters) or (
-            lock.holders and (exclusive or lock.exclusive)
-        )
-        if blocked:
+        self.acquire_all(txn_id, ((key, exclusive),))
+
+    def acquire_all(
+        self, txn_id: str, requests: Iterable[Tuple[object, bool]]
+    ) -> None:
+        """NO_WAIT-acquire a transaction's ordered ``(key, exclusive)`` requests.
+
+        Grants in order and raises :class:`LockConflict` at the first request
+        that cannot be granted; the grants made before it stay held, for the
+        caller's :meth:`release_all`.  The same key may repeat (re-entrant,
+        S -> X upgrade for a sole holder).
+        """
+        locks = self._locks
+        granted: List[object] = []
+        count = 0
+        try:
+            for key, exclusive in requests:
+                lock = locks.get(key)
+                if lock is None:
+                    lock = locks[key] = _Lock()
+                    lock.exclusive = exclusive
+                    lock.holders = {txn_id}
+                    lock.waiters = None
+                    granted.append(key)
+                else:
+                    holders = lock.holders
+                    if txn_id in holders:
+                        if exclusive and not lock.exclusive:
+                            # Upgrade S -> X permitted only for a sole holder.
+                            if len(holders) > 1 or lock.waiters:
+                                raise LockConflict(key, holders - {txn_id})
+                            lock.exclusive = True
+                    elif lock.waiters or (
+                        holders and (exclusive or lock.exclusive)
+                    ):
+                        raise LockConflict(
+                            key, holders or {w[0] for w in lock.waiters}
+                        )
+                    else:
+                        lock.exclusive = exclusive
+                        holders.add(txn_id)
+                        granted.append(key)
+                count += 1
+        except LockConflict:
             self.conflicts += 1
-            raise LockConflict(key, lock.holders or {w[0] for w in lock.waiters})
-        self._grant(lock, txn_id, key, exclusive)
+            raise
+        finally:
+            self.acquisitions += count
+            if granted:
+                self._held_by_txn.setdefault(txn_id, []).extend(granted)
 
     def acquire_async(
         self,
@@ -101,10 +141,13 @@ class LockTable:
         """
         if self.sim is None:
             raise RuntimeError("acquire_async needs LockTable(sim=...)")
-        fut = self.sim.event(name=f"lock:{key}")
+        fut = self.sim.event(name=("lock", key))
         lock = self._locks.get(key)
         if lock is None:
             lock = self._locks[key] = _Lock()
+            lock.exclusive = False
+            lock.holders = set()
+            lock.waiters = None
         compatible = txn_id in lock.holders or (
             not lock.waiters
             and not (lock.holders and (exclusive or lock.exclusive))
@@ -121,6 +164,8 @@ class LockTable:
             fut.resolve()
             return fut
         entry = (txn_id, exclusive, fut)
+        if lock.waiters is None:
+            lock.waiters = deque()
         lock.waiters.append(entry)
         self.waits += 1
         tracer = self.tracer
@@ -152,7 +197,7 @@ class LockTable:
     def _grant(self, lock: _Lock, txn_id: str, key: object, exclusive: bool) -> None:
         lock.exclusive = exclusive
         lock.holders.add(txn_id)
-        self._held_by_txn.setdefault(txn_id, set()).add(key)
+        self._held_by_txn.setdefault(txn_id, []).append(key)
         self.acquisitions += 1
 
     def _wake_waiters(self, key: object, lock: _Lock) -> None:
@@ -174,21 +219,21 @@ class LockTable:
                 break
 
     def release_all(self, txn_id: str) -> None:
-        """Strict 2PL: drop every lock the transaction holds (commit/abort)."""
+        """Strict 2PL: drop every lock the transaction holds (commit/abort),
+        in the order it acquired them."""
+        locks = self._locks
         for key in self._held_by_txn.pop(txn_id, ()):
-            lock = self._locks.get(key)
+            lock = locks.get(key)
             if lock is None:
                 continue
-            lock.holders.discard(txn_id)
-            if not lock.holders:
-                lock.exclusive = False
+            holders = lock.holders
+            holders.discard(txn_id)
+            # Remaining holders of a shared lock keep it shared.
+            lock.exclusive = False
+            if lock.waiters:
                 self._wake_waiters(key, lock)
-                if not lock.holders and not lock.waiters:
-                    del self._locks[key]
-            else:
-                # Remaining holders of a shared lock keep it shared.
-                lock.exclusive = False
-                self._wake_waiters(key, lock)
+            if not holders and not lock.waiters:
+                del locks[key]
 
     def holders(self, key: object) -> Set[str]:
         lock = self._locks.get(key)
@@ -207,12 +252,12 @@ class LockTable:
 
     def waiting(self, key: object) -> int:
         lock = self._locks.get(key)
-        return len(lock.waiters) if lock else 0
+        return len(lock.waiters) if lock and lock.waiters else 0
 
     def clear(self) -> None:
         """Drop all state (node crash: in-memory locks are lost)."""
         for key, lock in list(self._locks.items()):
-            for txn_id, _exclusive, fut in lock.waiters:
+            for txn_id, _exclusive, fut in lock.waiters or ():
                 if not fut.done:
                     if self._wait_spans:
                         wsid = self._wait_spans.pop(fut, None)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
-from repro.engine.buffer import MISS, CacheManager
+from repro.engine.buffer import CacheManager
 from repro.engine.granule import GranuleMap
 from repro.engine.group_commit import GroupCommitter
 from repro.engine.locks import LockConflict, LockTable
@@ -75,9 +75,9 @@ GTABLE = "gtable"
 MTABLE = "mtable"
 
 
-@dataclass(frozen=True, slots=True)
-class TxnOp:
-    """One operation of a user transaction.
+class TxnOp(NamedTuple):
+    """One operation of a user transaction (a tuple-backed record: a
+    generator builds sixteen of these per YCSB transaction).
 
     ``incr`` marks a blind commutative increment: a transaction made up
     entirely of such ops is invariant-confluent and eligible for the
@@ -398,17 +398,25 @@ class ComputeNode:
                 elif entry.table == MTABLE:
                     self.mtable.pop(entry.key, None)
 
-    def _apply_user_entries(self, entries) -> None:
-        for entry in entries:
-            if isinstance(entry, Put) and entry.table not in (GTABLE, MTABLE):
-                page = self.page_of(entry.table, entry.key)
-                if self.cache.get(page) is not MISS:
-                    self.cache.put(page, {"warm": True})
-
     def apply_committed(self, ctx: TxnContext) -> None:
-        entries = ctx.entries_for(self.glog)
-        self.apply_system_entries(entries)
-        self._apply_user_entries(entries)
+        """Fold a committed transaction's entries for our GLog into the
+        local views, in one walk: system-table updates into GTable/MTable,
+        user writes into the cache — re-warming the pages already cached
+        (uncached ones stay out)."""
+        entries = ctx.writes.get(self.glog)
+        if entries:
+            per_page = self.params.keys_per_page
+            system, pages = [], []
+            for entry in entries:
+                table = entry.table
+                if table == GTABLE or table == MTABLE:
+                    system.append(entry)
+                elif isinstance(entry, Put):
+                    pages.append((table, entry.key // per_page))
+            if system:
+                self.apply_system_entries(system)
+            if pages:
+                self.cache.refresh(pages, {"warm": True})
         self.view_cursor[self.glog] = self.lsn_tracker.get(self.glog, 0)
 
     # -- user transaction execution ----------------------------------------------
@@ -428,7 +436,7 @@ class ComputeNode:
             # Downstream commit machinery parents its spans under the txn.
             ctx.span = sid
         try:
-            local_ops, remote_ops = self._partition_ops(ctx, spec)
+            local_ops, remote_ops = self._partition_ops(spec, ctx)
             self._acquire_and_stage(ctx, local_ops)
             yield from self._execute_ops(ctx, local_ops)
             if remote_ops:
@@ -461,57 +469,73 @@ class ComputeNode:
         finally:
             self.txns.pop(ctx.txn_id, None)
 
-    def _partition_ops(self, ctx, spec: TxnSpec):
+    def _partition_ops(self, spec: TxnSpec, ctx: Optional[TxnContext]):
         """Split ops into local and remote by granule ownership.
 
         The home granule (first op) must be owned by this node, else the
         client misrouted and gets a WrongNodeError with the owner hint
-        (Algorithm 1 lines 2-6).
+        (Algorithm 1 lines 2-6).  Every distinct local granule passes
+        ``check_ownership`` (its GTable read lock) under ``ctx``; with
+        ``ctx=None`` — the coordination-free path — no lock is taken.
+        Granule and owner are resolved once per run of same-granule ops.
         """
+        gmap, gtable, me = self.gmap, self.gtable, self.node_id
+        home = gmap.granule_of(spec.home_key)
+        home_owner = gtable.get(home)
+        if home_owner != me:
+            raise WrongNodeError(home, home_owner)
         local: List[TxnOp] = []
         remote: Dict[int, List[TxnOp]] = {}
-        home = self.gmap.granule_of(spec.home_key)
-        home_owner = self.gtable.get(home)
-        if home_owner != self.node_id:
-            raise WrongNodeError(home, home_owner)
         checked = set()
+        lo = hi = 0  # key range of the current run's granule
+        share = local
         for op in spec.ops:
-            granule = self.gmap.granule_of(op.key)
-            owner = self.gtable.get(granule)
-            if owner == self.node_id:
-                if granule not in checked:
-                    checked.add(granule)
-                    self.runtime.check_ownership(ctx, granule)
-                local.append(op)
-            elif owner is None:
-                raise WrongNodeError(granule, None)
-            else:
-                remote.setdefault(owner, []).append(op)
+            key = op.key
+            if not lo <= key < hi:
+                granule = gmap.granule_of(key)
+                lo, width = gmap.span(granule)
+                hi = lo + width
+                owner = gtable.get(granule)
+                if owner == me:
+                    if ctx is not None and granule not in checked:
+                        checked.add(granule)
+                        self.runtime.check_ownership(ctx, granule)
+                    share = local
+                elif owner is None:
+                    raise WrongNodeError(granule, None)
+                else:
+                    share = remote.setdefault(owner, [])
+            share.append(op)
         return local, remote
 
-    def _acquire_and_stage(self, ctx, ops: List[TxnOp]) -> None:
+    def _acquire_and_stage(self, ctx, ops) -> None:
+        """Lock the op set (NO_WAIT, in op order) and stage its writes."""
         try:
-            for op in ops:
-                self.locks.acquire(ctx.txn_id, (op.table, op.key), op.write)
+            self.locks.acquire_all(
+                ctx.txn_id,
+                [((table, key), write) for write, table, key, _incr in ops],
+            )
         except LockConflict as conflict:
             raise TxnAborted(AbortReason.LOCK_CONFLICT, str(conflict)) from conflict
-        for op in ops:
-            if op.write:
-                ctx.write(self.glog, op.table, op.key, f"v:{ctx.txn_id}")
+        value = f"v:{ctx.txn_id}"
+        ctx.stage(
+            self.glog,
+            [Put(table, key, value) for write, table, key, _incr in ops if write],
+        )
 
-    def _execute_ops(self, ctx, ops: List[TxnOp]):
+    def _execute_ops(self, ctx, ops):
         """CPU time plus storage fetches for cache misses."""
-        misses = []
-        for op in ops:
-            page = self.page_of(op.table, op.key)
-            if self.cache.get(page) is MISS:
-                misses.append(page)
+        if not ops:
+            return
+        per_page = self.params.keys_per_page
+        misses = self.cache.probe(
+            [(table, key // per_page) for _write, table, key, _incr in ops]
+        )
         tracer = self.tracer
-        if tracer is not None and ops:
+        if tracer is not None:
             tracer.count("cache.misses", len(misses))
             tracer.count("cache.hits", len(ops) - len(misses))
-        if ops:
-            yield from self.cpu.run(len(ops) * self.params.op_cpu)
+        yield from self.cpu.run(len(ops) * self.params.op_cpu)
         if misses:
             fetches = [
                 self.storage_call("get_page", table, page_no, self.glog, 0)
@@ -520,7 +544,7 @@ class ComputeNode:
             yield all_of(self.sim, fetches)
             for page in misses:
                 self.cache.put(page, {"warm": True})
-        if ops and self.params.interactive_delay:
+        if self.params.interactive_delay:
             yield Timeout(len(ops) * self.params.interactive_delay)
 
     def _send_branches(self, ctx, remote: Dict[int, List[TxnOp]]):
@@ -563,8 +587,8 @@ class ComputeNode:
         try:
             for granule in sorted({self.gmap.granule_of(op.key) for op in ops}):
                 self.runtime.check_ownership(ctx, granule)
-            self._acquire_and_stage(ctx, list(ops))
-            yield from self._execute_ops(ctx, list(ops))
+            self._acquire_and_stage(ctx, ops)
+            yield from self._execute_ops(ctx, ops)
             # Durably journal that this branch joined the transaction
             # (INITIALIZE -> ACTIVE).  A TXN_BEGIN with no later vote lets
             # recovery claim an abort without consulting anyone: the
@@ -619,21 +643,7 @@ class ComputeNode:
                 self.address, "user_txn_fast", args={"txn": ctx.txn_id}
             )
         try:
-            home = self.gmap.granule_of(spec.home_key)
-            home_owner = self.gtable.get(home)
-            if home_owner != self.node_id:
-                raise WrongNodeError(home, home_owner)
-            local: List[TxnOp] = []
-            remote: Dict[int, List[TxnOp]] = {}
-            for op in spec.ops:
-                granule = self.gmap.granule_of(op.key)
-                owner = self.gtable.get(granule)
-                if owner == self.node_id:
-                    local.append(op)
-                elif owner is None:
-                    raise WrongNodeError(granule, None)
-                else:
-                    remote.setdefault(owner, []).append(op)
+            local, remote = self._partition_ops(spec, None)
             futs = [
                 self.peer_call(
                     owner,

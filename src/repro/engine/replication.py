@@ -361,7 +361,7 @@ class ReplicaManager:
         if needed <= 0 or not followers:
             return
         state = {"acks": 0}
-        done = node.sim.event(name=f"repl-quorum-{node.node_id}-{lsn}")
+        done = node.sim.event(name=("repl-quorum", node.node_id, lsn))
 
         def ship_one(fid: int):
             backoff = 0.002

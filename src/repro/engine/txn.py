@@ -123,6 +123,12 @@ class TxnContext:
     def delete(self, log_name: str, table: str, key) -> None:
         self.writes[log_name].append(Delete(table, key))
 
+    def stage(self, log_name: str, entries: List) -> None:
+        """Buffer a whole op set's entries for ``log_name`` at once (none:
+        the log does not become a participant)."""
+        if entries:
+            self.writes[log_name].extend(entries)
+
     def entries_for(self, log_name: str) -> Tuple:
         return tuple(self.writes.get(log_name, ()))
 

@@ -88,15 +88,20 @@ __all__ = [
 #: Scheduling in the past is tolerated up to this much floating-point slop.
 _PAST_SLOP = 1e-12
 
-#: A process or future name: a string, or a tuple of names that is joined
-#: with "." only when somebody reads it (error messages, ``repr``) — the
-#: per-spawn paths hand over the parts they already hold instead of
-#: formatting a string nobody will look at.
+#: A process or future name: a string, or a tuple of parts (names, or the
+#: ints and lock keys a site already holds) joined with "." only when
+#: somebody reads it (error messages, ``repr``) — the per-spawn and
+#: per-operation paths hand over parts instead of formatting a string nobody
+#: will look at.
 Name = Union[str, tuple]
 
 
 def _join_name(name: Name) -> str:
-    return name if type(name) is str else ".".join(map(_join_name, name))
+    if type(name) is str:
+        return name
+    if type(name) is tuple:
+        return ".".join(map(_join_name, name))
+    return str(name)
 
 
 class SimError(Exception):

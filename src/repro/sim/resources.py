@@ -48,7 +48,7 @@ class CpuResource:
 
     def acquire(self) -> Future:
         """A future that resolves when a slot is granted to the caller."""
-        fut = self.sim.event(name=f"{self.name}.acquire")
+        fut = self.sim.event(name=(self.name, "acquire"))
         if self._free > 0:
             self._free -= 1
             fut.resolve()
@@ -105,7 +105,7 @@ class Mutex:
         return self._locked
 
     def acquire(self) -> Future:
-        fut = self.sim.event(name=f"{self.name}.acquire")
+        fut = self.sim.event(name=(self.name, "acquire"))
         if not self._locked:
             self._locked = True
             fut.resolve()
@@ -144,7 +144,7 @@ class Queue:
 
     def get(self) -> Future:
         """A future resolving with the next item (FIFO among waiters)."""
-        fut = self.sim.event(name=f"{self.name}.get")
+        fut = self.sim.event(name=(self.name, "get"))
         if self._items:
             fut.resolve(self._items.popleft())
         else:

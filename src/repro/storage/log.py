@@ -46,8 +46,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Put:
+def _same_kind_eq(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _same_kind_ne(self, other) -> bool:
+    return not _same_kind_eq(self, other)
+
+
+def _class_distinct(cls):
+    """The three update kinds are tuple-backed records (a txn stages one per
+    write and the WAL retains them all), but equality stays class-distinct:
+    a ``Put`` never equals an ``Increment`` with the same fields, nor a bare
+    tuple — plain tuple equality would merge them."""
+    cls.__eq__ = _same_kind_eq
+    cls.__ne__ = _same_kind_ne
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+@_class_distinct
+class Put(NamedTuple):
     """Set ``table[key] = value``."""
 
     table: str
@@ -55,16 +74,16 @@ class Put:
     value: object
 
 
-@dataclass(frozen=True)
-class Delete:
+@_class_distinct
+class Delete(NamedTuple):
     """Remove ``table[key]``."""
 
     table: str
     key: object
 
 
-@dataclass(frozen=True)
-class Increment:
+@_class_distinct
+class Increment(NamedTuple):
     """Add ``delta`` to the numeric counter at ``table[key]``.
 
     A blind commutative update: increments merge regardless of order, which

@@ -65,7 +65,7 @@ class ReplayService:
 
     def wait_applied(self, log_name: str, lsn: int) -> Future:
         """A future resolving once replay of ``log_name`` reaches ``lsn``."""
-        fut = self.sim.event(name=f"replay:{log_name}@{lsn}")
+        fut = self.sim.event(name=("replay", log_name, lsn))
         if self.pagestore.applied_lsn[log_name] >= lsn:
             fut.resolve(self.pagestore.applied_lsn[log_name])
         elif len(self._waiters[log_name]) >= MAX_WAITERS_PER_LOG:

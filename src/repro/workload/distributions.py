@@ -11,7 +11,20 @@ import math
 import random
 from typing import Optional
 
-__all__ = ["HotSpot", "Uniform", "Zipfian"]
+__all__ = ["HotSpot", "Uniform", "Zipfian", "randbelow"]
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` given ``rng.getrandbits``, minus the argument
+    checking: the same rejection loop as ``random.Random._randbelow``, so it
+    consumes the same bits and returns the same value (pinned by a test on
+    the running interpreter).  ``lo + randbelow(bits, hi - lo)`` is
+    ``rng.randrange(lo, hi)``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class Uniform:
@@ -23,7 +36,7 @@ class Uniform:
         self.n = n
 
     def sample(self, rng: random.Random) -> int:
-        return rng.randrange(self.n)
+        return randbelow(rng.getrandbits, self.n)
 
 
 class Zipfian:

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from repro.engine.granule import GranuleMap
 from repro.engine.node import TxnOp, TxnSpec
+from repro.workload.distributions import randbelow
 
 __all__ = ["TpccConfig", "TpccWorkload", "TPCC_TABLES"]
 
@@ -85,11 +86,11 @@ class TpccWorkload:
 
     def _key(self, rng: random.Random, warehouse: int) -> int:
         """A pseudo-random key inside the warehouse's granule range."""
-        granule = self.gmap.granule(warehouse)
-        return rng.randrange(granule.lo, granule.hi)
+        lo, width = self.gmap.span(warehouse)
+        return lo + randbelow(rng.getrandbits, width)
 
     def _home_key(self, warehouse: int) -> int:
-        return self.gmap.granule(warehouse).lo
+        return self.gmap.span(warehouse)[0]
 
     def _pick_local(self, rng: random.Random) -> int:
         return rng.randrange(self.warehouse_lo, self.warehouse_hi)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from repro.engine.granule import GranuleMap
 from repro.engine.node import TxnOp, TxnSpec
-from repro.workload.distributions import Uniform, Zipfian
+from repro.workload.distributions import Uniform, Zipfian, randbelow
 
 __all__ = ["YcsbConfig", "YcsbWorkload"]
 
@@ -66,31 +66,31 @@ class YcsbWorkload:
 
     def next_txn(self, rng: random.Random) -> TxnSpec:
         """One single-site transaction: 16 ops inside one random granule."""
-        if self.config.incr_fraction and rng.random() < self.config.incr_fraction:
+        config = self.config
+        if config.incr_fraction and rng.random() < config.incr_fraction:
             return self._incr_txn(rng)
         home_key = self.key_lo + self._picker.sample(rng)
-        granule = self.gmap.granule(self.gmap.granule_of(home_key))
-        ops = []
-        for _ in range(self.config.requests_per_txn):
-            key = rng.randrange(granule.lo, granule.hi)
-            write = rng.random() >= self.config.read_fraction
-            ops.append(TxnOp(write=write, table=TABLE, key=key))
-        # The home key leads so routing targets the right granule.
-        ops[0] = TxnOp(write=ops[0].write, table=TABLE, key=home_key)
-        if self.config.remote_fraction and rng.random() < self.config.remote_fraction:
+        gmap = self.gmap
+        lo, width = gmap.span(gmap.granule_of(home_key))
+        getrandbits, coin = rng.getrandbits, rng.random
+        read_fraction = config.read_fraction
+        # The home key leads so routing targets the right granule; it takes
+        # the place of the first op's key draw, which is still consumed.
+        randbelow(getrandbits, width)
+        ops = [TxnOp(coin() >= read_fraction, TABLE, home_key)]
+        for _ in range(config.requests_per_txn - 1):
+            key = lo + randbelow(getrandbits, width)
+            ops.append(TxnOp(coin() >= read_fraction, TABLE, key))
+        if config.remote_fraction and coin() < config.remote_fraction:
             # Redirect the tail of the transaction at a second, globally
             # random granule: plain writes, so the commit needs 2PC.
-            other = self.gmap.granule(
-                self.gmap.granule_of(rng.randrange(self.gmap.num_keys))
+            lo, width = gmap.span(
+                gmap.granule_of(randbelow(getrandbits, gmap.num_keys))
             )
             spill = max(1, len(ops) // 4)
             for i in range(len(ops) - spill, len(ops)):
-                ops[i] = TxnOp(
-                    write=True,
-                    table=TABLE,
-                    key=rng.randrange(other.lo, other.hi),
-                )
-        return TxnSpec(ops=tuple(ops))
+                ops[i] = TxnOp(True, TABLE, lo + randbelow(getrandbits, width))
+        return TxnSpec(tuple(ops))
 
     def _incr_txn(self, rng: random.Random) -> TxnSpec:
         """A global-counter transaction: blind increments across the whole
@@ -98,8 +98,8 @@ class YcsbWorkload:
         its ops routinely span granules owned by different nodes.  The home
         key stays in-range for correct routing; the rest are global."""
         home_key = self.key_lo + self._picker.sample(rng)
-        ops = [TxnOp(write=True, table=TABLE, key=home_key, incr=True)]
+        getrandbits, num_keys = rng.getrandbits, self.gmap.num_keys
+        ops = [TxnOp(True, TABLE, home_key, True)]
         for _ in range(self.config.requests_per_txn - 1):
-            key = rng.randrange(self.gmap.num_keys)
-            ops.append(TxnOp(write=True, table=TABLE, key=key, incr=True))
-        return TxnSpec(ops=tuple(ops))
+            ops.append(TxnOp(True, TABLE, randbelow(getrandbits, num_keys), True))
+        return TxnSpec(tuple(ops))

@@ -1,5 +1,7 @@
 """Unit tests for the clock-replacement cache manager."""
 
+import random
+
 import pytest
 
 from repro.engine.buffer import MISS, CacheManager
@@ -141,3 +143,73 @@ class TestInvalidate:
         assert cache.get("a") is MISS
         cache.put("b", 2)  # usable after clear
         assert cache.get("b") == 2
+
+
+class TestBulkOps:
+    """``probe``/``refresh`` against the ``get``/``put`` loops they replaced
+    on the user-transaction path: same verdicts, counters and ref bits."""
+
+    UNIVERSE = [("t", page) for page in range(12)]
+
+    def _pair(self, rng):
+        """Two caches with one random history: fills, evictions, holes and
+        (at most one at a time, so eviction always finds a victim) a pin."""
+        caches = CacheManager(5), CacheManager(5)
+        pinned = None
+        for _ in range(rng.randrange(4, 30)):
+            key = rng.choice(self.UNIVERSE)
+            roll = rng.random()
+            for cache in caches:
+                if roll < 0.6:
+                    cache.put(key, "old")
+                elif roll < 0.8:
+                    cache.get(key)
+                elif roll < 0.9:
+                    cache.invalidate(key)
+                else:
+                    cache.unpin(pinned)
+                    cache.pin(key)
+            if roll >= 0.9:
+                pinned = key
+        return caches
+
+    def _assert_same_state(self, bulk, loop):
+        assert (bulk.hits, bulk.misses, bulk.evictions) == (
+            loop.hits, loop.misses, loop.evictions
+        )
+        cached = [key for key in self.UNIVERSE if key in bulk]
+        assert cached == [key for key in self.UNIVERSE if key in loop]
+        # Equal ref bits <=> the clock picks the same victims from here on.
+        for page in range(100, 112):
+            for cache in (bulk, loop):
+                cache.put(("t", page), "new")
+            assert [k for k in self.UNIVERSE if k in bulk] == [
+                k for k in self.UNIVERSE if k in loop
+            ]
+        assert bulk.evictions == loop.evictions
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_probe_matches_get_loop(self, seed):
+        rng = random.Random(seed)
+        bulk, loop = self._pair(rng)
+        keys = [rng.choice(self.UNIVERSE) for _ in range(rng.randrange(0, 20))]
+        assert bulk.probe(keys) == [key for key in keys if loop.get(key) is MISS]
+        self._assert_same_state(bulk, loop)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_refresh_matches_get_then_put_loop(self, seed):
+        rng = random.Random(seed)
+        bulk, loop = self._pair(rng)
+        keys = [rng.choice(self.UNIVERSE) for _ in range(rng.randrange(0, 20))]
+        bulk.refresh(keys, "fresh")
+        for key in keys:
+            if loop.get(key) is not MISS:
+                loop.put(key, "fresh")
+        # Not via get(): comparing values must not touch the ref bits.
+        values = [
+            [cache._frames[cache._index[key]].value for key in self.UNIVERSE if key in cache]
+            for cache in (bulk, loop)
+        ]
+        assert values[0] == values[1]
+        assert len(bulk) == len(loop) <= 5  # refresh inserted nothing
+        self._assert_same_state(bulk, loop)

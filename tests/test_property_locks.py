@@ -5,13 +5,15 @@ Invariants checked over random acquire/release traces:
 * an exclusive lock never coexists with any other holder,
 * shared holders never observe an exclusive flag,
 * `held_by` and `holders` stay mutually consistent,
-* waiting-mode grants are FIFO and never overlap incompatibly.
+* waiting-mode grants are FIFO and never overlap incompatibly,
+* the batch entry point is indistinguishable from the per-key loop it
+  replaced on the user-transaction path (differential test).
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.locks import LockConflict, LockTable
 from repro.sim.core import Simulator
@@ -179,3 +181,71 @@ def test_clear_fails_pending_waiters():
     locks.clear()
     sim.run(until=0.1)
     assert isinstance(fut.exception, LockConflict)
+
+
+# -- batch entry point vs per-key acquire (differential) ------------------------
+
+_REQUEST = st.tuples(st.sampled_from(KEYS), st.booleans())
+_STEP = st.one_of(
+    st.tuples(st.just("batch"), st.sampled_from(TXNS), st.lists(_REQUEST, max_size=6)),
+    st.tuples(st.just("acquire"), st.sampled_from(TXNS), _REQUEST),
+    st.tuples(st.just("async"), st.sampled_from(TXNS), _REQUEST),
+    st.tuples(st.just("release"), st.sampled_from(TXNS), st.none()),
+)
+
+
+def _observe(locks: LockTable, futures):
+    return {
+        "holders": {key: locks.holders(key) for key in KEYS},
+        "exclusive": {key: locks.is_exclusive(key) for key in KEYS},
+        "held_by": {txn: locks.held_by(txn) for txn in TXNS},
+        "waiting": {key: locks.waiting(key) for key in KEYS},
+        "acquisitions": locks.acquisitions,
+        "conflicts": locks.conflicts,
+        "granted": [fut.done for fut in futures],
+    }
+
+
+def _apply(locks: LockTable, futures, step, batched: bool):
+    """Run one step; the ``(key, holders)`` of the conflict it raised, if any."""
+    op, txn, arg = step
+    try:
+        if op == "batch" and batched:
+            locks.acquire_all(txn, arg)
+        elif op == "batch":
+            for key, exclusive in arg:
+                locks.acquire(txn, key, exclusive)
+        elif op == "acquire":
+            locks.acquire(txn, *arg)
+        elif op == "async":
+            futures.append(locks.acquire_async(txn, *arg))
+        else:
+            locks.release_all(txn)
+    except LockConflict as conflict:
+        return conflict.key, conflict.holders
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(_STEP, max_size=30))
+# S -> X upgrade inside one batch; a second reader then blocks the upgrade.
+@example(steps=[("batch", "t0", [("a", False), ("a", True)]),
+                ("acquire", "t1", ("b", False)),
+                ("batch", "t2", [("b", False), ("c", True), ("b", True)])])
+# Conflict in the middle of a batch: the earlier key stays held until release.
+@example(steps=[("acquire", "t1", ("b", True)),
+                ("batch", "t0", [("a", True), ("b", False), ("c", True)]),
+                ("release", "t0", None)])
+# A batch hitting a key with a queued waiter is fenced by the waiter.
+@example(steps=[("acquire", "t0", ("a", False)),
+                ("async", "t1", ("a", True)),
+                ("batch", "t2", [("b", False), ("a", False)]),
+                ("release", "t0", None)])
+def test_batch_entry_point_matches_per_key_acquire(steps):
+    batched, per_key = LockTable(Simulator()), LockTable(Simulator())
+    batched_futs, per_key_futs = [], []
+    for step in steps:
+        raised = _apply(batched, batched_futs, step, batched=True)
+        assert raised == _apply(per_key, per_key_futs, step, batched=False)
+        assert _observe(batched, batched_futs) == _observe(per_key, per_key_futs)
+        check_consistency(batched)

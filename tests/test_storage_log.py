@@ -1,8 +1,17 @@
 """Unit tests for SharedLog and the conditional append primitive."""
 
+import pickle
+
 import pytest
 
-from repro.storage.log import AppendResult, Delete, Put, RecordKind, SharedLog
+from repro.storage.log import (
+    AppendResult,
+    Delete,
+    Increment,
+    Put,
+    RecordKind,
+    SharedLog,
+)
 
 
 @pytest.fixture
@@ -129,6 +138,40 @@ class TestEntries:
         delete = Delete("t", 1)
         with pytest.raises(Exception):
             delete.key = 2
+
+    def test_assignment_raises_attribute_error(self):
+        for entry in (Put("t", 1, "v"), Delete("t", 1), Increment("t", 1)):
+            with pytest.raises(AttributeError):
+                entry.key = 2
+
+    def test_keyword_construction_and_defaults(self):
+        assert Put(table="t", key=1, value="v") == Put("t", 1, "v")
+        assert Delete(key=1, table="t") == Delete("t", 1)
+        assert Increment(table="t", key=1) == Increment("t", 1, 1)
+        assert Increment("t", 1).delta == 1
+
+    def test_equality_is_class_distinct(self):
+        """Tuple-backed, but never equal across kinds or to a bare tuple —
+        plain tuple equality would merge ``Put`` and ``Increment``."""
+        put, incr = Put("t", 1, 1), Increment("t", 1, 1)
+        assert put != incr and not put == incr
+        assert incr != put and not incr == put
+        assert put != ("t", 1, 1) and ("t", 1, 1) != put
+        assert Delete("t", 1) != ("t", 1)
+        assert put == Put("t", 1, 1) and not put != Put("t", 1, 1)
+        assert put != Put("t", 1, 2)
+
+    def test_hashing_agrees_with_equality(self):
+        put, incr = Put("t", 1, 1), Increment("t", 1, 1)
+        assert hash(put) == hash(Put("t", 1, 1))
+        assert len({put, incr, Put("t", 1, 1), Delete("t", 1)}) == 3
+        assert {put: "put", incr: "incr"}[Increment("t", 1, 1)] == "incr"
+
+    def test_isinstance_dispatch_and_pickle(self):
+        for entry in (Put("t", 1, "v"), Delete("t", 1), Increment("t", 1, 3)):
+            clone = pickle.loads(pickle.dumps(entry))
+            assert type(clone) is type(entry) and clone == entry
+        assert not isinstance(Increment("t", 1, 1), Put)
 
     def test_entries_stored_as_tuple(self, log):
         log.append("t", RecordKind.COMMIT_DATA, [Put("t", 1, "a")])

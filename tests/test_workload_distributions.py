@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.distributions import HotSpot, Uniform, Zipfian
+from repro.workload.distributions import HotSpot, Uniform, Zipfian, randbelow
 
 
 class TestUniform:
@@ -94,3 +94,18 @@ class TestHotSpot:
             HotSpot(0)
         with pytest.raises(ValueError):
             HotSpot(10, hot_set=0.0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 1000])
+def test_randbelow_is_randrange_on_this_interpreter(width):
+    """The unrolled draw consumes the same bits and returns the same values
+    as ``randrange`` — including powers of two and their neighbours, where
+    the rejection loop's bit width changes."""
+    for seed in (1, 2):
+        unrolled, reference = random.Random(seed), random.Random(seed)
+        lo = 7 * width
+        for _ in range(500):
+            assert lo + randbelow(unrolled.getrandbits, width) == (
+                reference.randrange(lo, lo + width)
+            )
+        assert unrolled.random() == reference.random()

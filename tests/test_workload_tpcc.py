@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine.granule import GranuleMap
 from repro.workload.tpcc import TpccConfig, TpccWorkload
+from tests.test_workload_ycsb import stream_digest
 
 
 @pytest.fixture
@@ -138,3 +139,18 @@ class TestWarehouseBinding:
         rng = random.Random(11)
         spec = wl._payment(rng)
         assert home_warehouse(gmap, spec) == 0
+
+
+#: Captured from the parent of the op-set-at-a-time PR (a2d109d); see
+#: ``YCSB_STREAMS`` in test_workload_ycsb.py.
+TPCC_STREAMS = {
+    1: "60f35cff60e836c825bc18579a5e67ca235a983f08bd183d8ee6075870d81118",
+    2: "1c99f41c006b9b5f6b9bf5888d3cff9f71b334fcff98bc0056c0436ee89a13d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TPCC_STREAMS))
+def test_seeded_mix_stream_is_pinned(seed):
+    # 64 warehouses over 4090 keys: the last warehouse's granule is short.
+    workload = TpccWorkload(GranuleMap(4090, 64))
+    assert stream_digest(workload, seed) == TPCC_STREAMS[seed]

@@ -1,5 +1,6 @@
 """Tests for the YCSB workload generator."""
 
+import hashlib
 import random
 
 import pytest
@@ -80,3 +81,46 @@ class TestGeneration:
             gmap.granule_of(wl.next_txn(rng).home_key) for _ in range(2000)
         }
         assert len(granules) > gmap.num_granules * 0.8
+
+
+def stream_digest(workload, seed, n=2000):
+    """sha256 over the first ``n`` generated specs (and the generator's next
+    float, so the number of draws consumed is pinned too)."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(n):
+        spec = workload.next_txn(rng)
+        digest.update(
+            repr([(op.write, op.table, op.key, op.incr) for op in spec.ops]).encode()
+        )
+    digest.update(repr(rng.random()).encode())
+    return digest.hexdigest()
+
+
+#: Captured from the parent of the op-set-at-a-time PR (a2d109d), where every
+#: key was ``rng.randrange(granule.lo, granule.hi)`` on a fresh ``Granule``:
+#: the generators may get cheaper, the seeded streams may not move.
+YCSB_STREAMS = {
+    ("uniform", 1): "942f08b8c1ecf1de0d17872ac7815673095666da747e1ecb4781407ea7932236",
+    ("uniform", 2): "26b8bfce6fa6eca42b316a4d69ccc6679f2ebad21b6a5010708c143e827efed0",
+    ("zipfian", 1): "be0f5e6f91f85416bb2e7e1c40d37a239cde928b108a73e8df0e0c89956e19fc",
+    ("zipfian", 2): "b7dce7d49d7f37efbc8b40f357ce735ade52e9042d300fb385b3f37d0f20a563",
+    ("incr", 1): "8d0be177b963834d2f666f96499a954225196013315e4fd7fce88a0a702416f9",
+    ("incr", 2): "5f277bdfee26fcac99ceee9d82b69f700c13fddeb2f600d3da0b3280b89f5f72",
+    ("remote", 1): "8b1a5d629d019af4ef55896a8a575822531a99209acc8323c215353f03b36d4d",
+    ("remote", 2): "65d4bad443eecbbc14a829d9bf33c5bb998694f8e4d91c2f30485aee0c68dd48",
+}
+YCSB_VARIANTS = {
+    "uniform": YcsbConfig(),
+    "zipfian": YcsbConfig(distribution="zipfian"),
+    "incr": YcsbConfig(incr_fraction=0.2),
+    "remote": YcsbConfig(remote_fraction=0.3),
+}
+
+
+@pytest.mark.parametrize("variant,seed", sorted(YCSB_STREAMS))
+def test_seeded_stream_is_pinned(variant, seed):
+    # 1000 keys in granules of 64: the last granule is short (40 keys).
+    workload = YcsbWorkload(GranuleMap(1000, 64), YCSB_VARIANTS[variant])
+    assert stream_digest(workload, seed) == YCSB_STREAMS[variant, seed]
+
