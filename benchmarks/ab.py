@@ -1,7 +1,8 @@
 """Interleaved A/B of the repo benchmark: a base commit against this checkout.
 
     python benchmarks/ab.py <base> [--pairs 10] [--seed 101] [--seconds S]
-        [--workload W]... [--claim METRIC@WORKLOAD]... [--gate digest,rss,counts]
+        [--workload W]... [--claim METRIC@WORKLOAD]...
+        [--gate digest,rss,counts,trace]
 
 ``<base>`` is a git ref (checked out with ``git worktree add`` into a temp
 directory that is removed afterwards) or the path of an existing checkout.
@@ -21,8 +22,8 @@ bound: ``REGRESSION`` when the change's median is worse by more than that,
 
 Exit status 1 if a claim is not met, a workload's ``failed`` grew, or a gate
 named in ``--gate`` tripped (default ``digest,bounds``; CI's one-pair run
-uses ``digest,rss,counts`` — timing from one short pair on a shared runner
-is not a verdict):
+uses ``digest,rss,counts,trace`` — timing from one short pair on a shared
+runner is not a verdict):
 
 * ``digest`` — ``sim_digest`` equal in every pair, unless the two trees'
   ``goldens.cache_epoch()`` differ (a declared behaviour change);
@@ -30,13 +31,20 @@ is not a verdict):
 * ``rss`` — ``peak_rss_mb`` median at most the base's x 1.10 per workload;
 * ``counts`` — one extra ``--ledger-only --seconds 1`` run per side; the
   exact work counts in :data:`PINNED_COUNTS` must be equal (same epoch
-  exemption), so an "optimisation" that skips a lock or a probe fails here.
+  exemption), so an "optimisation" that skips a lock or a probe fails here;
+* ``trace`` — each side runs fig7's ``crash_restart`` cell (scale 0.25) for
+  every system in :data:`TRACED_SYSTEMS` through ``python -m
+  repro.experiments run <cell.json> --trace <out> --json`` under
+  ``PYTHONHASHSEED=0``; the trace files and the run JSON must be
+  byte-equal (same epoch exemption) — CI's ``trace-smoke`` only compares
+  two runs of the *same* tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -47,7 +55,7 @@ import tempfile
 from typing import Dict, List, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GATES = ("digest", "bounds", "rss", "counts")
+GATES = ("digest", "bounds", "rss", "counts", "trace")
 RSS_GATE = 1.10
 #: Work counts a refactor or optimisation promises not to move.
 PINNED_COUNTS = (
@@ -57,6 +65,14 @@ PINNED_COUNTS = (
     "engine.buffer.misses",
     "cluster.metrics.committed",
     "cluster.metrics.aborted",
+)
+#: fig7 crash_restart cells the ``trace`` gate compares byte for byte: the
+#: vote-gated ring and the lease detector (the two failover handlers' spans).
+TRACED_SYSTEMS = ("marlin", "lease")
+_WRITE_CELL = (
+    "import json, sys; from repro.experiments import fig7; "
+    "spec = fig7.slo_spec(sys.argv[1], 'crash_restart', scale=0.25); "
+    "json.dump(spec.to_dict(), open(sys.argv[2], 'w'))"
 )
 
 
@@ -119,6 +135,29 @@ def compare(
     return out
 
 
+def exempt(gate: str, moved: int, same_epoch: bool) -> int:
+    """Failures an identity gate contributes: everything that moved, unless
+    the cache epoch rotated (a declared behaviour change)."""
+    if moved and not same_epoch:
+        print(f"  gate {gate}: exempt, the cache epoch rotated")
+        return 0
+    return moved
+
+
+def moved_bytes(
+    base: Dict[str, bytes], head: Dict[str, bytes], same_epoch: bool
+) -> int:
+    """The ``trace`` gate's verdict over both sides' ``{output: bytes}``."""
+    print("\n== traced fig7 crash_restart cells (scale 0.25, PYTHONHASHSEED=0)")
+    moved = 0
+    for name, data in base.items():
+        b, h = (hashlib.sha256(d).hexdigest()[:12] for d in (data, head[name]))
+        print(f"  {name:18s} {len(data):>9d} B  {b} {h}"
+              f"{'' if b == h else '  MOVED'}")
+        moved += b != h
+    return exempt("trace", moved, same_epoch)
+
+
 # -- running the two sides -----------------------------------------------------
 
 
@@ -141,6 +180,29 @@ def bench(tree: str, args: List[str]) -> Dict[str, dict]:
     if proc.returncode not in (0, 1):  # 1 = an output check failed: reported
         raise SystemExit(f"{tree}: bench_e2e.py exited {proc.returncode}")
     return {report["workload"]: report for report in runs[0]}
+
+
+def traced_cells(tree: str, out: str) -> Dict[str, bytes]:
+    """Run the :data:`TRACED_SYSTEMS` cells from ``tree``, each spec built by
+    that tree's own fig7; ``{"<system> trace" | "<system> run JSON": bytes}``."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
+           "PYTHONHASHSEED": "0"}
+    os.makedirs(out)
+    outputs = {}
+    for system in TRACED_SYSTEMS:
+        cell, trace = (os.path.join(out, f"{system}.{kind}.json")
+                       for kind in ("cell", "trace"))
+        subprocess.run([sys.executable, "-c", _WRITE_CELL, system, cell],
+                       cwd=tree, env=env, check=True)
+        outputs[f"{system} run JSON"] = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "run", cell,
+             "--trace", trace, "--json"],
+            cwd=tree, env=env, check=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        ).stdout
+        with open(trace, "rb") as fh:
+            outputs[f"{system} trace"] = fh.read()
+    return outputs
 
 
 def cache_epoch(tree: str) -> str:
@@ -268,10 +330,15 @@ def count_gate(base_tree: str, args: List[str], same_epoch: bool) -> int:
             print(f"  {workload:14s} {name:28s} {b!s:>12s} {h!s:>12s}"
                   f"{'' if b == h else '  MOVED'}")
             moved += b != h
-    if moved and not same_epoch:
-        print("  gate counts: exempt, the cache epoch rotated")
-        return 0
-    return moved
+    return exempt("counts", moved, same_epoch)
+
+
+def trace_gate(base_tree: str, same_epoch: bool) -> int:
+    """The ``trace`` gate: both sides' traced cells, compared byte for byte."""
+    with tempfile.TemporaryDirectory(prefix="ab-trace-") as tmp:
+        base = traced_cells(base_tree, os.path.join(tmp, "base"))
+        head = traced_cells(ROOT, os.path.join(tmp, "head"))
+    return moved_bytes(base, head, same_epoch)
 
 
 def main(argv=None) -> int:
@@ -318,6 +385,8 @@ def main(argv=None) -> int:
             failures += count_gate(
                 base_tree, ["--seed", str(args.seed), *only], same_epoch
             )
+        if "trace" in gates:
+            failures += trace_gate(base_tree, same_epoch)
     print(f"\n{'FAIL' if failures else 'ok'}: {failures} failed verdicts/gates")
     return 1 if failures else 0
 

@@ -14,6 +14,7 @@ from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector
+from repro.core.failure import FailureDetector
 from repro.engine.granule import GranuleMap, contiguous_assignment, rebalance_plan
 from repro.engine.node import (
     GTABLE,
@@ -225,24 +226,15 @@ class Cluster:
         failover began, or None if none did — detection latency is
         ``first_failover_s`` minus the fault's injection time.
         """
-        stats = {
-            "suspicions_raised": 0,
-            "stand_downs": 0,
-            "failovers_started": 0,
-            "fencings_committed": 0,
-            "renewal_rpcs": 0,
+        stats: Dict[str, object] = {
+            counter: sum(getattr(d, counter) for d in self._all_detectors)
+            for counter in FailureDetector.COUNTERS
         }
-        first: Optional[float] = None
-        for detector in self._all_detectors:
-            stats["suspicions_raised"] += detector.suspicions_raised
-            stats["stand_downs"] += detector.stand_downs
-            stats["failovers_started"] += detector.failovers_started
-            stats["fencings_committed"] += detector.fencings_committed
-            stats["renewal_rpcs"] += detector.renewal_rpcs
-            started = detector.first_failover_at
-            if started is not None and (first is None or started < first):
-                first = started
-        stats["first_failover_s"] = first
+        started = [
+            d.first_failover_at for d in self._all_detectors
+            if d.first_failover_at is not None
+        ]
+        stats["first_failover_s"] = min(started, default=None)
         return stats
 
     # -- introspection ---------------------------------------------------------------

@@ -15,10 +15,17 @@ from repro.cluster.cost import CostModel
 from repro.coord.base import CoordinationRuntime
 from repro.coord.external import ExternalRuntime, FdbClient, ZkClient
 from repro.coord.fdb import FDB_DEFAULT, FdbService
-from repro.coord.lease import LEASE_DEFAULT, LeaseClient, LeaseService
+from repro.coord.lease import (
+    LEASE_DEFAULT,
+    LeaseClient,
+    LeaseFailureDetector,
+    LeaseService,
+)
+from repro.coord.session import SessionGate
 from repro.coord.zookeeper import ZK_LARGE, ZK_SMALL, ZooKeeperService
-from repro.core.failure import LeaseFailureDetector, RingFailureDetector
+from repro.core.failure import RingFailureDetector
 from repro.core.runtime import MarlinRuntime
+from repro.core.suspicion import VoteGate
 from repro.engine.node import NodeParams
 from repro.engine.replication import ReplicationSpec
 
@@ -47,24 +54,29 @@ class VmSpec:
 D4S_V3 = VmSpec("Standard_D4s_v3", 4, 16, 2, 0.192)
 D8S_V3 = VmSpec("Standard_D8s_v3", 8, 32, 4, 0.384)
 
-def _ring(runtime, config: "ClusterConfig", **gate) -> RingFailureDetector:
-    return RingFailureDetector(
-        runtime,
-        interval=config.detector_interval,
-        timeout=config.detector_timeout,
-        miss_threshold=config.detector_misses,
-        **gate,
-    )
+def _ring(make_gate: Callable) -> Callable:
+    """Ring heartbeat probes confirmed by ``make_gate(runtime, config)``."""
+
+    def detector(runtime, config: "ClusterConfig") -> RingFailureDetector:
+        return RingFailureDetector(
+            runtime,
+            interval=config.detector_interval,
+            timeout=config.detector_timeout,
+            miss_threshold=config.detector_misses,
+            gate=make_gate(runtime, config),
+        )
+
+    return detector
 
 
-def _vote_gated_ring(runtime, config: "ClusterConfig"):
-    """Marlin (§4.4.2): ring probes confirmed by a SysLog suspicion vote."""
-    return _ring(runtime, config, vote_gate=config.detector_vote_gate)
+def _vote_gate(runtime, config: "ClusterConfig"):
+    """Marlin (§4.4.2): a SysLog suspicion vote (None = ungated)."""
+    return VoteGate() if config.detector_vote_gate else None
 
 
-def _session_gated_ring(runtime, config: "ClusterConfig"):
-    """The same ring, confirmed against the target's service-session age."""
-    return _ring(runtime, config, session_gate=runtime.client.address)
+def _session_gate(runtime, config: "ClusterConfig"):
+    """The external services: the target's service-session age."""
+    return SessionGate(runtime.client.address)
 
 
 def _lease_expiry(runtime, config: "ClusterConfig"):
@@ -116,10 +128,10 @@ class Backend:
 #: This table is the one place that knows what a kind is made of; adding a
 #: backend is one row here plus its service/client class.
 BACKENDS: Dict[str, Backend] = {
-    "marlin": Backend(None, None, None, _vote_gated_ring),
-    "zk-small": Backend(ZK_SMALL, ZooKeeperService, ZkClient, _session_gated_ring),
-    "zk-large": Backend(ZK_LARGE, ZooKeeperService, ZkClient, _session_gated_ring),
-    "fdb": Backend(FDB_DEFAULT, FdbService, FdbClient, _session_gated_ring),
+    "marlin": Backend(None, None, None, _ring(_vote_gate)),
+    "zk-small": Backend(ZK_SMALL, ZooKeeperService, ZkClient, _ring(_session_gate)),
+    "zk-large": Backend(ZK_LARGE, ZooKeeperService, ZkClient, _ring(_session_gate)),
+    "fdb": Backend(FDB_DEFAULT, FdbService, FdbClient, _ring(_session_gate)),
     "lease": Backend(LEASE_DEFAULT, LeaseService, LeaseClient, _lease_expiry),
 }
 COORDINATION_KINDS = tuple(BACKENDS)

@@ -13,7 +13,7 @@ sidecar-election pattern from the Kubernetes Lease API: failover latency is
 bounded by ``ttl + check_interval``, paid for with continuous renewal
 traffic — the detection-latency/renewal-traffic trade-off fig7 sweeps.
 
-Three layers, separable for testing:
+Four layers, separable for testing:
 
 * :class:`LeaseTable` — the pure lease state machine (no simulator): grant /
   renew / release against explicit ``now`` timestamps.  The hypothesis
@@ -25,7 +25,9 @@ Three layers, separable for testing:
   namespace) plus one LeaseTable behind the lease verbs.
 * :class:`LeaseClient` — the node-side session client: the shared
   membership/ownership operations :class:`ExternalRuntime` drives, plus the
-  lease verbs the :class:`repro.core.failure.LeaseFailureDetector` uses.
+  lease verbs.
+* :class:`LeaseFailureDetector` — the node-side detector: renew our own
+  lease, watch the table for expired ones, CAS-acquire to confirm.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.coord.external import _ServiceClient
 from repro.coord.zookeeper import QuorumKvService
+from repro.core.failure import FailureDetector, run_failover
 from repro.sim.core import Simulator, Timeout
 from repro.sim.network import Network
 
@@ -43,6 +46,7 @@ __all__ = [
     "LEASE_PREFIX",
     "LeaseClient",
     "LeaseConfig",
+    "LeaseFailureDetector",
     "LeaseService",
     "LeaseTable",
     "lease_path",
@@ -233,3 +237,126 @@ class LeaseClient(_ServiceClient):
 
     def lease_table(self, node, prefix: str = LEASE_PREFIX) -> Generator:
         return self._request(node, "lease_table", prefix)
+
+
+class LeaseFailureDetector(FailureDetector):
+    """Lease-expiry failure detection for the lease coordination backend.
+
+    No peer-to-peer probes at all: each node *renews its own granule-group
+    lease* in the service on a seeded interval, and *watches the lease
+    table* for expired entries.  A node that dies stops renewing; after
+    ``ttl`` its lease expires; the first watcher to CAS-acquire the expired
+    lease (the service's leader pipeline serializes claimants, so exactly
+    one wins) self-promotes and drives the external failover path.  A
+    fenced-but-alive holder learns it lost when its next renewal is
+    rejected.  Detection latency is bounded by ``ttl + check_interval``;
+    the price is continuous renewal traffic — the trade-off fig7 sweeps.
+    """
+
+    handler_name = "lease-promote"
+
+    def __init__(
+        self,
+        runtime,
+        ttl: float = 1.5,
+        renew_interval: float = 0.5,
+        check_interval: float = 0.5,
+    ):
+        super().__init__(runtime, check_interval)
+        self.ttl = ttl
+        self.renew_interval = renew_interval
+        #: True once a renewal was rejected (a successor fenced us).
+        self.fenced = False
+
+    def probe_loops(self) -> dict:
+        return {"lease-renew": self._renew_loop(), "lease-check": self._check_loop()}
+
+    # NOTE: every lease verb below goes *directly* to the service, NOT
+    # through ExternalRuntime._through_session.  Real lease clients renew on
+    # a dedicated keepalive channel (a K8s client's lease goroutine, ZK's
+    # session ping thread) precisely so bulk control-plane work cannot
+    # starve liveness: routed through the shared session pool, a successor's
+    # ~N recovery writes would queue its own renewals past the TTL and the
+    # successor would be fenced mid-failover — a self-inflicted cascade.
+
+    def _renew_loop(self):
+        node = self.runtime.node
+        client = self.runtime.client
+        name = lease_path(node.node_id)
+        # Candidate phase: (re-)acquire our own lease.  At bootstrap the
+        # cluster seeds it to us so this refreshes; after a restart it
+        # retries until a successor that took it over releases it.
+        while True:
+            self.renewal_rpcs += 1
+            granted, _holder, _expires = yield from client.acquire_lease(
+                node, name, node.node_id, self.ttl
+            )
+            if granted:
+                break
+            yield Timeout(self.renew_interval)
+        while True:
+            yield Timeout(self.renew_interval)
+            self.renewal_rpcs += 1
+            ok, _holder = yield from client.renew_lease(
+                node, name, node.node_id, self.ttl
+            )
+            if not ok:
+                # A successor CAS-acquired our expired lease while we were
+                # unresponsive: we are fenced.  Stand down; granules now
+                # belong to the successor.
+                self.fenced = True
+                self.stand_downs += 1
+                return
+
+    def _check_loop(self):
+        node = self.runtime.node
+        client = self.runtime.client
+        while True:
+            yield Timeout(self.interval)
+            self.renewal_rpcs += 1
+            table = yield from client.lease_table(node)
+            now = node.sim.now
+            members = node.member_ids()
+            # Liveness is per *holder*, not per lease: a node's own lease is
+            # its session, and renewing it proves the node alive.  A
+            # successor mid-failover holds the dead node's lease too but
+            # only renews its own — that second lease re-expiring must not
+            # read as the successor's death, or healthy recoverers get
+            # "recovered" in a cascade.  (If the successor really dies, its
+            # own lease expires and both its leases become claimable.)
+            alive = {
+                holder
+                for name, (holder, expires) in table.items()
+                if name == lease_path(holder) and expires > now
+            }
+            for name in sorted(table):
+                holder, expires = table[name]
+                if (
+                    holder == node.node_id
+                    or name in self._handling
+                    or holder not in members
+                    or holder in alive
+                    or expires > now
+                ):
+                    continue
+                self.suspect(name, holder, lease=name)
+
+    def confirm(self, name: str, target: int) -> Generator:
+        """CAS on the expired lease: the service grants exactly one
+        claimant, so concurrent watchers elect a single successor."""
+        node = self.runtime.node
+        self.renewal_rpcs += 1
+        granted, _holder, _expires = yield from self.runtime.client.acquire_lease(
+            node, name, node.node_id, self.ttl
+        )
+        if granted:
+            self.failovers_started += 1
+        return granted
+
+    def fence(self, name: str, target: int, suspected_at: float) -> Generator:
+        node = self.runtime.node
+        yield from run_failover(self.runtime, target)
+        # Retire the dead node's lease (we hold it): a restarting owner
+        # re-acquires a fresh one through its own renew loop.
+        self.renewal_rpcs += 1
+        yield from self.runtime.client.release_lease(node, name, node.node_id)

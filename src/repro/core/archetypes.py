@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.core.commit import LogParticipant, marlin_commit
+from repro.core.commit import commit_syslog
 from repro.engine.node import MTABLE, SYSLOG
 from repro.engine.txn import TxnAborted, TxnContext
 
@@ -123,14 +123,7 @@ class SingleWriterCoordinator:
         return committed
 
     def _commit(self, ctx) -> Generator:
-        node = self.node
         try:
-            committed = yield from marlin_commit(
-                node, ctx, [LogParticipant(SYSLOG, ctx.entries_for(SYSLOG))]
-            )
+            return (yield from commit_syslog(self.node, ctx))
         except TxnAborted:
             return False
-        if committed:
-            node.apply_system_entries(ctx.entries_for(SYSLOG))
-            node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
-        return committed

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple, Union
 
 from repro.core.participant import fault_point
-from repro.engine.node import glog_name
+from repro.engine.node import SYSLOG, glog_name
 from repro.sim.core import Future, Simulator, Timeout
 from repro.storage.log import RecordKind
 
@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "LogParticipant",
     "NodeParticipant",
+    "commit_syslog",
     "gather_votes",
     "marlin_commit",
     "terminate_in_doubt",
@@ -229,6 +230,23 @@ def marlin_commit(
         tracer.end(dec_sid)
     if root:
         tracer.end(root, {"committed": int(committed)})
+    return committed
+
+
+def commit_syslog(node: "ComputeNode", ctx: "TxnContext") -> Generator:
+    """1PC tail of a SysLog-only transaction (membership, votes, roles).
+
+    MarlinCommit on the one log; on commit, fold the entries into this
+    node's MTable view and advance its SysLog cursor past them.  Returns
+    whether it committed (False = lost the CAS: refresh and retry).
+    """
+    entries = ctx.entries_for(SYSLOG)
+    committed = yield from marlin_commit(
+        node, ctx, [LogParticipant(SYSLOG, entries)]
+    )
+    if committed:
+        node.apply_system_entries(entries)
+        node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
     return committed
 
 

@@ -11,10 +11,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Iterable, List, Sequence, Tuple
 
-from repro.core.commit import LogParticipant, NodeParticipant, marlin_commit
+from repro.core.commit import (
+    LogParticipant,
+    NodeParticipant,
+    commit_syslog,
+    marlin_commit,
+)
 from repro.engine.locks import LockConflict
 from repro.engine.node import GTABLE, MTABLE, SYSLOG, glog_name
-from repro.engine.txn import AbortReason, TxnAborted, TxnContext, WrongNodeError
+from repro.engine.txn import (
+    AbortReason,
+    TxnAborted,
+    TxnContext,
+    WrongNodeError,
+    abort_from_rpc,
+)
 from repro.sim.core import Timeout, all_of
 from repro.sim.rpc import RemoteError, RpcTimeout
 from repro.storage.log import Put
@@ -59,12 +70,8 @@ def add_node_txn(runtime: "MarlinRuntime") -> Generator:
         seq=node.next_txn_seq(),
     )
     ctx.write(SYSLOG, MTABLE, node.node_id, node.address)
-    committed = yield from marlin_commit(
-        node, ctx, [LogParticipant(SYSLOG, ctx.entries_for(SYSLOG))]
-    )
+    committed = yield from commit_syslog(node, ctx)
     if committed:
-        node.apply_system_entries(ctx.entries_for(SYSLOG))
-        node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
         runtime.reconfig_commits += 1
     return committed
 
@@ -80,12 +87,8 @@ def delete_node_txn(runtime: "MarlinRuntime", node_id: int) -> Generator:
         seq=node.next_txn_seq(),
     )
     ctx.delete(SYSLOG, MTABLE, node_id)
-    committed = yield from marlin_commit(
-        node, ctx, [LogParticipant(SYSLOG, ctx.entries_for(SYSLOG))]
-    )
+    committed = yield from commit_syslog(node, ctx)
     if committed:
-        node.apply_system_entries(ctx.entries_for(SYSLOG))
-        node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
         runtime.reconfig_commits += 1
     return committed
 
@@ -130,12 +133,8 @@ def migration_txn(
                 dst_id,
                 timeout=node.params.vote_timeout,
             )
-        except RemoteError as err:
-            if isinstance(err.cause, TxnAborted):
-                raise TxnAborted(err.cause.reason, err.cause.detail) from err
-            raise TxnAborted(AbortReason.VALIDATION, str(err)) from err
-        except RpcTimeout as err:
-            raise TxnAborted(AbortReason.NODE_FAILED, str(err)) from err
+        except (RemoteError, RpcTimeout) as err:
+            raise abort_from_rpc(err, AbortReason.VALIDATION) from err
         if owner != src_id:
             raise WrongNodeError(granule, owner)
         # Where an external service holds the authoritative mapping, update

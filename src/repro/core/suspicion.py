@@ -19,8 +19,8 @@ With ``vote_threshold=1`` this degrades to the basic ring detector; with
 healthy node.
 
 The module-level helpers (:func:`cast_vote` / :func:`count_votes` /
-:func:`clear_votes`) also back the basic ring detector's *vote gate*
-(``RingFailureDetector(vote_gate=True)``, the default in cluster runs):
+:func:`clear_votes`) also back the basic ring detector's :class:`VoteGate`
+(``RingFailureDetector(gate=VoteGate())``, the default in cluster runs):
 before RecoveryMigrTxn, the monitor commits a suspicion vote, waits one
 probe interval, re-reads MTable from storage, and stands down if the
 cluster suspects (or has evicted) the monitor itself — which breaks the
@@ -29,17 +29,18 @@ mutual-fencing cascade of a symmetrically-partitioned node.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Set, Tuple
+from typing import Generator, Optional, Set, Tuple
 
-from repro.core.commit import LogParticipant, marlin_commit
-from repro.core.failure import RingFailureDetector, run_failover
+from repro.core.commit import commit_syslog
+from repro.core.failure import Gate, RingFailureDetector
+from repro.core.reconfig import run_with_retries
 from repro.engine.node import MTABLE, SYSLOG
 from repro.engine.txn import TxnAborted, TxnContext
 from repro.sim.core import Timeout
-from repro.sim.rpc import RpcError, RpcTimeout
 
 __all__ = [
     "SuspicionFailureDetector",
+    "VoteGate",
     "cast_vote",
     "clear_votes",
     "count_votes",
@@ -79,15 +80,9 @@ def cast_vote(runtime, target: int, suspicious: bool) -> Generator:
     else:
         ctx.delete(SYSLOG, MTABLE, key)
     try:
-        committed = yield from marlin_commit(
-            node, ctx, [LogParticipant(SYSLOG, ctx.entries_for(SYSLOG))]
-        )
+        return (yield from commit_syslog(node, ctx))
     except TxnAborted:
         return False
-    if committed:
-        node.apply_system_entries(ctx.entries_for(SYSLOG))
-        node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
-    return committed
 
 
 def count_votes(
@@ -138,21 +133,69 @@ def clear_votes(runtime, target: int) -> Generator:
     for key in stale:
         ctx.delete(SYSLOG, MTABLE, key)
     try:
-        committed = yield from marlin_commit(
-            node, ctx, [LogParticipant(SYSLOG, ctx.entries_for(SYSLOG))]
-        )
+        yield from commit_syslog(node, ctx)
     except TxnAborted:
-        return
-    if committed:
-        node.apply_system_entries(ctx.entries_for(SYSLOG))
-        node.view_cursor[SYSLOG] = node.lsn_tracker[SYSLOG]
+        pass  # best-effort hygiene: a stale row ages out of every vote window
+
+
+class VoteGate(Gate):
+    """Confirm a ring suspicion with a SysLog vote; stand down if the cluster
+    suspects *us*.
+
+    The vote's CAS append forces this node's MTable view up to the SysLog
+    tail, so a symmetrically-partitioned monitor voting through
+    still-reachable storage observes (a) any earlier vote against itself and
+    (b) its own eviction, in total order — whichever side's vote lands
+    second is the one that backs off, so exactly one direction of a mutual
+    suspicion proceeds to RecoveryMigrTxn.
+    """
+
+    def __init__(self, window: float = 3.0):
+        #: Only votes this recent count: long enough to cover the vote ->
+        #: confirmation-window -> re-check race (~interval + commit), short
+        #: enough that a stale row cannot stall a live failover for long.
+        self.window = window
+
+    def confirm(self, detector, target: int) -> Generator:
+        runtime = detector.runtime
+        node = runtime.node
+        if target not in node.member_ids():
+            return False  # already fenced by someone else
+        committed = yield from run_with_retries(
+            node, lambda: cast_vote(runtime, target, True)
+        )
+        if not committed:
+            return False  # could not even vote; do not fence on no evidence
+        # Confirmation window: under a *symmetric* partition both sides cross
+        # the miss threshold in the same probe round, so the first voter must
+        # not fence before the other side's vote can land.  One probe
+        # interval later, re-read SysLog from (still-reachable) storage — the
+        # isolated monitor now sees the vote against itself and backs off.
+        yield Timeout(detector.interval)
+        yield from runtime.handle_cas_failure(SYSLOG)
+        members = node.member_ids()
+        # Evicted while suspecting, or suspected by a current member: retract
+        # and leave recovery to the surviving side.
+        if node.node_id not in members or count_votes(
+            node, node.node_id, self.window, voters=members
+        ):
+            yield from run_with_retries(
+                node, lambda: cast_vote(runtime, target, False)
+            )
+            return False
+        return True
+
+    def after_fence(self, detector, target: int) -> Generator:
+        yield from clear_votes(detector.runtime, target)
 
 
 class SuspicionFailureDetector(RingFailureDetector):
     """Ring heartbeats + voted eviction through MTable.
 
-    The ring plumbing (``start`` / ``stop`` / ``ring_targets``) is the basic
-    detector's; this class replaces what a missed heartbeat leads to.
+    The probe loop and the failover handler are the basic detector's; this
+    class states what a heartbeat's outcome leads to: a vote once the miss
+    threshold is crossed (and a suspicion once enough monitors voted), a
+    retraction when a suspected node answers again.
     """
 
     loop_name = "suspicion"
@@ -167,80 +210,40 @@ class SuspicionFailureDetector(RingFailureDetector):
         vote_threshold: int = 2,
         vote_window: float = 10.0,
     ):
-        super().__init__(
-            runtime, interval, timeout, miss_threshold, successors,
-            vote_window=vote_window,
-        )
+        super().__init__(runtime, interval, timeout, miss_threshold, successors)
         self.vote_threshold = vote_threshold
+        self.vote_window = vote_window
         self._voted: Set[int] = set()
         self.votes_cast = 0
         self.retractions = 0
 
-    def _loop(self):
-        node = self.runtime.node
-        while True:
-            yield Timeout(self.interval)
-            for target in self.ring_targets():
-                if target in self._handling:
-                    continue
-                try:
-                    yield node.peer_call(
-                        target, "heartbeat", node.node_id, timeout=self.timeout
-                    )
-                    yield from self._on_alive(target)
-                except (RpcTimeout, RpcError):
-                    yield from self._on_miss(target)
-
-    # -- voting ------------------------------------------------------------------
-
-    def _on_miss(self, target: int):
-        self._misses[target] = self._misses.get(target, 0) + 1
-        if self._misses[target] < self.miss_threshold:
+    def _on_miss(self, target: int) -> Generator:
+        misses = self._misses[target] = self._misses.get(target, 0) + 1
+        if misses < self.miss_threshold or target in self._voted:
             return
-        if target in self._voted:
+        if not (yield from cast_vote(self.runtime, target, True)):
             return
-        committed = yield from self._cast_vote(target, suspicious=True)
-        if not committed:
-            return
-        self._voted.add(target)
         self.votes_cast += 1
-        votes = self.count_votes(target)
-        if votes >= self.vote_threshold and target not in self._handling:
-            self._handling.add(target)
-            self.failovers_started += 1
-            self.runtime.node.spawn(
-                self._run_failover(target),
-                name=f"voted-failover-of-{target}",
-            )
+        if self.count_votes(target) < self.vote_threshold:
+            self._voted.add(target)  # ours to retract if the target answers
+            return
+        # The handler owns the target from here; once it is done, detection
+        # (and voting) restarts from scratch.
+        del self._misses[target]
+        self.failovers_started += 1
+        self.suspect(target, target)
 
-    def _on_alive(self, target: int):
+    def _on_alive(self, target: int) -> Generator:
         self._misses[target] = 0
         if target in self._voted:
-            committed = yield from self._cast_vote(target, suspicious=False)
-            if committed:
+            if (yield from cast_vote(self.runtime, target, False)):
                 self._voted.discard(target)
                 self.retractions += 1
-
-    def _cast_vote(self, target: int, suspicious: bool) -> Generator:
-        """Record (or retract) a suspicion row in MTable via MarlinCommit."""
-        return (yield from cast_vote(self.runtime, target, suspicious))
 
     def count_votes(self, target: int) -> int:
         """Distinct in-window suspicion votes against ``target`` (local view)."""
         return count_votes(self.runtime.node, target, self.vote_window)
 
-    def _run_failover(self, target: int):
-        try:
-            taken = yield from run_failover(self.runtime, target)
-            # Clean the target's suspicion rows out of MTable.
-            yield from self._clear_votes(target)
-            return taken
-        except TxnAborted:
-            return []
-        finally:
-            self._handling.discard(target)
-            self._misses.pop(target, None)
-            self._voted.discard(target)
-
-    def _clear_votes(self, target: int) -> Generator:
-        return (yield from clear_votes(self.runtime, target))
+    def after_fence(self, target: int) -> Generator:
+        # Clean the target's suspicion rows out of MTable.
+        yield from clear_votes(self.runtime, target)

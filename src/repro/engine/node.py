@@ -33,6 +33,7 @@ from repro.engine.txn import (
     TxnAborted,
     TxnContext,
     WrongNodeError,
+    abort_from_rpc,
     invariant_confluent,
 )
 from repro.sim.core import Future, SimError, Simulator, Timeout, all_of
@@ -563,12 +564,8 @@ class ComputeNode:
         ]
         try:
             yield all_of(self.sim, futs)
-        except RemoteError as err:
-            if isinstance(err.cause, TxnAborted):
-                raise TxnAborted(err.cause.reason, err.cause.detail) from err
-            raise TxnAborted(AbortReason.VALIDATION, str(err)) from err
-        except RpcTimeout as err:
-            raise TxnAborted(AbortReason.NODE_FAILED, str(err)) from err
+        except (RemoteError, RpcTimeout) as err:
+            raise abort_from_rpc(err, AbortReason.VALIDATION) from err
 
     def _abort_remote_branches(self, ctx) -> None:
         for owner in getattr(ctx, "remote_participants", ()):
@@ -660,14 +657,8 @@ class ComputeNode:
             if futs:
                 try:
                     yield all_of(self.sim, futs)
-                except RemoteError as err:
-                    if isinstance(err.cause, TxnAborted):
-                        raise TxnAborted(
-                            err.cause.reason, err.cause.detail
-                        ) from err
-                    raise TxnAborted(AbortReason.VALIDATION, str(err)) from err
-                except RpcTimeout as err:
-                    raise TxnAborted(AbortReason.NODE_FAILED, str(err)) from err
+                except (RemoteError, RpcTimeout) as err:
+                    raise abort_from_rpc(err, AbortReason.VALIDATION) from err
             ctx.mark_committed()
             self.stats["committed"] += 1
             if futs:

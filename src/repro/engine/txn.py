@@ -14,6 +14,7 @@ import enum
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.rpc import RemoteError, RpcError
 from repro.storage.log import Delete, Put
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "TxnContext",
     "TxnStatus",
     "WrongNodeError",
+    "abort_from_rpc",
     "invariant_confluent",
 ]
 
@@ -46,6 +48,21 @@ class TxnAborted(Exception):
         super().__init__(f"transaction aborted: {reason.value} {detail}".strip())
         self.reason = reason
         self.detail = detail
+
+
+def abort_from_rpc(err: RpcError, remote_reason: AbortReason) -> TxnAborted:
+    """What a failed peer RPC means to the calling transaction.
+
+    A :class:`TxnAborted` raised by the remote handler passes through with
+    its reason and detail; any other remote failure aborts with
+    ``remote_reason``; a call that never completed (timeout, unreachable
+    endpoint) is NODE_FAILED.  Callers ``raise abort_from_rpc(...) from err``.
+    """
+    if not isinstance(err, RemoteError):
+        return TxnAborted(AbortReason.NODE_FAILED, str(err))
+    if isinstance(err.cause, TxnAborted):
+        return TxnAborted(err.cause.reason, err.cause.detail)
+    return TxnAborted(remote_reason, str(err))
 
 
 class WrongNodeError(TxnAborted):

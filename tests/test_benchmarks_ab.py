@@ -1,7 +1,8 @@
 """The verdict arithmetic of ``benchmarks/ab.py`` (choosing-metrics §8).
 
-Only the pure functions: the tool's subprocess half is exercised by CI's
-``refactor-identity`` job, which runs it for real.
+Only the pure functions (verdicts, and the identity gates' epoch exemption):
+the tool's subprocess half is exercised by CI's ``refactor-identity`` job,
+which runs it for real.
 """
 
 import importlib.util
@@ -88,3 +89,16 @@ class TestUnclaimed:
         assert row["base"] == (68.9, 68.9, 68.9) and row["verdict"] == "ok"
         assert ab.compare([68.9], [90.0], "lower", 0.25)["verdict"] == "REGRESSION"
 
+
+class TestIdentityGates:
+    def test_moved_bytes_fail_unless_the_cache_epoch_rotated(self, capsys):
+        base = {"marlin run JSON": b"{}", "marlin trace": b"[1, 2]"}
+        moved = {**base, "marlin trace": b"[1, 3]"}
+        assert ab.moved_bytes(base, dict(base), same_epoch=True) == 0
+        assert ab.moved_bytes(base, dict(base), same_epoch=False) == 0
+        assert ab.moved_bytes(base, moved, same_epoch=True) == 1
+        assert "MOVED" in capsys.readouterr().out
+        # A rotated epoch declares a behaviour change: reported, not failed.
+        assert ab.moved_bytes(base, moved, same_epoch=False) == 0
+        out = capsys.readouterr().out
+        assert "MOVED" in out and "gate trace: exempt" in out

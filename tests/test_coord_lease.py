@@ -20,8 +20,12 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.coord.lease import LEASE_PREFIX, LeaseTable, lease_path
-from repro.core.failure import LeaseFailureDetector
+from repro.coord.lease import (
+    LEASE_PREFIX,
+    LeaseFailureDetector,
+    LeaseTable,
+    lease_path,
+)
 from tests.conftest import make_cluster
 from tests.test_workload_client import start_clients
 

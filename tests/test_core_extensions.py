@@ -46,13 +46,28 @@ class TestSuspicionVoting:
         )
 
     def test_threshold_two_evicts_dead_node(self):
+        from repro.obs import Tracer, span_summary
+
         cluster = make_cluster("marlin", num_nodes=4, num_keys=4096, seed=33)
-        attach_detectors(cluster, vote_threshold=2, successors=2)
+        cluster.attach_tracer(Tracer(cluster.sim))
+        detectors = attach_detectors(cluster, vote_threshold=2, successors=2)
         cluster.run(until=0.5)
         cluster.fail_node(2)
         cluster.run(until=12.0)
         assert cluster.metrics.failovers
         assert 2 not in cluster.ground_truth_mtable()
+        # The voted failover rides the shared pipeline, so the always-on
+        # accounting sees it: suspected once, started once, fenced once.
+        (winner,) = [d for d in detectors.values() if d.failovers_started]
+        assert (
+            winner.suspicions_raised, winner.failovers_started,
+            winner.fencings_committed, winner.stand_downs,
+        ) == (1, 1, 1, 0)
+        fenced_at, dead, _granules = cluster.metrics.failovers[0]
+        assert dead == 2 and 0.5 < winner.first_failover_at < fenced_at
+        counters = cluster.tracer.counters
+        assert counters["detector.suspicions"] == counters["detector.fencings"] == 1
+        assert span_summary(cluster.tracer.detach())["failover"]["count"] == 1
         # Suspicion rows were cleaned up after the failover.
         survivors = [n for n in cluster.live_node_ids()]
         mtable = cluster.nodes[survivors[0]].mtable

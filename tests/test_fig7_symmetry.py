@@ -15,7 +15,11 @@ self-promotion.  This suite pins that symmetry:
 - every mode pays measurable liveness traffic (``renewal_rpcs``) and
   detects after the fault lands (``first_failover_s > FAULT_AT``);
 - the lease cell matches :data:`FIG7_LEASE_GOLDEN` exactly — re-capturing
-  it on behaviour change rotates ``CACHE_EPOCH`` automatically.
+  it on behaviour change rotates ``CACHE_EPOCH`` automatically;
+- the always-on pipeline counters of six cells are pinned
+  (:data:`PIPELINE_PINS`): what each mode *counts* — and where the ring and
+  the lease detector deliberately count differently — is part of every
+  faulted cell's ``sim_digest``.
 """
 
 import json
@@ -29,6 +33,23 @@ from repro.experiments.runner import run_spec
 SYSTEMS = fig7.DEFAULT_SYSTEMS
 SCALE = 0.25
 SEED = 1
+
+#: ``extras["failure_detection"]`` as (suspicions, stand-downs, failovers
+#: started, fencings, renewal RPCs, first failover), captured at the parent of
+#: the one-pipeline refactor (where three hand-copied handlers produced them).
+#: The three kept asymmetries in executable form: the ring counts a failover
+#: as started at *suspicion* (zk-small ``partition``: 2 started, 2 stand-downs,
+#: none fenced), the lease detector only on *CAS grant* (``crash_restart``: 3
+#: suspicions, 2 lost the CAS, 1 started); a partition that spares the service
+#: raises no lease suspicion at all.  fdb waits for its ``hash()`` fix.
+PIPELINE_PINS = {
+    ("marlin", "crash_restart"): (1, 0, 1, 1, 100, 5.255666769814858),
+    ("marlin", "partition"): (2, 1, 2, 1, 106, 5.255646575416082),
+    ("zk-small", "crash_restart"): (1, 0, 1, 1, 193, 4.753231516454405),
+    ("zk-small", "partition"): (2, 2, 2, 0, 216, None),
+    ("lease", "crash_restart"): (3, 2, 1, 1, 213, 4.51512726901963),
+    ("lease", "partition"): (0, 0, 0, 0, 226, None),
+}
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +116,19 @@ def test_lease_cell_matches_golden(crash_cells):
         "renewal_rpcs": fd["renewal_rpcs"],
     }
     assert actual == FIG7_LEASE_GOLDEN
+
+
+@pytest.mark.parametrize("system,fault_kind", sorted(PIPELINE_PINS))
+def test_pipeline_counters_are_pinned(crash_cells, system, fault_kind):
+    if fault_kind == "crash_restart":
+        result = crash_cells[1][system]
+    else:
+        result = run_spec(fig7.slo_spec(system, fault_kind, scale=SCALE, seed=SEED))
+    fd = result.extras["failure_detection"]
+    assert tuple(fd[key] for key in (
+        "suspicions_raised", "stand_downs", "failovers_started",
+        "fencings_committed", "renewal_rpcs", "first_failover_s",
+    )) == PIPELINE_PINS[(system, fault_kind)]
 
 
 def test_summarize_emits_detection_columns(crash_cells):
