@@ -32,7 +32,7 @@ def test_one_phase_commit_latency(benchmark, pair):
     node = pair.nodes[0]
 
     def one_commit():
-        ctx = TxnContext(0)
+        ctx = TxnContext(0, seq=node.next_txn_seq())
         ctx.write(node.glog, "usertable", 1, "v")
         return sim_latency(pair, marlin_commit(node, ctx, [NodeParticipant(0)]))
 
@@ -45,9 +45,9 @@ def test_two_phase_commit_latency(benchmark, pair):
     node = pair.nodes[0]
 
     def two_pc():
-        ctx = TxnContext(0)
+        ctx = TxnContext(0, seq=node.next_txn_seq())
         ctx.write(node.glog, GTABLE, 5, 0)
-        branch = TxnContext(1)
+        branch = TxnContext(1, seq=pair.nodes[1].next_txn_seq())
         branch.txn_id = ctx.txn_id
         branch.write(pair.nodes[1].glog, GTABLE, 5, 0)
         pair.nodes[1].txns[ctx.txn_id] = branch
@@ -68,7 +68,7 @@ def test_recovery_commit_to_log_participant(benchmark, pair):
     def recovery_commit():
         end = pair.storages[pair.nodes[1].region].log(src_log).end_lsn
         node.lsn_tracker[src_log] = end
-        ctx = TxnContext(0)
+        ctx = TxnContext(0, seq=node.next_txn_seq())
         ctx.write(node.glog, GTABLE, 7, 0)
         return sim_latency(
             pair,
@@ -90,7 +90,7 @@ def test_contended_cas_retry_cost(benchmark, pair):
 
     def contended():
         log.append("intruder", RecordKind.COMMIT_DATA, ())
-        ctx = TxnContext(0)
+        ctx = TxnContext(0, seq=node.next_txn_seq())
         ctx.write(node.glog, "usertable", 2, "v")
         first = sim_latency(pair, marlin_commit(node, ctx, [NodeParticipant(0)]))
         retry = sim_latency(pair, marlin_commit(node, ctx, [NodeParticipant(0)]))

@@ -495,7 +495,7 @@ class WallClockRule(Rule):
 
 # -- DET104: zero-overhead hook idiom ------------------------------------------
 
-_HOOKISH = re.compile(r"(?:^|_)(?:hook|hooks|tracer|chaos)$")
+_HOOKISH = re.compile(r"(?:^|_)(?:hook|hooks|tracer|replicator|chaos)$")
 
 
 @register
@@ -504,7 +504,7 @@ class HookTruthinessRule(Rule):
     name = "hook-idiom"
     requires = "sim"
     doc = (
-        "Chaos/trace hook sites must gate with `if hook is not None`: the "
+        "Chaos/trace/replication hook sites must gate with `if hook is not None`: the "
         "explicit identity test is the measured zero-overhead-off idiom "
         "(and a falsy-but-armed hook must still fire)."
     )

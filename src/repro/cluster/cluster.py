@@ -107,16 +107,14 @@ class Cluster:
             storage_address(region),
             self.gmap,
             params=self.config.node_params,
+            runtime=self.config.backend.make_runtime(self.config),
+            metrics=self.metrics,
         )
         node.log_directory = self.log_directory
         self.log_directory[node.glog] = storage_address(region)
         self.storages[region].create_log(node.glog)
         node.lsn_tracker[node.glog] = 0
         node.view_cursor[node.glog] = 0
-        runtime = self.config.backend.make_runtime(self.config)
-        runtime.attach(node)
-        node.runtime = runtime
-        node.metrics = self.metrics
         if self.tracer is not None:
             self._trace_node(node)
         self.nodes[node_id] = node

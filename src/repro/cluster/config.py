@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.cluster.cost import CostModel
-from repro.coord.base import CoordinationRuntime
 from repro.coord.external import ExternalRuntime, FdbClient, ZkClient
 from repro.coord.fdb import FDB_DEFAULT, FdbService
 from repro.coord.lease import (
@@ -23,6 +22,7 @@ from repro.coord.lease import (
 )
 from repro.coord.session import SessionGate
 from repro.coord.zookeeper import ZK_LARGE, ZK_SMALL, ZooKeeperService
+from repro.core.base import CoordinationRuntime
 from repro.core.failure import RingFailureDetector
 from repro.core.runtime import MarlinRuntime
 from repro.core.suspicion import VoteGate

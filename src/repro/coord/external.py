@@ -1,6 +1,6 @@
 """ExternalRuntime: coordination through an external service (the baselines).
 
-Implements the same :class:`repro.coord.base.CoordinationRuntime` interface
+Implements the same :class:`repro.core.base.CoordinationRuntime` interface
 as Marlin, but every coordination-state change goes through the external
 service (ZooKeeper-, FDB- or lease-like).  The data path is identical to Marlin's
 — same engine, same 2PL, same group commit — except that WAL appends are
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Iterable, List, Optional
 
-from repro.coord.base import CoordinationRuntime
 from repro.coord.session import MEMBER_PREFIX, OWNER_PREFIX
+from repro.core.base import CoordinationRuntime
 from repro.engine.txn import AbortReason
 from repro.sim.core import Timeout
 from repro.sim.resources import CpuResource

@@ -6,6 +6,9 @@ partitioned by owner and logged in each node's GLog).  All coordination runs
 through transactions committed by MarlinCommit, a 1PC/2PC protocol built on
 conditional appends that detects cross-node modifications.  Failover needs no
 external service: any node may commit to an unresponsive peer's GLog.
+
+``repro.core.base`` is the runtime skeleton this protocol code is written
+against; ``MarlinRuntime`` subclasses it here, the baselines in ``repro.coord``.
 """
 
 from repro.core.commit import (

@@ -23,14 +23,15 @@ so protocol code composes with ``yield from``.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Generator, Iterable, List, Optional
+from functools import partial
+from typing import Dict, Generator, Iterable, List, Optional
 
+from repro.core import reconfig, recovery
+from repro.core.commit import NodeParticipant, marlin_commit
 from repro.engine.locks import LockConflict
+from repro.engine.node import GTABLE, ComputeNode, node_address
 from repro.engine.txn import AbortReason, TxnAborted, TxnContext, WrongNodeError
 from repro.storage.log import RecordKind
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.node import ComputeNode
 
 __all__ = ["CoordinationRuntime"]
 
@@ -52,16 +53,21 @@ class CoordinationRuntime(abc.ABC):
     view_cast: str
 
     def __init__(self):
-        self.node: Optional["ComputeNode"] = None
+        self.node: Optional[ComputeNode] = None
         self.cas_failures = 0
         self.reconfig_commits = 0
 
-    def attach(self, node: "ComputeNode") -> None:
-        """Bind to a node; register the RPC handlers the mechanism needs."""
+    def attach(self, node: ComputeNode) -> None:
+        """Bind to a node (``ComputeNode.__init__`` calls this); register the
+        RPC handlers the mechanism needs — the three reconfiguration verbs
+        and the view cast."""
         self.node = node
-        node.wal_conditional = self.conditional
         node.committer.conditional = self.conditional
         node.endpoint.register("migr_prepare", self._h_migr_prepare)
+        node.endpoint.register(
+            "run_migrations", partial(reconfig.run_migrations, self)
+        )
+        node.endpoint.register("warmup_pull", partial(reconfig.warmup_pull, node))
         node.endpoint.register(self.view_cast, self._h_view_cast)
 
     # -- user transaction path ------------------------------------------------
@@ -88,7 +94,7 @@ class CoordinationRuntime(abc.ABC):
         Raises :class:`repro.engine.txn.TxnAborted` on failure.
         """
         node = self.node
-        remotes = getattr(ctx, "remote_participants", None)
+        remotes = ctx.remote_participants
         if not remotes:
             # One-phase commit through group commit (TryLog on our own GLog).
             result = yield node.committer.submit(
@@ -183,10 +189,9 @@ class CoordinationRuntime(abc.ABC):
         time — the window the granule was dark — so the migration-latency
         SLO compares every backend on equal footing."""
         node = self.node
-        if taken and node.metrics is not None:
-            latency = node.sim.now - started
-            for _granule in taken:
-                node.metrics.record_migration(node.sim.now, latency=latency)
+        latency = node.sim.now - started
+        for _granule in taken:
+            node.metrics.record_migration(node.sim.now, latency=latency)
 
     @abc.abstractmethod
     def failover_granules(self, dead_id: int) -> Generator:
@@ -246,11 +251,3 @@ class CoordinationRuntime(abc.ABC):
             g for g, owner in node.gtable.items() if owner == node.node_id
         )
 
-
-# Imported last: repro.core's package __init__ (which engine.node also
-# triggers) pulls in core.runtime, which subclasses CoordinationRuntime, so a
-# top-of-file import would see this module half-initialized whenever
-# repro.coord is imported before repro.core.
-from repro.engine.node import GTABLE, node_address  # noqa: E402
-from repro.core import reconfig, recovery  # noqa: E402
-from repro.core.commit import NodeParticipant, marlin_commit  # noqa: E402

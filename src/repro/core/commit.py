@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple, Union
 
-from repro.core.participant import fault_point
 from repro.engine.node import SYSLOG, glog_name
+from repro.engine.participant import fault_point
 from repro.sim.core import Future, Simulator, Timeout
 from repro.storage.log import RecordKind
 
@@ -127,7 +127,7 @@ def marlin_commit(
     root = prep_sid = 0
     if tracer is not None:
         root = tracer.begin(
-            node.address, "2pc", parent=getattr(ctx, "span", 0),
+            node.address, "2pc", parent=ctx.span,
             args={"txn": ctx.txn_id, "participants": len(participants)},
         )
         prep_sid = tracer.begin(
@@ -160,7 +160,10 @@ def marlin_commit(
     for p in participants:
         if isinstance(p, NodeParticipant) and p.node_id == node.node_id:
             proc = node.sim.spawn(
-                _local_vote(node, ctx, conditional, log_names),
+                _write_vote(
+                    node, ctx.txn_id, node.glog, ctx.entries_for(node.glog),
+                    conditional, log_names,
+                ),
                 name=f"vote-local:{ctx.txn_id}",
                 daemon=True,
             )
@@ -178,7 +181,10 @@ def marlin_commit(
             )
         else:
             proc = node.sim.spawn(
-                _log_vote(node, ctx.txn_id, p, conditional, log_names),
+                _write_vote(
+                    node, ctx.txn_id, p.log_name, p.entries, conditional,
+                    log_names,
+                ),
                 name=f"vote-log:{ctx.txn_id}",
                 daemon=True,
             )
@@ -276,33 +282,17 @@ def _one_phase(
     return True
 
 
-def _local_vote(node, ctx, conditional: bool, log_names: tuple):
+def _write_vote(
+    node, txn_id: str, log_name: str, entries, conditional: bool, log_names
+):
+    """Coordinator-side vote: TryLog VOTE-YES straight into ``log_name`` —
+    our own GLog for the local branch, a log participant's otherwise."""
     result = yield from node.try_log(
-        node.glog,
-        ctx.txn_id,
-        RecordKind.VOTE_YES,
-        ctx.entries_for(node.glog),
-        conditional,
+        log_name, txn_id, RecordKind.VOTE_YES, entries, conditional,
         participants=log_names,
     )
     if not result.ok:
-        yield from node.runtime.handle_cas_failure(node.glog)
-        return False
-    ctx.voted = True
-    return True
-
-
-def _log_vote(node, txn_id: str, p: LogParticipant, conditional: bool, log_names):
-    result = yield from node.try_log(
-        p.log_name,
-        txn_id,
-        RecordKind.VOTE_YES,
-        p.entries,
-        conditional,
-        participants=log_names,
-    )
-    if not result.ok:
-        yield from node.runtime.handle_cas_failure(p.log_name)
+        yield from node.runtime.handle_cas_failure(log_name)
         return False
     return True
 

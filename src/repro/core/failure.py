@@ -98,13 +98,12 @@ def run_failover(
     runtime.push_views(updates)
     if plan is not None:
         node.replicator.note_promoted(dead_id, owner, taken)
-    if node.metrics is not None:
-        now = node.sim.now
-        node.metrics.record_failover(now, dead_id, len(taken))
-        if plan is not None and taken:
-            node.metrics.record_rpo(now, float(lost_bytes))
-            if suspected_at is not None:
-                node.metrics.record_rto(now, now - suspected_at)
+    now = node.sim.now
+    node.metrics.record_failover(now, dead_id, len(taken))
+    if plan is not None and taken:
+        node.metrics.record_rpo(now, float(lost_bytes))
+        if suspected_at is not None:
+            node.metrics.record_rto(now, now - suspected_at)
     return taken
 
 

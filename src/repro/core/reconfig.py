@@ -31,7 +31,7 @@ from repro.sim.rpc import RemoteError, RpcTimeout
 from repro.storage.log import Put
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.coord.base import CoordinationRuntime
+    from repro.core.base import CoordinationRuntime
     from repro.core.runtime import MarlinRuntime
 
 __all__ = [
@@ -41,9 +41,11 @@ __all__ = [
     "delete_node_txn",
     "migration_txn",
     "recovery_migr_txn",
+    "run_migrations",
     "run_with_retries",
     "scan_gtable_txn",
     "warmup_granule",
+    "warmup_pull",
 ]
 
 
@@ -262,6 +264,73 @@ def warmup_granule(node, granule: int, src_id: int) -> Generator:
         return  # source gone: start cold, misses will fetch from storage
     for page in pages:
         node.cache.put(page, {"warm": True})
+
+
+def warmup_pull(node, granule: int) -> Generator:
+    """``warmup_pull`` handler — source-side Squall-style scan: stream the
+    granule's pages (§4.4.1)."""
+    yield Timeout(node.params.warmup_time_per_granule)
+    # A granule is a contiguous, non-empty key range, so its pages are a
+    # contiguous range too: no need to map every key through ``page_of``.
+    g = node.gmap.granule(granule)
+    per_page = node.params.keys_per_page
+    return [
+        ("usertable", page)
+        for page in range(g.lo // per_page, (g.hi - 1) // per_page + 1)
+    ]
+
+
+def run_migrations(
+    runtime: "CoordinationRuntime", moves: Tuple[Tuple[int, int], ...]
+) -> Generator:
+    """``run_migrations`` handler: pull ``(granule, src)`` moves into this
+    node with a worker pool.
+
+    The dispatch point for scale-out/rebalance: ``migration_workers``
+    concurrent MigrationTxns, each retried with backoff on conflicts
+    (the paper's reconfiguration-transaction retry policy, §6.1.4).
+    """
+    node = runtime.node
+    queue = list(moves)
+    done = {"count": 0, "failed": 0}
+
+    def worker():
+        while queue:
+            granule, src = queue.pop(0)
+            backoff = 0.002
+            started = node.sim.now
+            tracer = node.tracer
+            sid = 0
+            if tracer is not None:
+                sid = tracer.begin(
+                    node.address, "migration",
+                    args={"granule": granule, "src": src},
+                )
+            while True:
+                try:
+                    yield from migration_txn(runtime, granule, src)
+                    done["count"] += 1
+                    node.metrics.record_migration(
+                        node.sim.now, latency=node.sim.now - started
+                    )
+                    if sid:
+                        tracer.end(sid, {"status": "done"})
+                    break
+                except TxnAborted as abort:
+                    if abort.reason is AbortReason.WRONG_NODE:
+                        if sid:
+                            tracer.end(sid, {"status": "moot"})
+                        done["failed"] += 1
+                        break  # ownership changed under us; move is moot
+                    yield Timeout(backoff * (0.5 + node.sim.rng.random()))
+                    backoff = min(backoff * 2, 0.1)
+
+    workers = [
+        node.sim.spawn(worker(), name=f"migr-worker-{node.node_id}-{i}", daemon=True)
+        for i in range(min(node.params.migration_workers, max(1, len(queue))))
+    ]
+    yield all_of(node.sim, [w.result for w in workers])
+    return dict(done)
 
 
 def run_with_retries(

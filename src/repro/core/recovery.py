@@ -28,7 +28,7 @@ touched:
 
 Each in-doubt transaction is rebuilt in the FSM's ``RECOVERY`` state and
 driven to its terminal outcome, mirroring the live-path participant FSM
-(``core/participant.py``).
+(``engine/participant.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Sequence, Tuple
 
 from repro.core.commit import terminate_in_doubt
-from repro.core.participant import ParticipantFSM, TxnState
+from repro.engine.participant import ParticipantFSM, TxnState
 from repro.storage.log import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Iterable
 
-from repro.coord.base import CoordinationRuntime
 from repro.core import reconfig
+from repro.core.base import CoordinationRuntime
 from repro.core.commit import terminate_in_doubt
 from repro.engine.node import GTABLE, glog_name
 from repro.engine.txn import AbortReason, TxnAborted

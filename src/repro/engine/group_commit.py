@@ -56,6 +56,12 @@ class GroupCommitter:
         if self._running:
             return
         self._running = True
+        # A restart (``ComputeNode.unfreeze``) begins clean.  A record
+        # submitted while stopped — by a process in the instants between the
+        # crash and its next yield — is a dead node's work and never reaches
+        # the WAL; the wake-up future the killed loop was parked on is dead.
+        self._pending.clear()
+        self._wakeup = None
         self._proc = self.node.sim.spawn(
             self._flush_loop(), name=f"group-commit:{self.log_name}", daemon=True
         )

@@ -10,8 +10,11 @@ and the external-coordination baselines build on:
   transactions (TPC-C multi-warehouse),
 * ``vote_req`` / ``decision`` — 2PC participant protocol (driven by
   MarlinCommit or standard 2PC),
-* ``warmup_pull`` — Squall-style cache warm-up scans during migration,
 * ``heartbeat`` — ring failure detection.
+
+The reconfiguration verbs (``migr_prepare``, ``run_migrations``,
+``warmup_pull``) are the runtime's: they register in
+``CoordinationRuntime.attach`` (``repro.core.base``).
 
 Nodes can *freeze* (stop responding, keep memory — the paper's "temporary
 slowdown" in Figure 7) and later resume with stale state, which is exactly
@@ -28,6 +31,7 @@ from repro.engine.buffer import CacheManager
 from repro.engine.granule import GranuleMap
 from repro.engine.group_commit import GroupCommitter
 from repro.engine.locks import LockConflict, LockTable
+from repro.engine.participant import ParticipantFSM, TxnState, fault_point
 from repro.engine.txn import (
     AbortReason,
     TxnAborted,
@@ -74,6 +78,14 @@ def glog_name(node_id: int) -> str:
 SYSLOG = "syslog"
 GTABLE = "gtable"
 MTABLE = "mtable"
+
+#: Which per-reason ``ComputeNode.stats`` counter an aborted user
+#: transaction bumps besides ``aborted`` (other reasons bump none).
+_ABORT_STAT = {
+    AbortReason.WRONG_NODE: "wrong_node",
+    AbortReason.LOCK_CONFLICT: "lock_conflicts",
+    AbortReason.CAS_CONFLICT: "cas_aborts",
+}
 
 
 class TxnOp(NamedTuple):
@@ -135,7 +147,16 @@ class NodeParams:
 
 
 class ComputeNode:
-    """One read-write compute node of the Partitioned-Writer database."""
+    """One read-write compute node of the Partitioned-Writer database.
+
+    Two collaborators are required and given at construction: the
+    coordination ``runtime`` (a ``repro.core.base.CoordinationRuntime``,
+    attached here) and the cluster's ``metrics`` collector.  Exactly three
+    hooks are optional — ``tracer``, ``replicator``, ``fault_hook`` — each
+    ``None`` until a subsystem installs itself and each tested with ``is not
+    None``, so an idle hook costs one attribute check.  A new subsystem
+    joins that list; nothing else on a node is tested for ``None``.
+    """
 
     def __init__(
         self,
@@ -146,6 +167,9 @@ class ComputeNode:
         storage_address: str,
         granule_map: GranuleMap,
         params: Optional[NodeParams] = None,
+        *,
+        runtime,
+        metrics,
     ):
         self.sim = sim
         self.network = network
@@ -179,19 +203,18 @@ class ComputeNode:
         self.committer = GroupCommitter(
             self, self.glog, max_batch=self.params.group_commit_batch
         )
-        self.runtime = None  # attached by the cluster
-        self.metrics = None  # optional cluster-level MetricsCollector
-        #: False under external coordination (WALs are exclusively owned).
-        self.wal_conditional = True
+        self.runtime = runtime
+        self.metrics = metrics
         self.frozen = False
         #: Unfinished background processes of this node, in spawn order (the
         #: ``owner`` registry of ``Simulator.spawn``); ``freeze`` kills them.
         self._procs: Dict[object, None] = {}
-        #: Chaos hook invoked at every journaled FSM edge (core/participant.py
-        #: ``fault_point``); armed by the recovery fault-point sweep.
+        #: Chaos hook invoked at every journaled FSM edge
+        #: (engine/participant.py ``fault_point``); armed by the recovery
+        #: fault-point sweep.
         self.fault_hook = None
-        #: Optional :class:`repro.obs.Tracer` (attached by the cluster like
-        #: ``metrics``); ``None`` keeps every hot path at one attribute check.
+        #: Optional :class:`repro.obs.Tracer` (attached by the cluster);
+        #: ``None`` keeps every hot path at one attribute check.
         self.tracer = None
         #: Optional :class:`repro.engine.replication.ReplicaManager` shared
         #: across the cluster; ``None`` (the default) keeps the WAL paths
@@ -220,13 +243,12 @@ class ComputeNode:
             ("branch_abort", self._h_branch_abort),
             ("vote_req", self._h_vote_req),
             ("decision", self._h_decision),
-            ("warmup_pull", self._h_warmup_pull),
             ("heartbeat", self._h_heartbeat),
             ("owned_granules", self._h_owned_granules),
             ("scan_gtable", self._h_scan_gtable),
-            ("run_migrations", self._h_run_migrations),
         ):
             self.endpoint.register(method, handler)
+        runtime.attach(self)
 
     def next_txn_seq(self) -> int:
         """Mint the next per-node transaction sequence number.
@@ -272,12 +294,6 @@ class ComputeNode:
         """Resume with whatever (possibly stale) state is in memory."""
         self.frozen = False
         self.endpoint.crashed = False
-        self.committer = GroupCommitter(
-            self,
-            self.glog,
-            max_batch=self.params.group_commit_batch,
-            conditional=self.wal_conditional,
-        )
         self.committer.start()
 
     def stop(self) -> None:
@@ -452,23 +468,22 @@ class ComputeNode:
             return {"status": "committed"}
         except TxnAborted as abort:
             self.locks.release_all(ctx.txn_id)
-            ctx.mark_aborted(abort.reason)
-            self.stats["aborted"] += 1
-            if abort.reason is AbortReason.WRONG_NODE:
-                self.stats["wrong_node"] += 1
-            elif abort.reason is AbortReason.LOCK_CONFLICT:
-                self.stats["lock_conflicts"] += 1
-            elif abort.reason is AbortReason.CAS_CONFLICT:
-                self.stats["cas_aborts"] += 1
-            if getattr(ctx, "remote_participants", None):
-                self._abort_remote_branches(ctx)
-            if sid:
-                tracer.end(
-                    sid, {"status": "aborted", "reason": abort.reason.value}
-                )
+            for owner in ctx.remote_participants:
+                self.endpoint.cast(node_address(owner), "branch_abort", ctx.txn_id)
+            self._record_abort(ctx, abort.reason, sid)
             raise
         finally:
             self.txns.pop(ctx.txn_id, None)
+
+    def _record_abort(self, ctx: TxnContext, reason: AbortReason, sid: int) -> None:
+        """Abort accounting shared by the locking and coordination-free paths."""
+        ctx.mark_aborted(reason)
+        self.stats["aborted"] += 1
+        stat = _ABORT_STAT.get(reason)
+        if stat is not None:
+            self.stats[stat] += 1
+        if sid:
+            self.tracer.end(sid, {"status": "aborted", "reason": reason.value})
 
     def _partition_ops(self, spec: TxnSpec, ctx: Optional[TxnContext]):
         """Split ops into local and remote by granule ownership.
@@ -567,9 +582,10 @@ class ComputeNode:
         except (RemoteError, RpcTimeout) as err:
             raise abort_from_rpc(err, AbortReason.VALIDATION) from err
 
-    def _abort_remote_branches(self, ctx) -> None:
-        for owner in getattr(ctx, "remote_participants", ()):
-            self.endpoint.cast(node_address(owner), "branch_abort", ctx.txn_id)
+    def _check_branch_ownership(self, ctx: TxnContext, ops) -> None:
+        """A shipped branch re-checks every granule it touches, in order."""
+        for granule in sorted({self.gmap.granule_of(op.key) for op in ops}):
+            self.runtime.check_ownership(ctx, granule)
 
     def _h_user_branch(self, txn_id: str, coord_id: int, ops: Tuple[TxnOp, ...]):
         """Execute the local share of a distributed transaction (stage only)."""
@@ -582,8 +598,7 @@ class ComputeNode:
         if tracer is not None:
             sid = tracer.begin(self.address, "branch", args={"txn": txn_id})
         try:
-            for granule in sorted({self.gmap.granule_of(op.key) for op in ops}):
-                self.runtime.check_ownership(ctx, granule)
+            self._check_branch_ownership(ctx, ops)
             self._acquire_and_stage(ctx, ops)
             yield from self._execute_ops(ctx, ops)
             # Durably journal that this branch joined the transaction
@@ -594,8 +609,7 @@ class ComputeNode:
             fault_point(self, txn_id, "begin", "before")
             result = yield self.committer.submit(txn_id, RecordKind.TXN_BEGIN, ())
             if not result.ok:
-                if self.runtime is not None:
-                    yield from self.runtime.handle_cas_failure(self.glog)
+                yield from self.runtime.handle_cas_failure(self.glog)
                 raise TxnAborted(
                     AbortReason.CAS_CONFLICT, f"txn-begin CAS on {self.glog}"
                 )
@@ -669,16 +683,7 @@ class ComputeNode:
                 tracer.end(sid, {"status": "committed"})
             return {"status": "committed", "fast_path": True}
         except TxnAborted as abort:
-            ctx.mark_aborted(abort.reason)
-            self.stats["aborted"] += 1
-            if abort.reason is AbortReason.WRONG_NODE:
-                self.stats["wrong_node"] += 1
-            elif abort.reason is AbortReason.CAS_CONFLICT:
-                self.stats["cas_aborts"] += 1
-            if sid:
-                tracer.end(
-                    sid, {"status": "aborted", "reason": abort.reason.value}
-                )
+            self._record_abort(ctx, abort.reason, sid)
             raise
 
     def _append_increments(self, txn_id: str, ops: List[TxnOp]):
@@ -695,8 +700,7 @@ class ComputeNode:
             )
             if result.ok:
                 return result
-            if self.runtime is not None:
-                yield from self.runtime.handle_cas_failure(self.glog)
+            yield from self.runtime.handle_cas_failure(self.glog)
             for op in ops:
                 granule = self.gmap.granule_of(op.key)
                 owner = self.gtable.get(granule)
@@ -711,8 +715,7 @@ class ComputeNode:
         self.stats["branches_served"] += 1
         ctx = TxnContext(self.node_id, seq=self.next_txn_seq())
         try:
-            for granule in sorted({self.gmap.granule_of(op.key) for op in ops}):
-                self.runtime.check_ownership(ctx, granule)
+            self._check_branch_ownership(ctx, ops)
             yield from self.cpu.run(len(ops) * self.params.op_cpu)
             yield from self._append_increments(txn_id, list(ops))
         finally:
@@ -728,7 +731,7 @@ class ComputeNode:
         ctx = self.txns.get(txn_id)
         if ctx is None:
             return False
-        fsm = getattr(ctx, "fsm", None)
+        fsm = ctx.fsm
         if fsm is None:
             # Branch staged outside user_branch (e.g. migration prepare):
             # adopt it into the FSM at the point it provably reached.
@@ -747,7 +750,7 @@ class ComputeNode:
             ctx.voted = True
             fsm.to(TxnState.PREPARED)
             fault_point(self, txn_id, "vote", "after")
-        elif self.runtime is not None:
+        else:
             yield from self.runtime.handle_cas_failure(self.glog)
         return bool(result.ok)
 
@@ -760,13 +763,13 @@ class ComputeNode:
         if commit:
             self.apply_committed(ctx)
         self.locks.release_all(txn_id)
-        fsm = getattr(ctx, "fsm", None)
+        fsm = ctx.fsm
         if fsm is not None and not fsm.terminal:
             # A commit decision must find the branch PREPARED (the FSM raises
             # otherwise — a commit without our vote is a protocol violation);
             # aborts are legal from every non-terminal state.
             fsm.to(TxnState.COMMITTED if commit else TxnState.ABORTED)
-        if getattr(ctx, "voted", False):
+        if ctx.voted:
             self.spawn(
                 self.append_decision(self.glog, txn_id, commit, conditional),
                 name=f"decision:{txn_id}",
@@ -795,22 +798,9 @@ class ComputeNode:
             )
             if existing is not None:
                 return AppendResult(True, self.lsn_tracker.get(log_name, 0))
-            if self.runtime is not None:
-                yield from self.runtime.handle_cas_failure(log_name)
+            yield from self.runtime.handle_cas_failure(log_name)
 
-    # -- migration support --------------------------------------------------------
-
-    def _h_warmup_pull(self, granule: int):
-        """Source-side Squall-style scan: stream the granule's pages (§4.4.1)."""
-        yield Timeout(self.params.warmup_time_per_granule)
-        # A granule is a contiguous, non-empty key range, so its pages are a
-        # contiguous range too: no need to map every key through ``page_of``.
-        g = self.gmap.granule(granule)
-        per_page = self.params.keys_per_page
-        return [
-            ("usertable", page)
-            for page in range(g.lo // per_page, (g.hi - 1) // per_page + 1)
-        ]
+    # -- liveness and ownership scans --------------------------------------------
 
     def _h_heartbeat(self, from_id: int):
         return self.node_id
@@ -822,62 +812,6 @@ class ComputeNode:
         """This node's authoritative GTable partition (granule -> owner)."""
         return {g: self.node_id for g in self.owned_granules()}
 
-    def _h_run_migrations(self, moves: Tuple[Tuple[int, int], ...]):
-        """Pull ``(granule, src)`` moves into this node with a worker pool.
-
-        The dispatch point for scale-out/rebalance: ``migration_workers``
-        concurrent MigrationTxns, each retried with backoff on conflicts
-        (the paper's reconfiguration-transaction retry policy, §6.1.4).
-        """
-        queue = list(moves)
-        done = {"count": 0, "failed": 0}
-
-        def worker():
-            while queue:
-                granule, src = queue.pop(0)
-                backoff = 0.002
-                started = self.sim.now
-                tracer = self.tracer
-                sid = 0
-                if tracer is not None:
-                    sid = tracer.begin(
-                        self.address, "migration",
-                        args={"granule": granule, "src": src},
-                    )
-                while True:
-                    try:
-                        yield from self.runtime.migrate(granule, src, self.node_id)
-                        done["count"] += 1
-                        if self.metrics is not None:
-                            self.metrics.record_migration(
-                                self.sim.now, latency=self.sim.now - started
-                            )
-                        if sid:
-                            tracer.end(sid, {"status": "done"})
-                        break
-                    except TxnAborted as abort:
-                        if abort.reason is AbortReason.WRONG_NODE:
-                            if sid:
-                                tracer.end(sid, {"status": "moot"})
-                            done["failed"] += 1
-                            break  # ownership changed under us; move is moot
-                        yield Timeout(
-                            backoff * (0.5 + self.sim.rng.random())
-                        )
-                        backoff = min(backoff * 2, 0.1)
-
-        workers = [
-            self.sim.spawn(worker(), name=f"migr-worker-{self.node_id}-{i}", daemon=True)
-            for i in range(min(self.params.migration_workers, max(1, len(queue))))
-        ]
-        yield all_of(self.sim, [w.result for w in workers])
-        return dict(done)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ComputeNode({self.node_id}, region={self.region!r})"
 
-
-# Imported last: repro.core's package __init__ pulls in modules that import
-# names from this one, so a top-of-file import would see a half-initialized
-# module whenever engine.node is imported before repro.core.
-from repro.core.participant import ParticipantFSM, TxnState, fault_point  # noqa: E402

@@ -126,6 +126,6 @@ def fault_point(node, txn_id: str, edge: str, phase: str) -> None:
         tracer.instant(
             node.address, "edge:" + edge, args={"txn": txn_id, "phase": phase}
         )
-    hook = getattr(node, "fault_hook", None)
+    hook = node.fault_hook
     if hook is not None:
         hook(txn_id, edge, phase)

@@ -97,9 +97,8 @@ def invariant_confluent(ops) -> bool:
 class TxnContext:
     """State of one in-flight transaction on its coordinating node."""
 
-    # The tail entries are extension attributes set by the commit machinery
-    # (2PC fsm/vote state, traced-run span id, remote participant list);
-    # readers use getattr(ctx, name, default), which an unset slot satisfies.
+    # The tail entries are extension slots the commit machinery fills in
+    # (2PC fsm/vote state, traced-run span id, remote participant list).
     __slots__ = (
         "txn_id", "node_id", "is_reconfig", "name", "status", "start_time",
         "writes", "abort_reason",
@@ -133,6 +132,10 @@ class TxnContext:
         #: participants map, Algorithm 2 line 2).
         self.writes: Dict[str, List] = defaultdict(list)
         self.abort_reason: Optional[AbortReason] = None
+        self.fsm = None
+        self.voted = False
+        self.span = 0
+        self.remote_participants = ()
 
     def write(self, log_name: str, table: str, key, value) -> None:
         self.writes[log_name].append(Put(table, key, value))

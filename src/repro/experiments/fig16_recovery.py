@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.participant import EDGE_NAMES
+from repro.engine.participant import EDGE_NAMES
 from repro.experiments.figure import (
     FAULT_AT,
     Figure,

@@ -222,7 +222,7 @@ class FaultSpec(_SpecBase):
     #: node that fires the first time that node journals the named 2PC
     #: transition after ``at`` — ``{"node": 1, "edge": "vote",
     #: "phase": "before", "at": 3.0, "rejoin_after": 0.5}``.  Edges are the
-    #: :data:`repro.core.participant.EDGE_NAMES` vocabulary; ``phase`` is
+    #: :data:`repro.engine.participant.EDGE_NAMES` vocabulary; ``phase`` is
     #: ``"before"`` (WAL record not yet durable) or ``"after"``.  The node
     #: is restarted (with WAL recovery) ``rejoin_after`` seconds later.
     fault_points: List[Dict[str, Any]] = field(default_factory=list)

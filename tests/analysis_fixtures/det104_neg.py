@@ -6,6 +6,7 @@ class Node:
     def __init__(self):
         self.fault_hook = None
         self.tracer = None
+        self.replicator = None
 
     def transition(self, edge):
         hook = self.fault_hook
@@ -16,6 +17,10 @@ class Node:
         if self.tracer is None:
             return
         self.tracer.instant(event)
+
+    def ship(self, lsn):
+        if self.replicator is not None:
+            self.replicator.on_wal_append(self, lsn, ())
 
     def unrelated(self, flag, items):
         # Truthiness on non-hook names stays allowed.

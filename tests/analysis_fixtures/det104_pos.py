@@ -11,6 +11,7 @@ class Node:
     def __init__(self):
         self.fault_hook = None
         self.tracer = None
+        self.replicator = None
 
     def transition(self, edge):
         if self.fault_hook:  # wrong: truthiness
@@ -20,6 +21,10 @@ class Node:
         if not self.tracer:  # wrong: negated truthiness
             return
         self.tracer.instant(event)
+
+    def ship(self, lsn):
+        if self.replicator:  # wrong: the third node hook, same idiom
+            self.replicator.on_wal_append(self, lsn, ())
 
     def both(self, chaos, payload):
         return chaos and chaos.deliver(payload)  # wrong: boolean operand

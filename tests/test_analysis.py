@@ -83,6 +83,15 @@ def test_rule_fires_on_positive_fixture(rule_id):
             assert f.severity == "error" and f.gates
 
 
+def test_det104_knows_all_three_node_hooks():
+    """``tracer``, ``replicator`` and ``fault_hook`` (ComputeNode's docstring)
+    each have a truthiness line in the positive fixture, and each fires."""
+    hits = fired(lint_fixture("det104_pos.py"), "DET104")
+    flagged = " ".join(f.line_text for f in hits)
+    for hook in ("self.fault_hook", "self.tracer", "self.replicator"):
+        assert f"{hook}:" in flagged, hook
+
+
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_rule_quiet_on_negative_fixture(rule_id):
     findings = lint_fixture(f"{rule_id.lower()}_neg.py")

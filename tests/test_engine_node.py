@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from repro.core.reconfig import warmup_pull
 from repro.engine.node import GTABLE, MTABLE, NodeParams, TxnOp, TxnSpec
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import scale_out_spec
@@ -131,6 +132,35 @@ class TestFreezeResume:
         node.unfreeze()
         assert node.committer.conditional is False
 
+    def test_group_commit_counters_survive_restart(self, pair):
+        """``unfreeze`` restarts the same committer: the flush counters are a
+        node's whole history, like ``locks.acquisitions`` and ``cache.hits``."""
+        node = pair.nodes[0]
+        committer = node.committer
+        for i in range(3):
+            fut = committer.submit(f"before-{i}", RecordKind.COMMIT_DATA, ())
+            assert pair.sim.run_until(fut).ok
+        before = (committer.batches_flushed, committer.records_flushed)
+        assert before[1] == 3
+        node.freeze()
+        node.unfreeze()
+        assert node.committer is committer
+        assert (committer.batches_flushed, committer.records_flushed) == before
+        fut = committer.submit("after", RecordKind.COMMIT_DATA, ())
+        assert pair.sim.run_until(fut).ok
+        assert committer.records_flushed == 4
+        assert committer.batches_flushed == before[0] + 1
+
+    def test_records_submitted_while_down_never_reach_the_wal(self, pair):
+        node = pair.nodes[0]
+        node.freeze()
+        lost = node.committer.submit("while-down", RecordKind.COMMIT_DATA, ())
+        node.unfreeze()
+        fut = node.committer.submit("after", RecordKind.COMMIT_DATA, ())
+        assert pair.sim.run_until(fut).ok
+        assert not lost.done
+        assert node.committer.records_flushed == 1
+
     def test_double_freeze_is_safe(self, pair):
         node = pair.nodes[0]
         node.freeze()
@@ -235,7 +265,7 @@ class TestWarmupPull:
         )
         node = cluster.nodes[0]
         for granule in range(node.gmap.num_granules):
-            pulled = run_gen(cluster, node._h_warmup_pull(granule))
+            pulled = run_gen(cluster, warmup_pull(node, granule))
             assert pulled == self._pages_key_by_key(node, granule)
 
 

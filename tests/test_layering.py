@@ -1,0 +1,127 @@
+"""The package graph is a DAG, and the node is the data plane only.
+
+``sim -> storage -> engine -> core -> coord -> {workload, chaos, obs} ->
+cluster -> experiments``: every runtime ``repro.*`` import under ``src/repro``
+— module-level *and* function-local — points to the same or an earlier
+layer.  ``TYPE_CHECKING`` blocks are exempt (they never run), and so are the
+two packages that stand outside the stack: ``repro/__init__.py`` (the
+top-level facade re-exports from everywhere) and ``repro.analysis`` (detlint,
+which imports nothing of the system it lints — checked here too).
+
+This generalises ``tests/test_failure_pipeline.py``'s ``core/failure.py``
+check to the whole tree.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+from repro.core.base import CoordinationRuntime
+from repro.engine.node import ComputeNode
+from tests.conftest import make_cluster
+
+SRC = Path(repro.__file__).resolve().parent
+
+#: Earlier layers know nothing of later ones; a set is one rank.
+ORDER = (
+    {"sim"}, {"storage"}, {"engine"}, {"core"}, {"coord"},
+    {"workload", "chaos", "obs"}, {"cluster"}, {"experiments"},
+)
+RANK = {pkg: rank for rank, layer in enumerate(ORDER) for pkg in layer}
+
+#: Everything ``ComputeNode`` registers on its own endpoint.
+DATA_PLANE = {
+    "user_txn", "user_branch", "branch_fast", "branch_abort", "vote_req",
+    "decision", "heartbeat", "owned_granules", "scan_gtable",
+}
+RECONFIG_VERBS = {"migr_prepare", "run_migrations", "warmup_pull"}
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def runtime_imports(tree: ast.AST):
+    """Every ``repro.<pkg>`` a module imports when it runs, at any depth."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, "relative import under src/repro"
+            names = [node.module]
+            if node.module == "repro":  # ``from repro import core``
+                names = [f"repro.{alias.name}" for alias in node.names]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield node.lineno, parts[1]
+
+
+def test_every_runtime_import_points_down_the_stack():
+    upward, seen = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        pkg = rel.parts[0]
+        if len(rel.parts) == 1:
+            continue  # repro/__init__.py: the facade above every layer
+        for lineno, target in runtime_imports(ast.parse(path.read_text())):
+            seen += 1
+            if pkg == "analysis" or target == "analysis":
+                ok = pkg == target  # the linter and the system never meet
+            else:
+                ok = RANK[target] <= RANK[pkg]
+            if not ok:
+                upward.append(f"{rel}:{lineno} imports repro.{target}")
+    assert seen > 100, "the walk found no imports: the check is vacuous"
+    assert not upward, "\n".join(upward)
+
+
+def test_every_package_has_a_layer():
+    packages = {p.name for p in SRC.iterdir() if (p / "__init__.py").exists()}
+    assert packages == set(RANK) | {"analysis"}
+
+
+def test_no_import_is_parked_at_the_bottom_of_a_file():
+    parked = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "noqa: E402" in line
+    ]
+    assert not parked, parked
+
+
+def test_moved_modules_left_no_stub_behind():
+    assert not (SRC / "coord" / "base.py").exists()
+    assert not (SRC / "core" / "participant.py").exists()
+
+
+class _BareRuntime:
+    """Registers nothing: what the node's endpoint then holds is its own."""
+
+    def attach(self, node):
+        self.node = node
+
+
+def test_reconfiguration_verbs_arrive_through_the_runtime():
+    """The node's own endpoint table is the transaction path; all three
+    reconfiguration verbs register in ``CoordinationRuntime.attach``."""
+    cluster = make_cluster("zk-small", num_nodes=1)
+    real = cluster.nodes[0]
+    bare = ComputeNode(
+        cluster.sim, cluster.network, 99, real.region, real.storage_address,
+        cluster.gmap, runtime=_BareRuntime(), metrics=cluster.metrics,
+    )
+    assert set(bare.endpoint._handlers) == DATA_PLANE
+    assert RECONFIG_VERBS <= set(real.endpoint._handlers) - DATA_PLANE
+    assert CoordinationRuntime.attach.__module__ == "repro.core.base"

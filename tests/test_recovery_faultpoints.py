@@ -3,7 +3,7 @@
 The tentpole robustness suite for crash-recoverable 2PC:
 
 - a hypothesis-driven sweep that crashes a node immediately before or after
-  each journaled participant-FSM transition (``core/participant.py``),
+  each journaled participant-FSM transition (``engine/participant.py``),
   restarts it inside the vote-timeout window, and asserts the paper's
   ground-truth invariants at quiescence — atomicity across granules,
   durability (no stranded prepares on live logs), and no leaked locks;
@@ -32,7 +32,7 @@ from repro.core.invariants import (
     check_durability,
     check_no_leaked_locks,
 )
-from repro.core.participant import (
+from repro.engine.participant import (
     EDGE_NAMES,
     InvalidTransition,
     ParticipantFSM,
