@@ -1,17 +1,16 @@
 """Micro-benchmarks of the simulation kernel's hot paths.
 
-Unlike the scenario benches (which wall-time whole paper figures), these
-measure the raw mechanics every figure is built on: events/sec through the
-scheduler, process spawn/finish churn, future fan-in, RPC round trips, and
-the metrics recording hooks (with an allocation-per-op counter, so a
-regression that reintroduces per-record list/object churn fails loudly).
+Unlike the repo benchmark (``e2ebench/``, which wall-times whole experiment
+cells), these measure the raw mechanics every cell is built on: events/sec
+through the scheduler, process spawn/finish churn, future fan-in, RPC round
+trips, and the metrics recording hooks (with an allocation-per-op counter, so
+a regression that reintroduces per-record list/object churn fails loudly).
 
-Runs two ways:
-
-* standalone — ``python benchmarks/bench_kernel.py [--quick]`` prints one
-  line per bench; ``benchmarks/run_all.py`` wraps this and emits JSON;
-* under pytest — each bench doubles as a (tiny-sized) test so the file
-  cannot rot silently; ``--benchmark-disable`` keeps it cheap in CI.
+``python benchmarks/bench_kernel.py [--quick]`` prints one line per bench;
+``benchmarks/run_all.py`` wraps this, emits JSON and gates against the newest
+``BENCH_PR<n>.json``; ``e2ebench/e2e_micro.py`` reports the same rates as
+per-layer metrics.  ``tests/test_benchmarks_collect.py`` runs the quick suite,
+so the file and the kernel APIs it exercises cannot drift apart unnoticed.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from repro.sim.core import Simulator, Timeout, all_of
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rpc import RpcEndpoint
 
-__all__ = [
-    "ALL_BENCHES", "bench_tracer_overhead", "run_bench", "run_kernel_suite",
-]
+__all__ = ["ALL_BENCHES", "SIZES", "bench_tracer_overhead", "run_bench"]
 
 #: Default event counts per bench (full mode / quick mode).
 SIZES = {
@@ -252,53 +249,6 @@ ALL_BENCHES: Dict[str, Callable[[int], Dict[str, float]]] = {
 def run_bench(name: str, quick: bool = False) -> Dict[str, float]:
     full, small = SIZES[name]
     return ALL_BENCHES[name](small if quick else full)
-
-
-def run_kernel_suite(quick: bool = False) -> Dict[str, Dict[str, float]]:
-    return {name: run_bench(name, quick=quick) for name in ALL_BENCHES}
-
-
-# -- pytest entry points (tiny sizes; the suite collects these so the file
-# -- and the kernel APIs it exercises cannot drift apart unnoticed) ----------
-
-def _pytest_size(name: str) -> int:
-    return max(64, SIZES[name][1] // 10)
-
-
-def test_bench_raw_events(benchmark):
-    result = benchmark(bench_raw_events, _pytest_size("raw_events"))
-    assert result["events"] >= _pytest_size("raw_events")
-
-
-def test_bench_timer_events(benchmark):
-    result = benchmark(bench_timer_events, _pytest_size("timer_events"))
-    assert result["events"] >= _pytest_size("timer_events")
-
-
-def test_bench_process_churn(benchmark):
-    result = benchmark(bench_process_churn, _pytest_size("process_churn"))
-    assert result["processes"] > 0
-
-
-def test_bench_futures_fanin(benchmark):
-    result = benchmark(bench_futures_fanin, 20)
-    assert result["rounds"] == 20
-
-
-def test_bench_rpc_roundtrip(benchmark):
-    result = benchmark(bench_rpc_roundtrip, 200)
-    assert result["calls"] == 200
-
-
-def test_bench_metrics_record(benchmark):
-    result = benchmark(bench_metrics_record, 50_000)
-    assert result["ops"] > 0
-
-
-def test_bench_tracer_overhead(benchmark):
-    result = benchmark(bench_tracer_overhead, 200)
-    assert result["spans_recorded"] == 2 * 200  # call + serve per ping
-    assert result["schedule_drift"] == 0
 
 
 def main(argv=None) -> Dict[str, Dict[str, float]]:

@@ -17,24 +17,20 @@ the comparison into a gate: exit non-zero if any bench falls below
 catch order-of-magnitude regressions (a bench that stopped exercising the
 kernel, an accidental O(n) in the hot loop), not run-to-run noise.
 
-Besides the kernel micro-benches the report carries a ``"sweep"`` section:
-serial vs. parallel wall-clock of the detector-sweep grid through
-``Sweep.run(workers=N)`` (the PR 4 process-pool runner), with a
-bit-identity cross-check between the two runs.  ``--skip-sweep`` omits it
-for kernel-only runs.  A ``"replication"`` section prices the replica-set
-ship modes against an ``off`` run of the same seeded cluster and gates on
-off-run bit-identity (the replication-off hook must stay free).
+Besides the kernel micro-benches the report carries a ``"tracer"`` section:
+the RPC ping-pong with tracing off vs. on (overhead fraction, spans recorded,
+and ``schedule_drift``, which must stay 0).  Everything above the kernel is
+``e2ebench/``'s to time (``python3 e2ebench/bench_e2e.py``) and
+``benchmarks/ab.py``'s to compare.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import platform
 import sys
-import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -58,125 +54,11 @@ RATE_METRIC = {
     "metrics_record": "ops_per_sec",
 }
 
-
 #: RPC round trips for the tracer on/off comparison (full / quick).  Its own
 #: report section (not ``RATE_METRIC``): the headline is an overhead *ratio*
 #: with no baseline entry in pre-tracing ``BENCH_PR*.json`` reports, so it
 #: must not feed the ``--assert-floor`` gate.
 TRACER_CALLS = (20_000, 2_000)
-
-#: Workers for the parallel leg; 4 matches the acceptance grid ("a 4-worker
-#: run on a 4-core machine").  On fewer cores the ratio measures the box
-#: time-slicing, not the runner, so ``speedup`` is ``null`` (printed ``n/a``)
-#: there and ``cpu_count`` is recorded alongside.
-SWEEP_WORKERS = 4
-
-
-def run_sweep_bench(quick: bool) -> dict:
-    """Serial vs. parallel wall-clock for the detector-sweep grid."""
-    from repro.experiments.detector_sweep import build_sweep
-
-    if quick:
-        sweep = build_sweep(
-            scale=0.2, intervals=(0.25, 1.0), misses=(1, 4), vote_gate=(True,)
-        )
-    else:
-        sweep = build_sweep(scale=0.5)
-    t0 = time.perf_counter()
-    serial = sweep.run()
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = sweep.run(workers=SWEEP_WORKERS)
-    parallel_s = time.perf_counter() - t0
-    # A failed parallel cell must abort the report loudly (with the
-    # structured failure), not crash the comparison below.
-    from repro.experiments.parallel import raise_failures
-
-    raise_failures([cell for _point, cell in parallel], context="sweep bench")
-    # Full summaries (commits, aborts, latency p99, cost, probe verdicts),
-    # not just counters — the docs promise a real bit-identity cross-check.
-    identical = all(
-        s.summary() == p.summary()
-        for (_ps, s), (_pp, p) in zip(serial, parallel)
-    )
-    cpus = os.cpu_count() or 1
-    return {
-        "cells": len(sweep),
-        "workers": SWEEP_WORKERS,
-        "cpu_count": cpus,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": (
-            round(serial_s / parallel_s, 3) if cpus >= SWEEP_WORKERS else None
-        ),
-        "bit_identical": identical,
-    }
-
-
-#: Client count / run length for the replication section (full / quick).
-#: Its own report key (not ``RATE_METRIC``, same reasoning as the tracer
-#: section): the headline is the per-mode cost of WAL shipping relative to
-#: the in-report ``off`` run, with no baseline entry in pre-replication
-#: ``BENCH_PR*.json`` reports, so it must not feed the ``--assert-floor``
-#: gate.
-REPLICATION_RUN = ((8, 6.0), (4, 2.0))
-
-
-def run_replication_bench(quick: bool) -> dict:
-    """Per-mode cost of replica-set WAL shipping, plus the off-parity gate.
-
-    One small seeded cluster per mode (``off`` / ``sync_quorum`` / ``async``
-    / ``piggyback``) under the same closed-loop YCSB load; each entry
-    reports committed transactions, sim events, wall seconds and the ship
-    counters.  ``off_parity`` re-runs the ``off`` cluster and checks the
-    two fingerprints are identical — the replication-off hook must stay a
-    dead attribute test, bit-for-bit.
-    """
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.engine.replication import ReplicationSpec
-    from repro.experiments.harness import start_clients
-
-    clients_n, until = REPLICATION_RUN[1] if quick else REPLICATION_RUN[0]
-
-    def one(mode: str) -> dict:
-        spec = (
-            None
-            if mode == "off"
-            else ReplicationSpec(factor=3, mode=mode, quorum=2)
-        )
-        cluster = Cluster(ClusterConfig(
-            num_nodes=3, num_keys=3072, keys_per_granule=64, seed=17,
-            replication=spec,
-        ))
-        t0 = time.perf_counter()
-        cluster.run(until=0.2)
-        _router, clients = start_clients(cluster, clients_n, seed=17)
-        cluster.run(until=until)
-        for client in clients:
-            client.stop()
-        cluster.settle(0.3)
-        wall = time.perf_counter() - t0
-        stats = (
-            cluster.replicas.stats() if cluster.replicas is not None else {}
-        )
-        return {
-            "committed": cluster.metrics.total_committed,
-            "events": cluster.sim.events_executed,
-            "wall_s": round(wall, 3),
-            "events_per_sec": round(cluster.sim.events_executed / wall)
-            if wall else 0,
-            "ships": stats.get("ships", 0),
-            "bytes_shipped": stats.get("bytes_shipped", 0),
-        }
-
-    report = {mode: one(mode)
-              for mode in ("off", "sync_quorum", "async", "piggyback")}
-    rerun = one("off")
-    report["off_parity"] = (
-        report["off"]["committed"] == rerun["committed"]
-        and report["off"]["events"] == rerun["events"]
-    )
-    return report
 
 
 def _load_baseline(path: pathlib.Path) -> dict:
@@ -221,8 +103,6 @@ def main(argv=None) -> dict:
                         metavar="FRAC",
                         help="exit non-zero if any bench's rate falls below "
                              "FRAC x the baseline rate (regression gate)")
-    parser.add_argument("--skip-sweep", action="store_true",
-                        help="skip the serial-vs-parallel sweep wall-clock section")
     args = parser.parse_args(argv)
 
     baseline = None
@@ -268,34 +148,6 @@ def main(argv=None) -> dict:
         f"schedule_drift={tracer['schedule_drift']:.0f})",
         flush=True,
     )
-    report["replication"] = repl = run_replication_bench(args.quick)
-    off_events = repl["off"]["events"] or 1
-    for mode in ("off", "sync_quorum", "async", "piggyback"):
-        entry = repl[mode]
-        print(
-            f"{'repl_' + mode:16s} committed={entry['committed']:,} "
-            f"events={entry['events']:,} "
-            f"(x{entry['events'] / off_events:.2f} vs off) "
-            f"ships={entry['ships']:,} wall={entry['wall_s']}s",
-            flush=True,
-        )
-    print(f"{'repl_off_parity':16s} {repl['off_parity']}", flush=True)
-    if not repl["off_parity"]:
-        # Replication-off runs diverging between two executions is a
-        # determinism break, not a perf number — fail loudly.
-        print("REPLICATION OFF-PARITY VIOLATED: seeded off-runs diverged")
-        sys.exit(1)
-    if not args.skip_sweep:
-        report["sweep"] = sweep = run_sweep_bench(args.quick)
-        speedup = "n/a" if sweep["speedup"] is None else f"{sweep['speedup']}x"
-        print(
-            f"{'sweep_parallel':16s} cells={sweep['cells']} "
-            f"serial={sweep['serial_s']}s parallel={sweep['parallel_s']}s "
-            f"({sweep['workers']} workers on {sweep['cpu_count']} cpus, "
-            f"speedup={speedup}, "
-            f"bit_identical={sweep['bit_identical']})",
-            flush=True,
-        )
     if baseline is not None:
         report["baseline"] = baseline
         speedup = {}

@@ -28,10 +28,8 @@ from repro.core.reconfig import (
     recovery_migr_txn,
     scan_gtable_txn,
 )
-from repro.core.archetypes import SingleWriterCoordinator
 from repro.core.failure import RingFailureDetector
 from repro.core.invariants import InvariantViolation, check_invariants
-from repro.core.suspicion import SuspicionFailureDetector
 
 __all__ = [
     "InvariantViolation",
@@ -41,8 +39,6 @@ __all__ = [
     "NodeNotExistError",
     "NodeParticipant",
     "RingFailureDetector",
-    "SingleWriterCoordinator",
-    "SuspicionFailureDetector",
     "add_node_txn",
     "check_invariants",
     "delete_node_txn",

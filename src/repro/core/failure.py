@@ -16,9 +16,9 @@ monitor initiates failover:
 Every coordination mode runs one pipeline, :class:`FailureDetector`: probe
 -> suspect -> confirm -> fence (:func:`run_failover`).  What differs per
 mode lives beside the mechanism it talks to: how a detector probes (the ring
-here, ``coord.lease.LeaseFailureDetector``, ``core.suspicion``'s voting
-detector) and what confirms a ring suspicion (a :class:`Gate`:
-``core.suspicion.VoteGate``, ``coord.session.SessionGate``).
+here, ``coord.lease.LeaseFailureDetector``) and what confirms a ring
+suspicion (a :class:`Gate`: ``core.suspicion.VoteGate``,
+``coord.session.SessionGate``).
 """
 
 from __future__ import annotations
@@ -273,9 +273,6 @@ class RingFailureDetector(FailureDetector):
     SysLog suspicion vote; the external services: the target's session age).
     """
 
-    #: Process-name stem of the probe loop (subclasses rename theirs).
-    loop_name = "ring-detector"
-
     def __init__(
         self,
         runtime,
@@ -293,7 +290,7 @@ class RingFailureDetector(FailureDetector):
         self._misses: dict = {}
 
     def probe_loops(self) -> dict:
-        return {self.loop_name: self._loop()}
+        return {"ring-detector": self._loop()}
 
     def ring_targets(self) -> List[int]:
         """The ``k`` successors of this node in the id-sorted MTable ring."""

@@ -1,51 +1,33 @@
-"""Suspicion-vote failure detection (§4.4.2's deferred optimization).
+"""Suspicion votes in MTable: what confirms Marlin's ring detector (§4.4.2).
 
 The paper: "This protocol can be further optimized to reduce false positives
 by letting compute nodes record 'suspicious' votes for unresponsive nodes in
-MTable.  A node is considered dead only when such votes exceed a threshold
-over a defined interval."  The paper leaves this to future work; this module
-implements it on top of the same machinery:
+MTable."  A vote is a ``suspect`` row appended to the **MTable** (SysLog) —
+a regular 1PC MarlinCommit, so votes are totally ordered against every
+membership change and survive the voter; each row carries its vote time and
+only votes within a window count.
 
-* each monitor that misses heartbeats appends a ``suspect`` row to the
-  **MTable** (SysLog) — a regular 1PC MarlinCommit, so votes are totally
-  ordered and survive the voter;
-* votes carry the vote time; only votes within ``vote_window`` count;
-* the monitor whose vote pushes the count past ``vote_threshold`` runs the
-  failover (ties are safe: failover is idempotent);
-* a successful heartbeat from a suspected node leads to a retraction vote.
-
-With ``vote_threshold=1`` this degrades to the basic ring detector; with
-``k`` successors and a threshold of 2+, one slow link no longer evicts a
-healthy node.
-
-The module-level helpers (:func:`cast_vote` / :func:`count_votes` /
-:func:`clear_votes`) also back the basic ring detector's :class:`VoteGate`
-(``RingFailureDetector(gate=VoteGate())``, the default in cluster runs):
-before RecoveryMigrTxn, the monitor commits a suspicion vote, waits one
-probe interval, re-reads MTable from storage, and stands down if the
-cluster suspects (or has evicted) the monitor itself — which breaks the
-mutual-fencing cascade of a symmetrically-partitioned node.
+:class:`VoteGate` is the reader (``RingFailureDetector(gate=VoteGate())``,
+the default in cluster runs): before RecoveryMigrTxn, the monitor commits a
+suspicion vote, waits one probe interval, re-reads MTable from storage, and
+stands down if the cluster suspects (or has evicted) the monitor itself —
+which breaks the mutual-fencing cascade of a symmetrically-partitioned node.
+:func:`cast_vote` / :func:`count_votes` / :func:`clear_votes` are its
+building blocks.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Set, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.core.commit import commit_syslog
-from repro.core.failure import Gate, RingFailureDetector
+from repro.core.failure import Gate
 from repro.core.reconfig import run_with_retries
 from repro.engine.node import MTABLE, SYSLOG
 from repro.engine.txn import TxnAborted, TxnContext
 from repro.sim.core import Timeout
 
-__all__ = [
-    "SuspicionFailureDetector",
-    "VoteGate",
-    "cast_vote",
-    "clear_votes",
-    "count_votes",
-    "suspect_key",
-]
+__all__ = ["VoteGate", "cast_vote", "clear_votes", "count_votes", "suspect_key"]
 
 
 def suspect_key(target: int, voter: int) -> str:
@@ -85,27 +67,22 @@ def cast_vote(runtime, target: int, suspicious: bool) -> Generator:
         return False
 
 
-def count_votes(
-    node, target: int, window: float, voters=None
-) -> int:
+def count_votes(node, target: int, window: float, voters) -> int:
     """Distinct in-window suspicion votes against ``target`` (local view).
 
-    ``voters``, when given, restricts the count to votes cast by those node
-    ids — the ring detector's gate passes the current membership so a row
-    left behind by an already-fenced voter cannot stall a live failover.
+    Only votes cast by ``voters`` count — the gate passes the current
+    membership so a row left behind by an already-fenced voter cannot stall
+    a live failover.
     """
     now = node.sim.now
-    if voters is not None:
-        voters = set(voters)
+    voters = set(voters)
     votes = 0
     for key, voted_at in node.mtable.items():
         parsed = _is_suspect_row(key)
         if parsed is None:
             continue
         voted_target, voter = parsed
-        if voted_target != target:
-            continue
-        if voters is not None and voter not in voters:
+        if voted_target != target or voter not in voters:
             continue
         if now - voted_at <= window:
             votes += 1
@@ -177,7 +154,7 @@ class VoteGate(Gate):
         # Evicted while suspecting, or suspected by a current member: retract
         # and leave recovery to the surviving side.
         if node.node_id not in members or count_votes(
-            node, node.node_id, self.window, voters=members
+            node, node.node_id, self.window, members
         ):
             yield from run_with_retries(
                 node, lambda: cast_vote(runtime, target, False)
@@ -188,62 +165,3 @@ class VoteGate(Gate):
     def after_fence(self, detector, target: int) -> Generator:
         yield from clear_votes(detector.runtime, target)
 
-
-class SuspicionFailureDetector(RingFailureDetector):
-    """Ring heartbeats + voted eviction through MTable.
-
-    The probe loop and the failover handler are the basic detector's; this
-    class states what a heartbeat's outcome leads to: a vote once the miss
-    threshold is crossed (and a suspicion once enough monitors voted), a
-    retraction when a suspected node answers again.
-    """
-
-    loop_name = "suspicion"
-
-    def __init__(
-        self,
-        runtime,
-        interval: float = 0.5,
-        timeout: float = 0.25,
-        miss_threshold: int = 2,
-        successors: int = 2,
-        vote_threshold: int = 2,
-        vote_window: float = 10.0,
-    ):
-        super().__init__(runtime, interval, timeout, miss_threshold, successors)
-        self.vote_threshold = vote_threshold
-        self.vote_window = vote_window
-        self._voted: Set[int] = set()
-        self.votes_cast = 0
-        self.retractions = 0
-
-    def _on_miss(self, target: int) -> Generator:
-        misses = self._misses[target] = self._misses.get(target, 0) + 1
-        if misses < self.miss_threshold or target in self._voted:
-            return
-        if not (yield from cast_vote(self.runtime, target, True)):
-            return
-        self.votes_cast += 1
-        if self.count_votes(target) < self.vote_threshold:
-            self._voted.add(target)  # ours to retract if the target answers
-            return
-        # The handler owns the target from here; once it is done, detection
-        # (and voting) restarts from scratch.
-        del self._misses[target]
-        self.failovers_started += 1
-        self.suspect(target, target)
-
-    def _on_alive(self, target: int) -> Generator:
-        self._misses[target] = 0
-        if target in self._voted:
-            if (yield from cast_vote(self.runtime, target, False)):
-                self._voted.discard(target)
-                self.retractions += 1
-
-    def count_votes(self, target: int) -> int:
-        """Distinct in-window suspicion votes against ``target`` (local view)."""
-        return count_votes(self.runtime.node, target, self.vote_window)
-
-    def after_fence(self, target: int) -> Generator:
-        # Clean the target's suspicion rows out of MTable.
-        yield from clear_votes(self.runtime, target)

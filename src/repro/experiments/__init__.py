@@ -4,9 +4,10 @@ One module per evaluation figure; each declares a
 :class:`~repro.experiments.figure.Figure` (``FIGURE``: axes, cell builder,
 row and findings functions) whose ``run(scale=..., seed=...)`` returns a
 :class:`repro.experiments.harness.FigureResult` whose ``format_table()``
-prints the same rows/series the paper reports.  The ``scale`` knob shrinks clients/granules proportionally (see EXPERIMENTS.md
-for the scale-factor discussion); ratios between systems — the reproduction
-target — are stable across scales.
+prints the same rows/series the paper reports.  The ``scale`` knob shrinks
+clients/granules proportionally (see EXPERIMENTS.md for the scale-factor
+discussion); ratios between systems — the reproduction target — hold across
+scales to within the drift ``run scorecard`` (``claims.py``) measures.
 
 Every figure run goes through one path (``figure.py``): the grid expands to
 :class:`~repro.experiments.spec.ScenarioSpec` objects (topology + workload +
@@ -19,6 +20,7 @@ spec format and calibration notes.
 """
 
 from repro.experiments import (
+    claims,
     detector_sweep,
     fig7,
     fig8,
@@ -56,7 +58,7 @@ from repro.experiments.spec import (
     scale_out_spec,
 )
 
-#: CLI-runnable experiments: name -> :class:`Figure`.
+#: CLI-runnable experiments: name -> :class:`Figure` (and the scorecard over them).
 FIGURES = {
     "fig7": fig7.FIGURE,
     "fig8": fig8.FIGURE,
@@ -70,6 +72,7 @@ FIGURES = {
     "fig16_recovery": fig16_recovery.FIGURE,
     "fig17_replication": fig17_replication.FIGURE,
     "detector_sweep": detector_sweep.FIGURE,
+    "scorecard": claims.FIGURE,
 }
 
 __all__ = [
@@ -90,6 +93,7 @@ __all__ = [
     "Sweep",
     "TopologySpec",
     "WorkloadSpec",
+    "claims",
     "detector_sweep",
     "fig7",
     "fig8",

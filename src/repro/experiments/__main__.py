@@ -36,6 +36,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.experiments import FIGURES
+from repro.experiments.cache import resolve_cache
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec, Sweep
 
@@ -59,11 +60,7 @@ def _resolve_cache(args):
     if args.no_cache:
         return None
     directory = args.cache or os.environ.get("REPRO_SWEEP_CACHE")
-    if not directory:
-        return None
-    from repro.experiments.cache import ResultCache
-
-    return ResultCache(directory)
+    return resolve_cache(directory or None)
 
 
 def _report_cache(cache) -> None:

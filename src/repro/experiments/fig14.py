@@ -119,6 +119,7 @@ def findings(rows, results):
     out = {
         **vs_marlin(rows, "scale_out_speedup_vs_{}", "scale_out_s"),
         **vs_marlin(rows, "scale_in_speedup_vs_{}", "scale_in_s"),
+        **vs_marlin(rows, "realtime_cost_vs_{}", "total_cost_usd"),
     }
     for _marlin, base in against_marlin(rows):
         out[f"release_delay_{base['system']}_s"] = base["node_release_after_drop_s"]

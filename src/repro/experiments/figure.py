@@ -62,6 +62,16 @@ class Grid:
     axes: Dict[str, Tuple[Any, ...]]
     cell: Callable[..., ScenarioSpec]
 
+    def merged(self, axes: Dict[str, Sequence[Any]]) -> Dict[str, Sequence[Any]]:
+        """The declared axes with ``axes`` replacing their defaults."""
+        unknown = sorted(set(axes) - set(self.axes))
+        if unknown:
+            raise ValueError(
+                f"{self.name} has no axis {unknown}; its axes are "
+                f"{list(self.axes)}"
+            )
+        return {**self.axes, **axes}
+
     def expand(
         self,
         scale: float = 1.0,
@@ -70,13 +80,7 @@ class Grid:
         **axes: Sequence[Any],
     ) -> List[Tuple[Point, ScenarioSpec]]:
         """Every ``(point, spec)`` of the grid, ``axes`` replacing defaults."""
-        unknown = sorted(set(axes) - set(self.axes))
-        if unknown:
-            raise ValueError(
-                f"{self.name} has no axis {unknown}; its axes are "
-                f"{list(self.axes)}"
-            )
-        axes = {**self.axes, **axes}
+        axes = self.merged(axes)
         cells: List[Tuple[Point, ScenarioSpec]] = []
         for combo in itertools.product(*axes.values()):
             point = dict(zip(axes, combo))

@@ -639,7 +639,6 @@ class Sweep:
 
     def run(
         self,
-        runner=None,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         cache=None,
@@ -662,31 +661,16 @@ class Sweep:
         interrupted grid or re-summarizing a finished one re-executes only
         missed cells.  Cached summaries are bit-identical to cold runs.
         """
-        if runner is not None and workers is not None and workers > 1:
-            raise ValueError(
-                "Sweep.run: a custom `runner` is serial by definition; "
-                "pass either runner= or workers=, not both"
-            )
-        pairs = list(self.expand())
-        if runner is None:
-            from repro.experiments.parallel import run_cells
+        from repro.experiments.parallel import run_cells
 
-            results = run_cells(
-                [spec for _point, spec in pairs],
-                workers=workers,
-                timeout=timeout,
-                cache=cache,
-            )
-            return [
-                (point, result)
-                for (point, _spec), result in zip(pairs, results)
-            ]
-        if cache is not None:
-            raise ValueError(
-                "Sweep.run: result caching needs the default runner "
-                "(a custom `runner`'s results are not PortableRunResults)"
-            )
-        return [(point, runner(spec)) for point, spec in pairs]
+        pairs = list(self.expand())
+        results = run_cells(
+            [spec for _point, spec in pairs],
+            workers=workers,
+            timeout=timeout,
+            cache=cache,
+        )
+        return [(point, result) for (point, _spec), result in zip(pairs, results)]
 
     # -- serialization -------------------------------------------------------
 

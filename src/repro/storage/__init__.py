@@ -2,9 +2,8 @@
 
 Provides the two standard LogDB APIs the paper relies on — ``Append(updates)``
 and ``GetPage(pageId, LSN)`` — plus the enhanced conditional append
-``Append(updates, LSN)`` (*Append@LSN*) that MarlinCommit is built on, a page
-store materialised by an asynchronous replay service, and emulations of the
-Azure / S3 / GCS conditional-write dialects described in §5.
+``Append(updates, LSN)`` (*Append@LSN*) that MarlinCommit is built on, and a
+page store materialised by an asynchronous replay service.
 """
 
 from repro.storage.log import (

@@ -6,16 +6,13 @@ backoff (bounded at 100 ms) until they succeed, as in §6.1.4.
 """
 
 from repro.workload.client import Client, Router
-from repro.workload.distributions import HotSpot, Uniform, Zipfian
-from repro.workload.syncer import RouterSyncer
+from repro.workload.distributions import Uniform, Zipfian
 from repro.workload.tpcc import TpccConfig, TpccWorkload
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 
 __all__ = [
     "Client",
-    "HotSpot",
     "Router",
-    "RouterSyncer",
     "TpccConfig",
     "TpccWorkload",
     "Uniform",

@@ -11,7 +11,7 @@ import math
 import random
 from typing import Optional
 
-__all__ = ["HotSpot", "Uniform", "Zipfian", "randbelow"]
+__all__ = ["Uniform", "Zipfian", "randbelow"]
 
 
 def randbelow(getrandbits, n: int) -> int:
@@ -71,22 +71,3 @@ class Zipfian:
             return 1
         return int(self.n * (self.eta * u - self.eta + 1) ** self.alpha)
 
-
-class HotSpot:
-    """``hot_fraction`` of accesses hit the first ``hot_set`` fraction of keys."""
-
-    def __init__(self, n: int, hot_set: float = 0.2, hot_fraction: float = 0.8):
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if not 0 < hot_set <= 1 or not 0 <= hot_fraction <= 1:
-            raise ValueError("hot_set in (0,1], hot_fraction in [0,1]")
-        self.n = n
-        self.hot_keys = max(1, int(n * hot_set))
-        self.hot_fraction = hot_fraction
-
-    def sample(self, rng: random.Random) -> int:
-        if rng.random() < self.hot_fraction:
-            return rng.randrange(self.hot_keys)
-        if self.hot_keys >= self.n:
-            return rng.randrange(self.n)
-        return self.hot_keys + rng.randrange(self.n - self.hot_keys)

@@ -52,10 +52,12 @@ class TestOnePhase:
         node = pair.nodes[0]
         ctx = make_txn_ctx(0, name="test")
         ctx.write(node.glog, "usertable", 1, "v")
+        start = pair.sim.now
         committed = run_gen(
             pair, marlin_commit(node, ctx, [NodeParticipant(0)])
         )
         assert committed
+        assert pair.sim.now - start < 0.01  # one storage round trip
         record = glog_of(pair, 0).records[-1]
         assert record.kind is RecordKind.COMMIT_DATA
         assert record.txn_id == ctx.txn_id
@@ -108,10 +110,12 @@ class TestTwoPhase:
         ctx = make_txn_ctx(0, name="xfer")
         ctx.write(node.glog, GTABLE, 30, 0)
         self._stage_remote(pair, ctx, 1)
+        start = pair.sim.now
         committed = run_gen(
             pair, marlin_commit(node, ctx, [NodeParticipant(1), NodeParticipant(0)])
         )
         assert committed
+        assert pair.sim.now - start < 0.02  # vote round trip + parallel appends
         pair.settle()
         for nid in (0, 1):
             log = glog_of(pair, nid)

@@ -1,11 +1,13 @@
 """Shape tests for the per-figure experiment harness (tiny scales).
 
 Each test asserts the *direction* of the paper's finding at a scale small
-enough for CI; the benchmarks regenerate the full tables.
+enough for CI; ``run scorecard`` checks the paper's numbers (``TestScorecard``
+runs its §6.2 rows).
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.cluster.cost import CostReport
 from repro.experiments import (
     FIGURES,
+    claims,
     family as scale_out_family,
     fig8,
     fig9,
@@ -203,6 +206,13 @@ class TestFig15:
         assert (
             fig.findings["zk-small_efficiency_large"] == zk_large["efficiency"]
         )
+        # The degradation mechanism is CAS retries on SysLog.
+        retries = {
+            point["num_nodes"]: result.extras["membership_churn"]["retries"]
+            for point, result in results
+            if point["system"] == "marlin"
+        }
+        assert retries[96] > retries[8]
 
     def test_retries_counted_for_marlin(self):
         result = run_spec(
@@ -246,7 +256,9 @@ PINNED_GRID_SHA256 = {
 
 class TestFigureRegistry:
     def test_registry_is_pinned(self):
-        assert set(FIGURES) == set(PINNED_GRID_SHA256)
+        # The scorecard owns no cell: TestScorecard checks that it expands to
+        # cells of the grids pinned here.
+        assert set(FIGURES) == set(PINNED_GRID_SHA256) | {"scorecard"}
 
     @pytest.mark.parametrize("name", sorted(PINNED_GRID_SHA256))
     def test_default_grid_cells(self, name):
@@ -340,3 +352,109 @@ class TestDeclaredAxisExtremes:
         # S-ZK / L-ZK at the largest size (1.0 there, 1.23 at SO4-8).
         assert findings["szk_over_lzk_duration_geo"] == 1.0
         assert not any(key.endswith("_at_SO4-8") for key in findings)
+
+
+FAMILY = ("fig8", "fig9", "fig10")
+
+
+class TestScorecard:
+    @pytest.fixture(scope="class")
+    def family_card(self, tmp_path_factory):
+        """The §6.2 rows through the registered entry point (one family run)."""
+        cell = dict(
+            scale=SCALE, seed=1, figure=FAMILY,
+            cache=tmp_path_factory.mktemp("scorecard"),
+        )
+        return FIGURES["scorecard"].run(**cell), cell
+
+    @pytest.fixture(scope="class")
+    def family_run(self, family_card):
+        """That run's cells, read back from its cache."""
+        _card, cell = family_card
+        return claims.FIGURE.grid.run(**cell)
+
+    def test_claims_table_hygiene(self):
+        labels = [
+            (claim.figure, claim.row({})["claim"]) for claim in claims.CLAIMS
+        ]
+        assert len(set(labels)) == len(labels)
+        for claim in claims.CLAIMS:
+            assert claim.figure in claims.CLAIMED
+            assert claim.ceiling is None or claim.floor <= claim.ceiling
+        assert set(claims.MIN_SCALE) <= set(claims.CLAIMED)
+        for name, figure in claims.CLAIMED.items():
+            assert FIGURES[name] is figure
+
+    def test_every_cell_is_a_claimed_figures_own(self):
+        """No simulation: each distinct grid expands once, at the figure's
+        minimum scale, narrowed to the systems it declares."""
+        cells = claims.FIGURE.grid.expand(scale=0.1, seed=2)
+        own = {
+            name: FIGURES[name].grid.expand(
+                scale=max(0.1, claims.MIN_SCALE.get(name, 0.0)), seed=2
+            )
+            for name in ("fig8", "fig11", "fig12", "fig13", "fig14", "fig15")
+        }
+        assert [spec for _point, spec in cells] == [
+            spec for grid_cells in own.values() for _point, spec in grid_cells
+        ]
+        assert {point["grid"] for point, _spec in cells} == {
+            "family", "fig11", "fig12", "fig13", "fig14", "fig15",
+        }
+        marlin_only = claims.FIGURE.grid.expand(
+            scale=0.1, system=("marlin", "lease"), figure=FAMILY
+        )
+        assert [point["system"] for point, _spec in marlin_only] == ["marlin"]
+        with pytest.raises(ValueError, match=r"no claim is made on \['fig7'\]"):
+            claims.FIGURE.grid.expand(figure=("fig7",))
+
+    def test_family_claims_hold_at_small_scale(self, family_card, family_run):
+        card, _cell = family_card
+        assert [row["figure"] for row in card.rows] == [
+            claim.figure for claim in claims.CLAIMS if claim.figure in FAMILY
+        ]
+        assert all(row["ok"] is True for row in card.rows), card.format_table()
+        assert card.findings == {
+            "claims": len(card.rows), "failed": 0, "unmeasured": 0,
+        }
+        # Figure 9's other headline: throughput roughly doubles once the
+        # saturated 8-node cluster has doubled.
+        by_system = {
+            row["system"]: row for row in fig9.FIGURE.summarize(family_run).rows
+        }
+        assert by_system["Marlin"]["speedup_after"] > 1.4
+
+    def test_nothing_to_compare_against_is_unmeasured_not_passed(self, family_run):
+        marlin_only = [
+            (point, result)
+            for point, result in family_run
+            if point["system"] == "marlin"
+        ]
+        for results in (marlin_only, []):
+            card = claims.FIGURE.summarize(results, FAMILY)
+            assert card.rows
+            assert all(
+                row["ok"] is None and row["reproduced"] is None
+                for row in card.rows
+            )
+            assert card.findings["unmeasured"] == len(card.rows)
+            assert card.findings["failed"] == 0
+
+    def test_a_missed_floor_is_counted_as_failed(self, family_run):
+        (passing,) = claims.FIGURE.summarize(
+            family_run, ("fig8",), claims.CLAIMS[:1]
+        ).rows
+        raised = replace(claims.CLAIMS[0], floor=passing["reproduced"] + 0.1)
+        card = claims.FIGURE.summarize(family_run, ("fig8",), [raised])
+        assert [row["ok"] for row in card.rows] == [False]
+        assert card.findings == {"claims": 1, "failed": 1, "unmeasured": 0}
+
+    def test_a_ratio_claim_divides_two_findings(self):
+        claim = claims.Claim("fig12", "a", None, 1.0, over="b")
+        row = claim.row({"a": 3.0, "b": 2.0})
+        assert (row["claim"], row["reproduced"], row["ok"]) == ("a / b", 1.5, True)
+        assert claim.row({"a": 2.0, "b": 2.0})["ok"] is False  # strictly above
+        assert replace(claim, ceiling=1.2).row({"a": 3.0, "b": 2.0})["ok"] is False
+        for unmeasured in ({"a": 3.0}, {"b": 2.0}, {"a": 3.0, "b": 0.0}):
+            row = claim.row(unmeasured)
+            assert row["reproduced"] is None and row["ok"] is None

@@ -32,7 +32,7 @@ from repro.cluster.config import BACKENDS
 from repro.coord.session import SessionGate
 from repro.core import suspicion
 from repro.core.failure import RingFailureDetector, run_failover
-from repro.core.suspicion import SuspicionFailureDetector, VoteGate, suspect_key
+from repro.core.suspicion import VoteGate, suspect_key
 from repro.engine.node import SYSLOG
 from repro.engine.replication import ReplicationSpec
 from repro.engine.txn import AbortReason, TxnAborted
@@ -101,23 +101,6 @@ def test_accounting_identity_in_every_backend(kind):
         by_outcome["fenced"]
     )
     assert 2 in {dead for _t, dead, _g in cluster.metrics.failovers}
-
-
-def test_accounting_identity_of_the_voting_detector():
-    cluster = make_cluster("marlin", num_nodes=4, num_keys=4096, seed=33)
-    cluster.attach_tracer(Tracer(cluster.sim))
-    detectors = []
-    for nid in cluster.live_node_ids():
-        detectors.append(SuspicionFailureDetector(
-            cluster.nodes[nid].runtime, vote_threshold=2, successors=2
-        ))
-        detectors[-1].start()
-    cluster.run(until=0.5)
-    cluster.fail_node(2)
-    cluster.run(until=12.0)
-    by_outcome = assert_accounting(cluster, detectors)
-    assert by_outcome == {"fenced": 1}
-    assert sum(d.renewal_rpcs for d in detectors) > 0
 
 
 # -- the gates alone -----------------------------------------------------------

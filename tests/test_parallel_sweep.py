@@ -276,11 +276,6 @@ class TestSweepValidation:
         with pytest.raises(ValueError, match="no-such-workload"):
             Sweep(small_base(), {"workload.kind": ["ycsb", "no-such-workload"]})
 
-    def test_custom_runner_plus_workers_rejected(self):
-        sweep = Sweep(small_base(), {"seed": [1, 2]})
-        with pytest.raises(ValueError, match="not both"):
-            sweep.run(runner=lambda spec: None, workers=4)
-
 
 class TestProbeExtensions:
     def test_probe_roundtrip_with_new_fields(self):

@@ -8,7 +8,6 @@ exactly one winner, and LSNs are dense and monotone.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.backends import AzureAppendBlob, GcsGenerationLog, S3ExpressLog
 from repro.storage.log import LogRecord, RecordKind, SharedLog
 from repro.storage.pagestore import PageStore
 from repro.storage.log import Put
@@ -86,26 +85,3 @@ def test_replay_equals_sequential_application(ops):
     for record in log.records:
         ps.apply("replay", record)
     assert ps.snapshot("tab") == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    trace=st.lists(st.integers(min_value=0, max_value=10), max_size=20),
-    backend_name=st.sampled_from(["azure", "s3", "gcs"]),
-)
-def test_backends_equivalent_to_shared_log(trace, backend_name):
-    """Every cloud dialect produces the same accept/reject sequence."""
-    reference = SharedLog("ref")
-    log = SharedLog("emu")
-    backend = {
-        "azure": AzureAppendBlob,
-        "s3": S3ExpressLog,
-        "gcs": GcsGenerationLog,
-    }[backend_name](log)
-    for i, guess in enumerate(trace):
-        expect_ref = reference.append(
-            f"t{i}", RecordKind.COMMIT_DATA, (), expected_lsn=guess
-        )
-        got = backend.conditional_append(f"t{i}", RecordKind.COMMIT_DATA, (), guess)
-        assert got.ok == expect_ref.ok
-        assert log.end_lsn == reference.end_lsn

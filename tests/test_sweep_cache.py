@@ -127,10 +127,6 @@ class TestSerialCache:
         sweep.run(cache=bumped)
         assert bumped.stats() == {"hits": 0, "misses": 2, "stores": 2}
 
-    def test_custom_runner_rejects_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="custom `runner`"):
-            seed_sweep().run(runner=lambda spec: None, cache=tmp_path)
-
 
 @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
 class TestParallelCache:

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.distributions import HotSpot, Uniform, Zipfian, randbelow
+from repro.workload.distributions import Uniform, Zipfian, randbelow
 
 
 class TestUniform:
@@ -67,33 +67,6 @@ class TestZipfian:
         rng = random.Random(seed)
         for _ in range(50):
             assert 0 <= dist.sample(rng) < n
-
-
-class TestHotSpot:
-    def test_hot_fraction_respected(self):
-        dist = HotSpot(1000, hot_set=0.1, hot_fraction=0.9)
-        rng = random.Random(4)
-        samples = [dist.sample(rng) for _ in range(10000)]
-        hot = sum(1 for s in samples if s < 100)
-        assert 0.85 < hot / len(samples) < 0.95
-
-    def test_cold_keys_possible(self):
-        dist = HotSpot(100, hot_set=0.5, hot_fraction=0.5)
-        rng = random.Random(5)
-        samples = {dist.sample(rng) for _ in range(5000)}
-        assert any(s >= 50 for s in samples)
-
-    def test_full_hot_set(self):
-        dist = HotSpot(10, hot_set=1.0, hot_fraction=0.5)
-        rng = random.Random(6)
-        for _ in range(100):
-            assert 0 <= dist.sample(rng) < 10
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            HotSpot(0)
-        with pytest.raises(ValueError):
-            HotSpot(10, hot_set=0.0)
 
 
 @pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 1000])
