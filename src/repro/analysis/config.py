@@ -25,7 +25,7 @@ Structural tags refine ``sim``/``tooling`` for the narrower rules:
 
 ``pool-crossing``
     ``cluster/`` and ``experiments/`` — modules whose objects ride inside
-    ``PortableRunResult``/``CellFailure`` across the process pool, where a
+    ``RunResult``/``CellFailure`` across the process pool, where a
     pickled memo cache is a payload bug (DET106).
 
 ``coord-core``

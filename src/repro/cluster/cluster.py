@@ -2,7 +2,7 @@
 
 Builds the full system for one experiment run — per-region storage services,
 compute nodes with the chosen coordination runtime (marlin / zk-small /
-zk-large / fdb), an admin endpoint for dispatching reconfigurations — and
+zk-large / fdb / lease), an admin endpoint for dispatching reconfigurations — and
 exposes the operations the paper's scenarios need: ``scale_out``,
 ``scale_in``, ``fail_node`` and ground-truth introspection for invariant
 checks.

@@ -7,10 +7,10 @@ last MigrationTxn commit) can be reported per run.
 
 Hot-path design: the ``record_*`` hooks run once per simulated transaction,
 so they are O(1) with no numpy and no per-sample Python object retention —
-latency samples stream into packed ``array.array`` buffers (value + bucket
-index) and bucket counters are plain int dicts.  The derived ``*_series``
-/ ``*_stats`` views do the numpy work once and memoise the result until the
-next record invalidates it.
+samples stream into a :class:`SampleSeries` (packed ``array.array`` buffers:
+value + bucket index) and bucket counters are plain int dicts.  The derived
+``*_series`` / ``stats`` / ``window`` views do the numpy work once and
+memoise the result until the next record invalidates it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,66 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["MetricsCollector"]
+__all__ = ["MetricsCollector", "SampleSeries"]
+
+
+class SampleSeries:
+    """Append-only float samples, each stamped with its time-bucket id.
+
+    The one store behind every sampled measurement (commit latency,
+    migration latency, RPO, RTO): ``add`` is two packed appends, ``stats``
+    and ``window`` read numpy views built on demand.
+    """
+
+    def __init__(self, bucket: float):
+        self.bucket = bucket
+        self.values = array("d")
+        self.buckets = array("q")
+        self._grouped: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def add(self, b: int, value: float) -> None:
+        """Record ``value`` in bucket id ``b`` (= ``int(t // bucket)``)."""
+        self.values.append(value)
+        self.buckets.append(b)
+
+    def __getstate__(self):
+        # Series cross process boundaries inside their collector; the
+        # grouped view is derived data, so drop it rather than ship it.
+        state = self.__dict__.copy()
+        state["_grouped"] = None
+        return state
+
+    def grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bucket ids, bucket start times, values)`` sorted by bucket id
+        (arrival order within a bucket); memoised until the next ``add``.
+        Copies, never views: a live view would pin the packed buffers and
+        make the next ``add`` raise ``BufferError``."""
+        if self._grouped is None or self._grouped[0] != len(self.values):
+            ids = np.frombuffer(self.buckets, dtype=np.int64)
+            values = np.frombuffer(self.values, dtype=np.float64)
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            self._grouped = (len(values), ids, ids * self.bucket, values[order])
+        return self._grouped[1:]
+
+    def window(self, t0: float, t1: float) -> np.ndarray:
+        """Samples whose bucket start ``b * bucket`` lies in ``[t0, t1)``."""
+        _ids, starts, values = self.grouped()
+        lo, hi = np.searchsorted(starts, (t0, t1), side="left")
+        return values[lo:hi]
+
+    def stats(self) -> Dict[str, float]:
+        if not self.values:
+            return {"mean": 0.0, "p50": 0.0, "p99": 0.0}
+        arr = np.frombuffer(self.values, dtype=np.float64)
+        return {
+            "mean": float(arr.mean()),
+            "p50": float(np.percentile(arr, 50)),
+            "p99": float(np.percentile(arr, 99)),
+        }
 
 
 class MetricsCollector:
@@ -33,20 +92,15 @@ class MetricsCollector:
         self.aborted: Dict[int, int] = defaultdict(int)
         self.abort_reasons: Dict[str, int] = defaultdict(int)
         self.migrations: Dict[int, int] = defaultdict(int)
-        #: Streaming latency store: packed doubles plus parallel bucket ids.
-        self._lat_values = array("d")
-        self._lat_buckets = array("q")
-        self._max_lat_bucket = -1
-        self.migration_latencies = array("d")
-        self._migration_lat_buckets = array("q")
+        #: Commit latency of every committed user transaction.
+        self.latency = SampleSeries(bucket)
+        self.migration_latency = SampleSeries(bucket)
         #: Replication probes, one sample per completed failover promotion:
         #: acked-but-lost WAL bytes (RPO) and suspicion-to-serving seconds
         #: (RTO).  Empty in replication-off runs — the probes then report
         #: value=None, never a vacuous 0.0.
-        self.rpo_samples = array("d")
-        self._rpo_buckets = array("q")
-        self.rto_samples = array("d")
-        self._rto_buckets = array("q")
+        self.rpo = SampleSeries(bucket)
+        self.rto = SampleSeries(bucket)
         self.failovers: List[Tuple[float, int, int]] = []
         #: (time, node_count) step function for realtime cost integration;
         #: appended in nondecreasing time order (enforced by record_node_count).
@@ -68,10 +122,7 @@ class MetricsCollector:
     def record_commit(self, t: float, latency: float) -> None:
         b = int(t // self.bucket)
         self.committed[b] += 1
-        self._lat_values.append(latency)
-        self._lat_buckets.append(b)
-        if b > self._max_lat_bucket:
-            self._max_lat_bucket = b
+        self.latency.add(b, latency)
         self.total_committed += 1
         self._version += 1
 
@@ -89,8 +140,7 @@ class MetricsCollector:
         if self.last_migration is None or t > self.last_migration:
             self.last_migration = t
         if latency is not None:
-            self.migration_latencies.append(latency)
-            self._migration_lat_buckets.append(self._bucket(t))
+            self.migration_latency.add(self._bucket(t), latency)
         self._version += 1
 
     def record_failover(self, t: float, dead_id: int, granules: int) -> None:
@@ -98,15 +148,11 @@ class MetricsCollector:
 
     def record_rpo(self, t: float, nbytes: float) -> None:
         """Acked-but-lost WAL bytes measured at one failover promotion."""
-        self.rpo_samples.append(nbytes)
-        self._rpo_buckets.append(self._bucket(t))
-        self._version += 1
+        self.rpo.add(self._bucket(t), nbytes)
 
     def record_rto(self, t: float, seconds: float) -> None:
         """Suspicion-to-first-serving latency of one failover promotion."""
-        self.rto_samples.append(seconds)
-        self._rto_buckets.append(self._bucket(t))
-        self._version += 1
+        self.rto.add(self._bucket(t), seconds)
 
     def record_node_count(self, t: float, count: int) -> None:
         events = self.node_count_events
@@ -119,30 +165,11 @@ class MetricsCollector:
 
     def __getstate__(self):
         # Collectors cross process boundaries in parallel sweeps; the memo
-        # cache holds numpy views over the packed buffers, so drop it rather
-        # than ship (or deep-copy) derived data.
+        # cache holds derived series, so drop it rather than ship (or
+        # deep-copy) what the receiver can rebuild.
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state
-
-    # -- back-compat view --------------------------------------------------------
-
-    @property
-    def latencies(self) -> Dict[int, List[float]]:
-        """Per-bucket latency samples, materialised from the streaming store.
-
-        Cold-path convenience only; the collector no longer keeps per-bucket
-        Python lists internally.  Memoised — per-window SLO probes read it
-        once per sub-window; treat the returned dict as read-only.
-        """
-
-        def build():
-            out: Dict[int, List[float]] = defaultdict(list)
-            for b, value in zip(self._lat_buckets, self._lat_values):
-                out[b].append(value)
-            return out
-
-        return self._cached(("lat-buckets",), build)
 
     # -- derived series ------------------------------------------------------------
 
@@ -196,27 +223,15 @@ class MetricsCollector:
             out.append((b * self.bucket, aborts / total if total else 0.0))
         return out
 
-    def _bucketed_latencies(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Latency samples sorted by bucket id: (sorted buckets, values)."""
-
-        def build():
-            buckets = np.frombuffer(self._lat_buckets, dtype=np.int64)
-            values = np.frombuffer(self._lat_values, dtype=np.float64)
-            order = np.argsort(buckets, kind="stable")
-            return buckets[order], values[order]
-
-        return self._cached(("lat-grouped",), build)
-
     def latency_series(self, until: float, pct: float = 50.0) -> List[Tuple[float, float]]:
         return self._cached(
             ("lat", until, pct), lambda: self._latency_series(until, pct)
         )
 
     def _latency_series(self, until: float, pct: float) -> List[Tuple[float, float]]:
-        last = max(int(until // self.bucket), self._max_lat_bucket)
-        if not self._lat_values:
-            return [(b * self.bucket, 0.0) for b in range(0, last + 1)]
-        buckets, values = self._bucketed_latencies()
+        buckets, _starts, values = self.latency.grouped()
+        newest = int(buckets[-1]) if len(buckets) else -1
+        last = max(int(until // self.bucket), newest)
         starts = np.searchsorted(buckets, np.arange(0, last + 2))
         out = []
         for b in range(0, last + 1):
@@ -234,63 +249,11 @@ class MetricsCollector:
             return 0.0
         return self.last_migration - self.first_migration
 
-    def migration_latency_buckets(self) -> Dict[int, List[float]]:
-        """Per-bucket migration latencies (windowed SLO probes read this).
-
-        Memoised — series probes call it once per sub-window.  Treat the
-        returned dict as read-only.
-        """
-
-        def build():
-            out: Dict[int, List[float]] = defaultdict(list)
-            pairs = zip(self._migration_lat_buckets, self.migration_latencies)
-            for b, value in pairs:
-                out[b].append(value)
-            return out
-
-        return self._cached(("migr-lat-buckets",), build)
-
-    def rpo_buckets(self) -> Dict[int, List[float]]:
-        """Per-bucket RPO samples (windowed probes read this; memoised)."""
-
-        def build():
-            out: Dict[int, List[float]] = defaultdict(list)
-            for b, value in zip(self._rpo_buckets, self.rpo_samples):
-                out[b].append(value)
-            return out
-
-        return self._cached(("rpo-buckets",), build)
-
-    def rto_buckets(self) -> Dict[int, List[float]]:
-        """Per-bucket RTO samples (windowed probes read this; memoised)."""
-
-        def build():
-            out: Dict[int, List[float]] = defaultdict(list)
-            for b, value in zip(self._rto_buckets, self.rto_samples):
-                out[b].append(value)
-            return out
-
-        return self._cached(("rto-buckets",), build)
-
     def migration_latency_stats(self) -> Dict[str, float]:
-        if not self.migration_latencies:
-            return {"mean": 0.0, "p50": 0.0, "p99": 0.0}
-        arr = np.frombuffer(self.migration_latencies, dtype=np.float64)
-        return {
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return self.migration_latency.stats()
 
     def latency_stats(self) -> Dict[str, float]:
-        if not self._lat_values:
-            return {"mean": 0.0, "p50": 0.0, "p99": 0.0}
-        arr = np.frombuffer(self._lat_values, dtype=np.float64)
-        return {
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return self.latency.stats()
 
     def abort_ratio(self) -> float:
         total = self.total_committed + self.total_aborted

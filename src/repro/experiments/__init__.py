@@ -35,18 +35,10 @@ from repro.experiments import (
     fig17_replication,
 )
 from repro.experiments.figure import Figure, Grid
-from repro.experiments.harness import (
-    EXP_NODE_PARAMS,
-    FigureResult,
-    RunReadings,
-)
-from repro.experiments.parallel import (
-    CellFailure,
-    PortableRunResult,
-    ProcessPoolRunner,
-    run_cells,
-)
-from repro.experiments.runner import SpecRunResult, run_spec
+from repro.experiments.harness import EXP_NODE_PARAMS, FigureResult
+from repro.experiments.parallel import CellFailure, ProcessPoolRunner, run_cells
+from repro.experiments.result import RunResult
+from repro.experiments.runner import run_spec
 from repro.experiments.spec import (
     FaultSpec,
     PhaseSpec,
@@ -84,12 +76,10 @@ __all__ = [
     "FigureResult",
     "Grid",
     "PhaseSpec",
-    "PortableRunResult",
     "ProbeSpec",
     "ProcessPoolRunner",
-    "RunReadings",
+    "RunResult",
     "ScenarioSpec",
-    "SpecRunResult",
     "Sweep",
     "TopologySpec",
     "WorkloadSpec",

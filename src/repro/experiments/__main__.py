@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.experiments import FIGURES
 from repro.experiments.cache import resolve_cache
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec, Sweep
 
@@ -133,11 +134,7 @@ def _run_spec_file(path: str, args, cache=None) -> Any:
         write_chrome_trace(result.trace, args.trace)
         print(f"[trace] wrote {args.trace}", file=sys.stderr)
         return result.summary()
-    if cache is not None:
-        from repro.experiments.parallel import run_cells
-
-        return run_cells([spec], cache=cache)[0].summary()
-    return run_spec(spec).summary()
+    return run_cells([spec], cache=cache)[0].summary()
 
 
 def _print(payload) -> None:

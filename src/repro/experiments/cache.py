@@ -2,8 +2,9 @@
 
 Every sweep cell is a pure function of its :class:`ScenarioSpec` — the spec
 dict carries the topology, workload, timeline, fault schedule, probes *and*
-the seed — so a finished cell's :class:`PortableRunResult` can be keyed by
-content and reused: re-summarizing a large grid, re-running after an
+the seed — so a finished cell's pickled
+:class:`~repro.experiments.result.RunResult` can be keyed by content and
+reused: re-summarizing a large grid, re-running after an
 interrupted/partial sweep, or re-plotting a figure with one axis value added
 re-executes only the missed cells.
 
@@ -19,12 +20,13 @@ hash of the determinism + spec-parity goldens
 a seeded run produces re-captures those goldens and thereby atomically
 invalidates every cached cell — forgetting the bump is impossible.
 
-Entries are stored as ``<root>/<key>.pkl`` — the pickled
-:class:`~repro.experiments.parallel.PortableRunResult`, byte-identical to
-what a pool worker ships back.  Writes go through a temp file +
+Entries are stored as ``<root>/<key>.pkl`` — the pickled ``RunResult``
+(pickling drops its live cluster), byte-identical to what a pool worker
+ships back.  Writes go through a temp file +
 ``os.replace`` so concurrent writers (pool parents, parallel CI jobs on a
-shared dir) never expose a torn entry; an unreadable/corrupt entry is
-deleted and treated as a miss.  Failures are never cached — a
+shared dir) never expose a torn entry; an unreadable/corrupt entry — a
+pickle naming a class that no longer exists included — is deleted and
+treated as a miss.  Failures are never cached — a
 :class:`CellFailure` stays ephemeral.
 
 Consumers: ``Sweep.run(cache=...)``, ``run_cells(cache=...)``,
@@ -43,6 +45,7 @@ import pickle
 from typing import Any, Dict, Optional, Union
 
 from repro.experiments.goldens import cache_epoch
+from repro.experiments.result import RunResult
 
 __all__ = ["CACHE_EPOCH", "ResultCache", "resolve_cache"]
 
@@ -53,7 +56,7 @@ CACHE_EPOCH = cache_epoch()
 
 
 class ResultCache:
-    """A directory of content-addressed ``PortableRunResult`` pickles."""
+    """A directory of content-addressed ``RunResult`` pickles."""
 
     def __init__(self, root, epoch: str = CACHE_EPOCH):
         self.root = pathlib.Path(root)
@@ -81,14 +84,13 @@ class ResultCache:
     # -- read/write ----------------------------------------------------------
 
     def get(self, spec) -> Optional[Any]:
-        """The cached :class:`PortableRunResult` for ``spec``, or ``None``.
+        """The cached ``RunResult`` for ``spec``, or ``None``.
 
         A missing entry is a plain miss; an unreadable one (truncated write
-        from a killed process, bit rot, a stray file) is deleted and counted
-        as a miss — the cell simply re-executes and overwrites it.
+        from a killed process, bit rot, a stray file, a pickle of some other
+        or since-deleted class) is deleted and counted as a miss — the cell
+        simply re-executes and overwrites it.
         """
-        from repro.experiments.parallel import PortableRunResult
-
         path = self.path_for(spec)
         try:
             with open(path, "rb") as f:
@@ -97,13 +99,8 @@ class ResultCache:
             self.misses += 1
             return None
         except Exception:
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(result, PortableRunResult):
+            result = None
+        if not isinstance(result, RunResult):
             self.misses += 1
             try:
                 path.unlink()
@@ -120,8 +117,8 @@ class ResultCache:
         )
 
     def put_serialized(self, spec, payload: bytes) -> None:
-        """Store an already-pickled ``PortableRunResult`` (what pool workers
-        ship back) without a decode/re-encode round trip."""
+        """Store an already-pickled ``RunResult`` (what pool workers ship
+        back) without a decode/re-encode round trip."""
         path = self.path_for(spec)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:

@@ -1,4 +1,4 @@
-"""Shared experiment machinery: result containers, tables, client binding.
+"""Shared experiment machinery: figure tables, client binding.
 
 The canonical scenario (§6.2-§6.4) is *scale-out under load*: a cluster of
 ``initial_nodes`` serving a static client population doubles at
@@ -6,8 +6,9 @@ The canonical scenario (§6.2-§6.4) is *scale-out under load*: a cluster of
 nodes.  Since the spec redesign (ISSUE 3) the scenario itself is data — see
 :func:`repro.experiments.spec.scale_out_spec` — and a single runner
 (:func:`repro.experiments.runner.run_spec`) owns setup, measurement and
-serialization; this module keeps the shared pieces: the calibrated node
-parameters, result containers, table formatting and client binding.
+serialization (a finished cell is a :class:`repro.experiments.result.
+RunResult`); this module keeps the shared pieces: the calibrated node
+parameters, the figure table and client binding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 __all__ = [
     "EXP_NODE_PARAMS",
     "FigureResult",
-    "RunReadings",
     "SYSTEM_LABELS",
     "start_clients",
 ]
@@ -51,37 +51,6 @@ SYSTEM_LABELS = {
     "fdb": "FDB",
     "lease": "Lease",
 }
-
-
-class RunReadings:
-    """What a figure reads off one finished run.
-
-    A live :class:`~repro.experiments.runner.SpecRunResult` and a detached
-    :class:`~repro.experiments.parallel.PortableRunResult` (a cached or
-    pooled cell: no ``cluster``) both inherit these, computed from what
-    either carries — ``metrics``, ``duration``, ``probes`` — so a figure's
-    ``row`` function cannot tell them apart.
-    """
-
-    @property
-    def migration_duration(self) -> float:
-        return self.metrics.migration_duration
-
-    @property
-    def slo_ok(self) -> bool:
-        return all(p.ok for p in self.probes)
-
-    def throughput_series(self):
-        return self.metrics.throughput_series(self.duration)
-
-    def migration_series(self):
-        return self.metrics.migration_series(self.duration)
-
-    def abort_series(self):
-        return self.metrics.abort_ratio_series(self.duration)
-
-    def latency_series(self, pct=50.0):
-        return self.metrics.latency_series(self.duration, pct=pct)
 
 
 class FigureResult:

@@ -17,13 +17,10 @@ three properties the naive ``multiprocessing.Pool.map`` does not give you:
   wall-clock ``timeout`` becomes a structured :class:`CellFailure` in that
   cell's result slot while every other cell completes.  No hung grids, no
   lost grids.
-* **Portable results** — a finished run's measurements cross the process
-  boundary as a :class:`PortableRunResult`: the cell's
-  :class:`~repro.cluster.metrics.MetricsCollector`, cost report, probe
-  verdicts and extras, detached from the (unpicklable, generator-laden)
-  live cluster.  It exposes the same reading surface as
-  :class:`~repro.experiments.runner.SpecRunResult`, so figure summarizers
-  work on either.
+* **One result type** — a worker ships back the pickled
+  :class:`~repro.experiments.result.RunResult` that ``run_spec`` returned;
+  pickling drops only the (unpicklable, generator-laden) live ``cluster``,
+  so a pooled cell reads exactly like a serial or cached one.
 
 Entry points: ``Sweep.run(workers=N)``, every figure's
 ``FIGURE.run(workers=N)``, ``python -m repro.experiments run ... --workers N``,
@@ -45,77 +42,19 @@ import queue as queue_mod
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cluster.cost import CostReport
 from repro.experiments.cache import resolve_cache
-from repro.experiments.harness import RunReadings
-from repro.experiments.runner import ProbeResult, result_summary, run_spec
+from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec
 
 __all__ = [
     "CellFailure",
-    "PortableRunResult",
     "ProcessPoolRunner",
-    "default_workers",
     "raise_failures",
     "run_cells",
 ]
-
-
-def default_workers() -> int:
-    """Default pool size: one worker per CPU (cells are CPU-bound sims)."""
-    return os.cpu_count() or 1
-
-
-@dataclass
-class PortableRunResult(RunReadings):
-    """A finished cell's measurements, shipped back from a worker process.
-
-    The reading surface of :class:`~repro.experiments.runner.SpecRunResult`
-    (``metrics``, ``cost``, the shared :class:`RunReadings`, ``probes``,
-    ``summary()``) minus the live ``cluster``, which never crosses the
-    process boundary.
-    """
-
-    system: str
-    duration: float
-    spec: ScenarioSpec
-    metrics: Any  # the cell's MetricsCollector, detached from its cluster
-    cost_report: CostReport
-    scale_summaries: List[dict] = field(default_factory=list)
-    probes: List[ProbeResult] = field(default_factory=list)
-    extras: Dict[str, Any] = field(default_factory=dict)
-    #: Detached :class:`repro.obs.TraceData` (plain data, pickles fine)
-    #: when the cell's spec enabled tracing; ``None`` otherwise.
-    trace: Any = None
-
-    #: Distinguishes results from :class:`CellFailure` without isinstance.
-    ok = True
-
-    @property
-    def cost(self) -> CostReport:
-        return self.cost_report
-
-    def summary(self) -> Dict[str, Any]:
-        return result_summary(self)
-
-    @classmethod
-    def from_run(cls, result) -> "PortableRunResult":
-        """Detach a :class:`SpecRunResult` from its cluster (cost is priced
-        now, while the cluster is still around)."""
-        return cls(
-            system=result.system,
-            duration=result.duration,
-            spec=result.spec,
-            metrics=result.metrics,
-            cost_report=result.cost,
-            scale_summaries=list(result.scale_summaries),
-            probes=list(result.probes),
-            extras=dict(result.extras),
-            trace=getattr(result, "trace", None),
-        )
 
 
 @dataclass
@@ -138,7 +77,9 @@ class CellFailure:
 
     ok = False
 
-    def to_dict(self) -> Dict[str, Any]:
+    def summary(self) -> Dict[str, Any]:
+        """Failure-shaped stand-in for ``RunResult.summary()`` so sweep
+        reports stay uniform when some cells failed."""
         out = {
             "index": self.index,
             "name": self.name,
@@ -150,11 +91,6 @@ class CellFailure:
         if self.exitcode is not None:
             out["exitcode"] = self.exitcode
         return out
-
-    def summary(self) -> Dict[str, Any]:
-        """Failure-shaped stand-in for ``SpecRunResult.summary()`` so sweep
-        reports stay uniform when some cells failed."""
-        return self.to_dict()
 
     def __str__(self) -> str:
         code = f", exitcode {self.exitcode}" if self.exitcode is not None else ""
@@ -179,10 +115,8 @@ def _worker_main(task_q, result_q) -> None:
         index, spec_data = task
         try:
             spec = ScenarioSpec.from_dict(spec_data)
-            result = run_spec(spec)
             payload = pickle.dumps(
-                PortableRunResult.from_run(result),
-                protocol=pickle.HIGHEST_PROTOCOL,
+                run_spec(spec), protocol=pickle.HIGHEST_PROTOCOL
             )
             result_q.put((index, "ok", payload))
         except BaseException as exc:
@@ -227,8 +161,8 @@ class ProcessPoolRunner:
 
     Parameters:
 
-    * ``workers`` — pool size (default: :func:`default_workers`); capped at
-      the number of cells.
+    * ``workers`` — pool size (default: one per CPU — cells are CPU-bound
+      sims); capped at the number of cells.
     * ``timeout`` — optional per-cell wall-clock budget in seconds; a cell
       that exceeds it has its worker terminated and yields a
       :class:`CellFailure` of kind ``"timeout"``.
@@ -237,7 +171,7 @@ class ProcessPoolRunner:
       the platform default where ``fork`` is unavailable.
 
     ``run(specs)`` returns one entry per input spec, in input order:
-    a :class:`PortableRunResult`, or a :class:`CellFailure`.
+    a :class:`~repro.experiments.result.RunResult`, or a :class:`CellFailure`.
     """
 
     #: Parent poll interval: bounds both crash-detection and timeout slack.
@@ -249,7 +183,7 @@ class ProcessPoolRunner:
         timeout: Optional[float] = None,
         start_method: Optional[str] = None,
     ):
-        self.workers = workers if workers is not None else default_workers()
+        self.workers = workers if workers is not None else os.cpu_count() or 1
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.timeout = timeout
@@ -426,25 +360,21 @@ def run_cells(
     ``cache`` (a directory path or
     :class:`~repro.experiments.cache.ResultCache`) consults the
     content-addressed result cache before executing each cell and stores
-    every freshly finished one; cached cells come back as
-    :class:`PortableRunResult` regardless of execution mode, with summaries
-    bit-identical to a cold run.
+    every freshly finished one.  Every entry that is not a failure is a
+    :class:`~repro.experiments.result.RunResult` whatever the execution mode
+    or cache state, with summaries bit-identical to a cold serial run; only a
+    cell executed in this process still has its ``cluster``.
     """
     specs = list(specs)
     cache = resolve_cache(cache)
     if workers is None or workers <= 1 or len(specs) <= 1:
-        if cache is None:
-            return [run_spec(spec) for spec in specs]
         results: List[Any] = []
         for spec in specs:
-            hit = cache.get(spec)
-            if hit is not None:
-                results.append(hit)
-                continue
-            result = run_spec(spec)
-            # Detach now (cost priced while the cluster is alive) so the
-            # stored artifact matches what a pool worker would ship.
-            cache.put(spec, PortableRunResult.from_run(result))
+            result = cache.get(spec) if cache is not None else None
+            if result is None:
+                result = run_spec(spec)
+                if cache is not None:
+                    cache.put(spec, result)
             results.append(result)
         return results
     return ProcessPoolRunner(

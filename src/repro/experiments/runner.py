@@ -21,118 +21,21 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.cluster.cost import CostReport
 from repro.core.autoscaler import Autoscaler
 from repro.core.invariants import check_view_consistency
 from repro.core.reconfig import NodeAlreadyExistsError, NodeNotExistError
-from repro.experiments.harness import RunReadings, start_clients
+from repro.experiments.harness import start_clients
+from repro.experiments.result import PROBES, ProbeResult, RunResult
 from repro.experiments.spec import ProbeSpec, ScenarioSpec
 from repro.sim.core import Timeout
 
 __all__ = [
     "ACTIONS",
-    "ProbeResult",
     "RunContext",
-    "SpecRunResult",
     "build_config",
     "register_action",
-    "result_summary",
     "run_spec",
 ]
-
-
-@dataclass
-class ProbeResult:
-    """One evaluated SLO probe: measured value vs. threshold.
-
-    For series probes (``ProbeSpec.every``), ``series`` holds one
-    ``(window_start, value, ok)`` entry per sub-window and
-    ``violation_fraction`` is the share of *measured* windows that violated
-    the threshold — the "violation fraction over time" view of an SLO; the
-    top-level ``value`` / ``ok`` stay the whole-window verdict.  A probe
-    that measured nothing (e.g. ``migration_latency`` over a cell with no
-    recorded migrations) reports ``value=None`` / ``violation_fraction=None``
-    — "unmeasured", deliberately distinct from a measured 0.0.
-    """
-
-    name: str
-    kind: str
-    value: Optional[float]
-    threshold: float
-    ok: bool
-    series: Optional[List[Tuple[float, Optional[float], bool]]] = None
-    violation_fraction: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "value": self.value,
-            "threshold": self.threshold,
-            "ok": self.ok,
-        }
-        if self.series is not None:
-            out["series"] = [[t, v, ok] for t, v, ok in self.series]
-            out["violation_fraction"] = self.violation_fraction
-        return out
-
-
-@dataclass
-class SpecRunResult(RunReadings):
-    """Everything measured in one run of one spec, cluster still attached."""
-
-    system: str
-    duration: float
-    cluster: Cluster
-    scale_summaries: List[dict] = field(default_factory=list)
-    spec: Optional[ScenarioSpec] = None
-    probes: List[ProbeResult] = field(default_factory=list)
-    #: Action-specific outputs (e.g. ``membership_churn`` statistics).
-    extras: Dict[str, Any] = field(default_factory=dict)
-    #: Detached :class:`repro.obs.TraceData` when the spec enabled tracing.
-    trace: Any = None
-
-    @property
-    def metrics(self):
-        return self.cluster.metrics
-
-    @property
-    def cost(self) -> CostReport:
-        return self.cluster.price(self.duration)
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-ready digest (what the CLI prints for spec-file runs)."""
-        return result_summary(self)
-
-
-def result_summary(result) -> Dict[str, Any]:
-    """JSON-ready digest of a finished run.
-
-    Works on anything with the run-result shape — a live
-    :class:`SpecRunResult` or a
-    :class:`repro.experiments.parallel.PortableRunResult` shipped back from
-    a worker process.
-    """
-    m = result.metrics
-    report = result.cost
-    spec = result.spec
-    return {
-        "name": spec.name if spec else "",
-        "system": result.system,
-        "seed": spec.seed if spec else None,
-        "duration_s": result.duration,
-        "committed": m.total_committed,
-        "aborted": m.total_aborted,
-        "abort_ratio": m.abort_ratio(),
-        "migrations": m.total_migrations,
-        "migration_duration_s": m.migration_duration,
-        "failovers": len(m.failovers),
-        "latency_p99_s": m.latency_stats()["p99"],
-        "cost_per_mtxn_usd": report.cost_per_million_txns,
-        "slo_ok": result.slo_ok,
-        "probes": [p.to_dict() for p in result.probes],
-        "extras": result.extras,
-    }
 
 
 @dataclass
@@ -141,7 +44,7 @@ class RunContext:
 
     cluster: Cluster
     spec: ScenarioSpec
-    result: SpecRunResult
+    result: RunResult
     routers: Dict[str, Any] = field(default_factory=dict)
     pools: Dict[str, List[Any]] = field(default_factory=dict)
     autoscaler: Optional[Autoscaler] = None
@@ -367,91 +270,16 @@ def build_config(spec: ScenarioSpec) -> ClusterConfig:
 
 def _probe_measure(probe: ProbeSpec, result, window: Tuple[float, float]):
     """Evaluate one probe over one ``[t0, t1)`` window: ``(value, ok)``."""
-    t0, t1 = window
-    metrics = result.metrics
-    bucket = metrics.bucket
-    if probe.kind == "latency":
-        samples = [
-            v
-            for b, values in metrics.latencies.items()
-            if t0 <= b * bucket < t1
-            for v in values
-        ]
-        value = float(np.percentile(samples, probe.pct)) if samples else 0.0
-        ok = value <= probe.threshold
-    elif probe.kind == "throughput_floor":
-        points = [v for t, v in result.throughput_series() if t0 <= t < t1]
-        value = float(np.mean(points)) if points else 0.0
-        ok = value >= probe.threshold
-    elif probe.kind == "abort_ceiling":
-        commits = sum(
-            c for b, c in metrics.committed.items() if t0 <= b * bucket < t1
-        )
-        aborts = sum(
-            c for b, c in metrics.aborted.items() if t0 <= b * bucket < t1
-        )
-        total = commits + aborts
-        value = aborts / total if total else 0.0
-        ok = value <= probe.threshold
-    elif probe.kind == "unavailability":
-        longest = current = 0.0
-        for t, tps in result.throughput_series():
-            if not t0 <= t < t1:
-                continue
-            current = current + bucket if tps == 0 else 0.0
-            longest = max(longest, current)
-        value = longest
-        ok = value <= probe.threshold
-    elif probe.kind == "migration_latency":
-        samples = [
-            v
-            for b, values in metrics.migration_latency_buckets().items()
-            if t0 <= b * bucket < t1
-            for v in values
-        ]
-        if samples:
-            value = float(np.percentile(samples, probe.pct))
-            ok = value <= probe.threshold
-        else:
-            # No migrations in the window: the SLO is *unmeasured*, not
-            # satisfied.  A 0.0 here reads as "instant failover" in cells
-            # where no failover ever ran — the fig7 vacuous-SLO footgun.
-            value = None
-            ok = True
-    elif probe.kind in ("rpo_bytes", "rto_s"):
-        buckets = (
-            metrics.rpo_buckets()
-            if probe.kind == "rpo_bytes"
-            else metrics.rto_buckets()
-        )
-        samples = [
-            v
-            for b, values in buckets.items()
-            if t0 <= b * bucket < t1
-            for v in values
-        ]
-        if samples:
-            # Worst case over the window: one lossy (or slow) failover is a
-            # violation even when siblings in the same window were clean.
-            value = float(max(samples))
-            ok = value <= probe.threshold
-        else:
-            # No failovers in the window: unmeasured, not "zero loss" — the
-            # same vacuous-SLO footgun as migration_latency above.
-            value = None
-            ok = True
-    elif probe.kind in ("counter_max", "counter_min"):
-        # Whole-run counters from the tracing registry; windows do not
-        # apply (counters are not bucketed).  An untraced run reads 0.
-        counters = result.extras.get("counters") or {}
-        value = float(counters.get(probe.counter, 0))
-        if probe.kind == "counter_max":
-            ok = value <= probe.threshold
-        else:
-            ok = value >= probe.threshold
-    else:  # pragma: no cover - ProbeSpec validates kinds
-        raise ValueError(f"unknown probe kind {probe.kind!r}")
-    return value, ok
+    row = PROBES[probe.kind]
+    value = row.read(result, probe, *window)
+    if value is None:
+        value = row.empty
+        if value is None:
+            # The SLO is *unmeasured*, not satisfied (see ``Probe.empty``).
+            return None, True
+    if row.floor:
+        return value, value >= probe.threshold
+    return value, value <= probe.threshold
 
 
 def _evaluate_probe(probe: ProbeSpec, result) -> ProbeResult:
@@ -543,7 +371,7 @@ def _arm_fault_points(cluster: Cluster, points: List[Dict[str, Any]]) -> None:
         make_hook(node_id, armed)
 
 
-def run_spec(spec: ScenarioSpec) -> SpecRunResult:
+def run_spec(spec: ScenarioSpec) -> RunResult:
     """Execute one :class:`ScenarioSpec` end to end.
 
     Lifecycle: build cluster -> start fault schedule -> warmup -> bind
@@ -551,6 +379,18 @@ def run_spec(spec: ScenarioSpec) -> SpecRunResult:
     fixed ``duration``) -> stop clients/autoscaler -> settle -> invariants ->
     probes.
     """
+    # Resolve the whole timeline before building anything: a misspelt action
+    # must not cost a cluster build, a warmup and seconds of sim time (or a
+    # pool worker) before it is reported.
+    timeline = []
+    for phase in sorted(spec.phases, key=lambda p: p.at):
+        action = ACTIONS.get(phase.action)
+        if action is None:
+            raise ValueError(
+                f"unknown phase action {phase.action!r}; "
+                f"registered: {sorted(ACTIONS)}"
+            )
+        timeline.append((phase, action))
     cluster = Cluster(build_config(spec))
     tracer = None
     if spec.trace is not None and spec.trace.enabled:
@@ -562,11 +402,12 @@ def run_spec(spec: ScenarioSpec) -> SpecRunResult:
             prefixes=spec.trace.filter,
         )
         cluster.attach_tracer(tracer)
-    result = SpecRunResult(
+    result = RunResult(
         system=spec.topology.coordination,
         duration=0.0,
-        cluster=cluster,
         spec=spec,
+        metrics=cluster.metrics,
+        cluster=cluster,
     )
     ctx = RunContext(cluster=cluster, spec=spec, result=result)
 
@@ -603,15 +444,9 @@ def run_spec(spec: ScenarioSpec) -> SpecRunResult:
         ctx.routers["primary"] = router
         ctx.pools["primary"] = clients
 
-    for phase in sorted(spec.phases, key=lambda p: p.at):
+    for phase, action in timeline:
         if phase.at > cluster.sim.now:
             cluster.run(until=phase.at)
-        action = ACTIONS.get(phase.action)
-        if action is None:
-            raise ValueError(
-                f"unknown phase action {phase.action!r}; "
-                f"registered: {sorted(ACTIONS)}"
-            )
         action(ctx, **phase.params)
 
     if spec.duration is not None:
@@ -637,6 +472,7 @@ def run_spec(spec: ScenarioSpec) -> SpecRunResult:
         cluster.settle(spec.settle)
 
     result.duration = end
+    result.cost = cluster.price(end)
     result.scale_summaries = list(cluster.scale_events)
     if spec.check_invariants:
         from repro.obs.forensics import forensics

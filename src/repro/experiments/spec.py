@@ -37,6 +37,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chaos.events import FaultSchedule
 from repro.engine.node import NodeParams
+from repro.engine.replication import ReplicationSpec
+from repro.experiments.harness import EXP_NODE_PARAMS
+from repro.experiments.result import PROBES
 
 __all__ = [
     "FaultSpec",
@@ -64,14 +67,8 @@ def _jsonify(value):
 #: Named :class:`NodeParams` bases for :attr:`TopologySpec.node_params`.
 #: "experiment" is the calibrated preset every figure uses (see
 #: EXPERIMENTS.md "Calibration"); "default" is the engine's raw default.
-def _experiment_params() -> NodeParams:
-    from repro.experiments.harness import EXP_NODE_PARAMS
-
-    return EXP_NODE_PARAMS
-
-
 NODE_PARAM_PRESETS = {
-    "experiment": _experiment_params,
+    "experiment": lambda: EXP_NODE_PARAMS,
     "default": NodeParams,
 }
 
@@ -79,8 +76,17 @@ NODE_PARAM_PRESETS = {
 class _SpecBase:
     """Shared ``to_dict`` / ``from_dict`` for the flat spec dataclasses."""
 
+    #: Fields omitted from ``to_dict`` while unset, so spec JSON that
+    #: predates them (and the content-addressed cache keys derived from it)
+    #: stays byte-identical.
+    _OMIT_UNSET = ()
+
     def to_dict(self) -> Dict[str, Any]:
-        return _jsonify(asdict(self))
+        data = _jsonify(asdict(self))
+        for name in self._OMIT_UNSET:
+            if data[name] is None:
+                del data[name]
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "_SpecBase":
@@ -91,6 +97,20 @@ class _SpecBase:
                 f"{cls.__name__}: unknown spec keys {sorted(unknown)}"
             )
         return cls(**data)
+
+
+def _section(kind, name: str, data):
+    """``kind.from_dict`` of one named section of a spec read from outside."""
+    if not isinstance(data, dict):
+        raise ValueError(f"spec section {name!r} must be a mapping, got {data!r}")
+    return kind.from_dict(data)
+
+
+def _sections(kind, name: str, items) -> list:
+    items = items or ()
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"spec section {name!r} must be a list, got {items!r}")
+    return [_section(kind, f"{name}[{i}]", item) for i, item in enumerate(items)]
 
 
 @dataclass
@@ -116,6 +136,8 @@ class TopologySpec(_SpecBase):
     #: axes like ``"topology.replication.mode"`` work.  None = off.
     replication: Optional[Dict[str, Any]] = None
 
+    _OMIT_UNSET = ("replication",)
+
     def __post_init__(self):
         self.regions = tuple(self.regions)
         if self.node_params not in NODE_PARAM_PRESETS:
@@ -123,24 +145,11 @@ class TopologySpec(_SpecBase):
                 f"unknown node_params preset {self.node_params!r}; "
                 f"expected one of {sorted(NODE_PARAM_PRESETS)}"
             )
-        if self.replication is not None:
-            # Validate eagerly so a bad sweep axis fails at expand time,
-            # not deep inside a worker process.
-            from repro.engine.replication import ReplicationSpec
+        # Validate eagerly so a bad sweep axis fails at expand time, not
+        # deep inside a worker process.
+        self.resolve_replication()
 
-            ReplicationSpec(**self.replication)
-
-    def to_dict(self) -> Dict[str, Any]:
-        # Omit ``replication`` when unset so pre-existing spec JSON (and the
-        # content-addressed cache keys derived from it) stays byte-identical.
-        data = _jsonify(asdict(self))
-        if data.get("replication") is None:
-            data.pop("replication", None)
-        return data
-
-    def resolve_replication(self):
-        from repro.engine.replication import ReplicationSpec
-
+    def resolve_replication(self) -> Optional[ReplicationSpec]:
         if self.replication is None:
             return None
         return ReplicationSpec(**self.replication)
@@ -293,28 +302,11 @@ class TraceSpec(_SpecBase):
 class ProbeSpec(_SpecBase):
     """One SLO probe evaluated on the finished run.
 
-    Kinds:
-
-    * ``latency`` — ``pct``-percentile latency over the window <= threshold
-      (seconds);
-    * ``throughput_floor`` — mean committed tps over the window >= threshold;
-    * ``abort_ceiling`` — aborts / attempts over the window <= threshold;
-    * ``unavailability`` — longest zero-throughput stretch (seconds) within
-      the window <= threshold;
-    * ``migration_latency`` — ``pct``-percentile of per-MigrationTxn latency
-      over the window <= threshold (seconds): the control-plane SLO, not a
-      user-transaction metric;
-    * ``counter_max`` / ``counter_min`` — the named tracer counter (e.g.
-      ``"lock.waits"``, ``"rpc.heartbeat"``, ``"detector.fencings"``) must
-      be <= / >= threshold.  Requires ``counter`` and a spec with tracing
-      enabled (:class:`TraceSpec`); windows do not apply;
-    * ``rpo_bytes`` — worst acked-but-lost WAL bytes across the window's
-      failover promotions <= threshold (requires replication; a window
-      with no failovers reports ``value=None, ok=True`` — no data *measured*
-      is not the same claim as no data *lost*);
-    * ``rto_s`` — worst suspicion-to-first-serving failover latency
-      (seconds) across the window's promotions <= threshold; same
-      ``None``-when-unmeasured contract.
+    ``kind`` names a row of :data:`repro.experiments.result.PROBES` — what
+    is read over the window (``pct`` for the percentile kinds, ``counter``
+    for ``counter_max`` / ``counter_min``), whether ``threshold`` is a
+    ceiling or a floor, and what an empty window reads.  EXPERIMENTS.md's
+    ``ProbeSpec`` table is the same table in prose, row for row.
 
     ``every`` turns any probe into a *series* probe: besides the whole-window
     verdict, the probe is re-evaluated over consecutive ``every``-second
@@ -335,37 +327,29 @@ class ProbeSpec(_SpecBase):
     #: Counter name for the ``counter_max`` / ``counter_min`` kinds.
     counter: Optional[str] = None
 
-    KINDS = (
-        "latency",
-        "throughput_floor",
-        "abort_ceiling",
-        "unavailability",
-        "migration_latency",
-        "counter_max",
-        "counter_min",
-        "rpo_bytes",
-        "rto_s",
-    )
+    KINDS = tuple(PROBES)
+    _OMIT_UNSET = ("counter",)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(
                 f"unknown probe kind {self.kind!r}; expected one of {self.KINDS}"
             )
+        if not 0.0 <= self.pct <= 100.0:
+            raise ValueError(f"probe `pct` must be in [0, 100], got {self.pct}")
         if self.window is not None:
             self.window = tuple(self.window)
+            if len(self.window) != 2 or not self.window[0] < self.window[1]:
+                # A reversed window selects nothing and would read as the
+                # kind's vacuous empty-window verdict.
+                raise ValueError(
+                    f"probe `window` must be (t0, t1) with t0 < t1, "
+                    f"got {self.window}"
+                )
         if self.every is not None and self.every <= 0:
             raise ValueError(f"probe `every` must be positive, got {self.every}")
         if self.kind in ("counter_max", "counter_min") and not self.counter:
             raise ValueError(f"probe kind {self.kind!r} needs a `counter` name")
-
-    def to_dict(self) -> Dict[str, Any]:
-        # Omit ``counter`` when unset so pre-existing spec JSON (and the
-        # content-addressed cache keys derived from it) stays byte-identical.
-        data = _jsonify(asdict(self))
-        if data.get("counter") is None:
-            data.pop("counter", None)
-        return data
 
 
 @dataclass
@@ -435,20 +419,14 @@ class ScenarioSpec(_SpecBase):
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"ScenarioSpec: unknown spec keys {sorted(unknown)}")
-        if "topology" in data:
-            data["topology"] = TopologySpec.from_dict(data["topology"] or {})
-        if "workload" in data:
-            data["workload"] = WorkloadSpec.from_dict(data["workload"] or {})
-        data["phases"] = [
-            PhaseSpec.from_dict(p) for p in data.get("phases") or ()
-        ]
-        if data.get("faults") is not None:
-            data["faults"] = FaultSpec.from_dict(data["faults"])
-        data["probes"] = [
-            ProbeSpec.from_dict(p) for p in data.get("probes") or ()
-        ]
-        if data.get("trace") is not None:
-            data["trace"] = TraceSpec.from_dict(data["trace"])
+        for name, kind in (("topology", TopologySpec), ("workload", WorkloadSpec)):
+            if name in data:
+                data[name] = _section(kind, name, data[name] or {})
+        for name, kind in (("faults", FaultSpec), ("trace", TraceSpec)):
+            if data.get(name) is not None:
+                data[name] = _section(kind, name, data[name])
+        for name, kind in (("phases", PhaseSpec), ("probes", ProbeSpec)):
+            data[name] = _sections(kind, name, data.get(name))
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = 2) -> str:

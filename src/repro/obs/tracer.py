@@ -46,8 +46,8 @@ __all__ = ["TraceData", "Tracer", "span_summary"]
 class TraceData:
     """Picklable snapshot of a finished trace.
 
-    This is what crosses the process-pool boundary inside
-    ``PortableRunResult`` and what the exporters consume.  Event tuples:
+    This is what crosses the process-pool boundary inside a pickled
+    ``RunResult`` and what the exporters consume.  Event tuples:
 
     * ``("B", sid, parent, track, name, t, args)`` — span begin
     * ``("E", sid, t, args)`` — span end

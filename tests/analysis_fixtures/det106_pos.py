@@ -1,9 +1,9 @@
 # detlint: scope=pool-crossing
 """DET106 positive: minimal reproduction of PR 4's pickled-memo regression.
 
-``MetricsCollector`` grew a percentile memo cache; shipped inside
-``PortableRunResult`` across the process pool it bloated payloads and risked
-stale summaries until ``__getstate__`` dropped it.
+``MetricsCollector`` grew a percentile memo cache; shipped inside the pickled
+run result across the process pool it bloated payloads and risked stale
+summaries until ``__getstate__`` dropped it.
 """
 
 from collections import defaultdict

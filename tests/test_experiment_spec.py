@@ -96,6 +96,59 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError):
             ProbeSpec(kind="vibes", threshold=1.0)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(pct=150.0), "pct"),
+            (dict(pct=-1.0), "pct"),
+            (dict(window=[5.0, 1.0]), "window"),
+            (dict(window=[2.0, 2.0]), "window"),
+            (dict(window=[1.0, 2.0, 3.0]), "window"),
+        ],
+    )
+    def test_probe_rejects_out_of_range_input(self, fields, match):
+        """``pct=150`` used to raise from numpy after the whole run, and a
+        reversed window silently read as the vacuous empty-window verdict."""
+        with pytest.raises(ValueError, match=match):
+            ProbeSpec(kind="latency", threshold=1.0, **fields)
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec.from_dict({"probes": [dict(fields, threshold=1.0)]})
+
+    def test_probe_kinds_are_the_probe_table(self):
+        """Valid kinds come from the table, and every table row has its
+        documentation row in EXPERIMENTS.md's probe table."""
+        from repro.experiments.result import PROBES
+
+        assert ProbeSpec.KINDS == tuple(PROBES)
+        doc_path = os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "EXPERIMENTS.md"
+        )
+        with open(doc_path) as f:
+            doc_rows = [line.strip() for line in f if line.strip().startswith("| `")]
+        for kind, row in PROBES.items():
+            (doc,) = [r for r in doc_rows if r.startswith(f"| `{kind}` |")]
+            cells = [c.strip() for c in doc.strip("|").split("|")]
+            assert cells[2].startswith(">=" if row.floor else "<="), kind
+            assert cells[3].startswith(
+                "`None`" if row.empty is None else f"`{row.empty}`"
+            ), kind
+
+    @pytest.mark.parametrize(
+        "data, section",
+        [
+            ({"topology": 5}, "'topology'"),
+            ({"workload": "ycsb"}, "'workload'"),
+            ({"faults": [1]}, "'faults'"),
+            ({"trace": 1}, "'trace'"),
+            ({"phases": 5}, "'phases'"),
+            ({"phases": [5]}, r"'phases\[0\]'"),
+            ({"probes": [{"kind": "latency"}, "p99"]}, r"'probes\[1\]'"),
+        ],
+    )
+    def test_scenario_rejects_non_mapping_sections(self, data, section):
+        with pytest.raises(ValueError, match=f"spec section {section}"):
+            ScenarioSpec.from_dict(data)
+
     def test_scenario_full_compose(self):
         spec = ScenarioSpec(
             name="everything",
@@ -341,6 +394,28 @@ class TestNewExperiments:
             duration=5.0,
         )
         with pytest.raises(ValueError, match="horizon"):
+            run_spec(spec)
+
+    def test_unknown_action_fails_before_the_cluster_is_built(self, monkeypatch):
+        """A misspelt phase action is reported up front — not after the
+        build, the warmup and however much sim time precedes the phase."""
+        from repro.experiments import runner
+
+        def no_cluster(config):
+            raise AssertionError("cluster built before the timeline resolved")
+
+        monkeypatch.setattr(runner, "Cluster", no_cluster)
+        spec = ScenarioSpec(
+            topology=TopologySpec(nodes=2),
+            workload=WorkloadSpec(clients=2, granules=32),
+            phases=[
+                PhaseSpec(at=1.0, action="scale_out", params={"count": 1}),
+                PhaseSpec(at=30.0, action="scale_owt"),
+            ],
+        )
+        with pytest.raises(
+            ValueError, match=r"unknown phase action 'scale_owt'; registered: \["
+        ):
             run_spec(spec)
 
     def test_slo_spec_runs_from_json(self, tmp_path):

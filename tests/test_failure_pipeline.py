@@ -307,8 +307,8 @@ class TestRunFailoverShapes:
         assert [(dead, n) for _t, dead, n in cluster.metrics.failovers] == [
             (2, len(granules))
         ]
-        assert list(cluster.metrics.rpo_samples) == [0.0]
-        (rto,) = cluster.metrics.rto_samples
+        assert list(cluster.metrics.rpo.values) == [0.0]
+        (rto,) = cluster.metrics.rto.values
         assert rto == pytest.approx(cluster.metrics.failovers[0][0] - 0.1)
 
     def test_best_follower_is_the_caller(self, crashed):
@@ -366,4 +366,4 @@ class TestRunFailoverShapes:
         assert len(cluster.metrics.failovers) == 1
         # The authoritative-store path is not a promotion: no RPO/RTO sample.
         assert cluster.replicas.promotions == 0
-        assert not cluster.metrics.rpo_samples and not cluster.metrics.rto_samples
+        assert not cluster.metrics.rpo and not cluster.metrics.rto

@@ -1,9 +1,11 @@
 """Tests for the metrics collector and cost model (§6.1.4-§6.1.5)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cost import CostModel
-from repro.cluster.metrics import MetricsCollector
+from repro.cluster.metrics import MetricsCollector, SampleSeries
 
 
 class TestMetricsCollector:
@@ -111,7 +113,9 @@ class TestMetricsCollector:
         m.record_commit(0.2, 0.01)
         m.record_commit(1.7, 0.02)
         m.record_commit(0.9, 0.03)
-        assert m.latencies == {0: [0.01, 0.03], 1: [0.02]}
+        assert list(m.latency.window(0.0, 1.0)) == [0.01, 0.03]
+        assert list(m.latency.window(1.0, 2.0)) == [0.02]
+        assert list(m.latency.window(0.0, 2.0)) == [0.01, 0.03, 0.02]
 
     def test_latency_series_out_of_order_commits(self):
         # Commit times are usually monotonic (sim time) but the collector
@@ -124,6 +128,62 @@ class TestMetricsCollector:
         assert series[0.0] == pytest.approx(0.01)
         assert series[1.0] == 0.0
         assert series[2.0] == pytest.approx(0.05)
+
+
+class TestSampleSeries:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.floats(0.0, 50.0), st.floats(0.0, 1e6, allow_nan=False)
+            ),
+            max_size=60,
+        ),
+        bucket=st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 2.5]),
+        t0=st.floats(-1.0, 55.0),
+        t1=st.floats(-1.0, 55.0),
+        pct=st.floats(0.0, 100.0),
+    )
+    def test_window_is_the_brute_force_bucket_filter(
+        self, samples, bucket, t0, t1, pct
+    ):
+        """``window`` selects by ``t0 <= b * bucket < t1`` — the predicate the
+        per-bucket dict builders applied — and percentile / max over it are
+        bit-identical to the same statistics of the filtered list."""
+        series = SampleSeries(bucket)
+        expected = []
+        for t, value in samples:
+            b = int(t // bucket)
+            series.add(b, value)
+            if t0 <= b * bucket < t1:
+                expected.append(value)
+        window = series.window(t0, t1)
+        assert sorted(window) == sorted(expected)
+        if expected:
+            assert float(np.percentile(window, pct)) == float(
+                np.percentile(expected, pct)
+            )
+            assert float(window.max()) == float(max(expected))
+        series.add(0, 1.0)  # the memoised view must not pin the buffers
+        assert len(series.window(-1.0, bucket)) == len(
+            [1 for t, _v in samples if int(t // bucket) == 0]
+        ) + 1
+
+    def test_stats_and_pickle_drop_the_memo(self):
+        import pickle
+
+        series = SampleSeries(1.0)
+        assert series.stats() == {"mean": 0.0, "p50": 0.0, "p99": 0.0}
+        for b, value in ((2, 3.0), (0, 1.0), (2, 2.0)):
+            series.add(b, value)
+        assert series.stats()["mean"] == 2.0
+        ids, starts, values = series.grouped()
+        assert (list(ids), list(starts), list(values)) == (
+            [0, 2, 2], [0.0, 2.0, 2.0], [1.0, 3.0, 2.0]
+        )
+        clone = pickle.loads(pickle.dumps(series))
+        assert clone._grouped is None
+        assert list(clone.window(2.0, 3.0)) == [3.0, 2.0]
 
 
 class TestCostModel:

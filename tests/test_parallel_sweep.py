@@ -17,12 +17,8 @@ import time
 
 import pytest
 
-from repro.experiments.parallel import (
-    CellFailure,
-    PortableRunResult,
-    ProcessPoolRunner,
-    run_cells,
-)
+from repro.experiments.parallel import CellFailure, ProcessPoolRunner, run_cells
+from repro.experiments.result import RunResult
 from repro.experiments.runner import register_action, run_spec
 from repro.experiments.spec import (
     FaultSpec,
@@ -97,10 +93,10 @@ class TestParity:
         parallel = sweep.run(workers=4)
         assert [p for p, _r in serial] == [p for p, _r in parallel]
         for (point, s), (_point, p) in zip(serial, parallel):
-            assert isinstance(p, PortableRunResult), point
+            assert type(p) is RunResult and p.cluster is None, point
             ms, mpar = s.metrics, p.metrics
             # The full latency stream, not just aggregates: bit-identical.
-            assert list(ms._lat_values) == list(mpar._lat_values)
+            assert list(ms.latency.values) == list(mpar.latency.values)
             assert dict(ms.committed) == dict(mpar.committed)
             assert dict(ms.aborted) == dict(mpar.aborted)
             assert ms.failovers == mpar.failovers
@@ -217,7 +213,7 @@ class TestFailureSemantics:
 
     def test_empty_and_single_cell(self):
         assert ProcessPoolRunner(workers=2).run([]) == []
-        # run_cells forces serial for a single cell (real SpecRunResult).
+        # run_cells forces serial for a single cell (run in this process).
         (only,) = run_cells([small_base()], workers=8)
         assert only.cluster is not None
 
@@ -351,7 +347,7 @@ class TestProbeExtensions:
         )
         m = result.metrics
         assert len(m.failovers) >= 1
-        assert len(m.migration_latencies) > 0
+        assert len(m.migration_latency) > 0
         probe = {p.name: p for p in result.probes}["migration_p99"]
         assert probe.value > 0.0
         assert probe.value == pytest.approx(m.migration_latency_stats()["p99"])

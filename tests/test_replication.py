@@ -193,11 +193,11 @@ class TestPromotion:
         assert manager.promotions == 1
         # RPO was measured (one sample per promotion); sync_quorum's lag is
         # zero by construction in a partition-free run.
-        assert len(cluster.metrics.rpo_samples) == 1
-        assert len(cluster.metrics.rto_samples) == 1
+        assert len(cluster.metrics.rpo) == 1
+        assert len(cluster.metrics.rto) == 1
         if mode == "sync_quorum":
-            assert cluster.metrics.rpo_samples[0] == 0.0
-        assert cluster.metrics.rto_samples[0] > 0.0
+            assert cluster.metrics.rpo.values[0] == 0.0
+        assert cluster.metrics.rto.values[0] > 0.0
         # The restarted node reconciled its tails on recovery.
         assert manager.reconciles >= 1
         # Ownership is consistent at quiescence: nothing still owned by the
@@ -213,7 +213,7 @@ class TestPromotion:
         schedule.at(2.2, Crash(node=1, rejoin=True, duration=4.0))
         cluster = _run_replicated("async", until=12.0, schedule=schedule)
         assert cluster.replicas.promotions == 1
-        assert cluster.metrics.rpo_samples[0] > 0.0
+        assert cluster.metrics.rpo.values[0] > 0.0
 
 
 class TestQuorumSafety:
@@ -326,8 +326,8 @@ def _replicated_fingerprint(seed: int, mode: str = "sync_quorum"):
         "committed": cluster.metrics.total_committed,
         "aborted": cluster.metrics.total_aborted,
         "failovers": list(cluster.metrics.failovers),
-        "rpo": list(cluster.metrics.rpo_samples),
-        "rto": list(cluster.metrics.rto_samples),
+        "rpo": list(cluster.metrics.rpo.values),
+        "rto": list(cluster.metrics.rto.values),
         "ships": manager.ships,
         "acks": manager.acks,
         "bytes_shipped": manager.bytes_shipped,

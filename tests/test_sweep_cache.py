@@ -4,23 +4,20 @@ The contract (see ``repro/experiments/cache.py``): a cell result is keyed by
 the SHA-256 of its canonical JSON spec — seed included — plus the code
 epoch; a warm run returns summaries *bit-identical* to a cold run; serial
 and pool execution share the same cache entries (the stored artifact is the
-worker-shipped ``PortableRunResult`` pickle either way); corrupt entries and
+pickled ``RunResult`` either way); corrupt entries and
 epoch bumps degrade to misses, never to wrong results; failures are never
 cached.
 """
 
+import json
 import multiprocessing as mp
 import pickle
 
 import pytest
 
 from repro.experiments.cache import CACHE_EPOCH, ResultCache, resolve_cache
-from repro.experiments.parallel import (
-    CellFailure,
-    PortableRunResult,
-    ProcessPoolRunner,
-    run_cells,
-)
+from repro.experiments.parallel import CellFailure, ProcessPoolRunner, run_cells
+from repro.experiments.result import RunResult
 from repro.experiments.spec import (
     ScenarioSpec,
     Sweep,
@@ -82,9 +79,9 @@ class TestSerialCache:
         assert cache.stats() == {"hits": 2, "misses": 2, "stores": 2}
         for (point, c), (wpoint, w) in zip(cold, warm):
             assert point == wpoint
-            assert isinstance(w, PortableRunResult)
+            assert type(w) is RunResult and w.cluster is None
             assert w.summary() == c.summary()
-            assert list(w.metrics._lat_values) == list(c.metrics._lat_values)
+            assert list(w.metrics.latency.values) == list(c.metrics.latency.values)
 
     def test_uncached_run_matches_cached_run(self, tmp_path):
         sweep = seed_sweep()
@@ -119,6 +116,49 @@ class TestSerialCache:
         cache.path_for(spec).write_bytes(pickle.dumps({"not": "a result"}))
         assert cache.get(spec) is None
         assert not cache.path_for(spec).exists()
+        # An entry written before the result classes were folded into one
+        # names a class that no longer exists: unpickling raises, and the
+        # "unreadable entry is a miss" rule serves it — no shim, no crash.
+        good = pickle.dumps(run_cells([spec])[0], protocol=2)
+        name = b"repro.experiments.result\nRunResult\n"
+        assert name in good
+        stale = good.replace(name, b"repro.experiments.parallel\nPortableRunResult\n")
+        cache.path_for(spec).write_bytes(stale)
+        assert cache.get(spec) is None
+        assert not cache.path_for(spec).exists()
+        (repaired,) = run_cells([spec], cache=cache)  # re-executes, re-stores
+        assert cache.stats() == {"hits": 0, "misses": 3, "stores": 1}
+        assert cache.get(spec).summary() == repaired.summary()
+
+    def test_every_path_returns_the_same_run_result(self, tmp_path):
+        """Serial, serial + cold cache, warm cache and a pool hand back one
+        type with byte-identical canonical summaries; only a cell executed
+        in this process keeps its cluster, and pickling drops it."""
+        specs = [spec for _point, spec in seed_sweep().expand()]
+        cache = ResultCache(tmp_path)
+        paths = {
+            "serial": run_cells(specs),
+            "cold": run_cells(specs, cache=cache),
+            "warm": run_cells(specs, cache=cache),
+            "pool": run_cells(specs, workers=2),
+        }
+        assert cache.stats() == {"hits": 2, "misses": 2, "stores": 2}
+        canonical = {
+            name: json.dumps(
+                [r.summary() for r in results],
+                sort_keys=True, separators=(",", ":"),
+            )
+            for name, results in paths.items()
+        }
+        assert len(set(canonical.values())) == 1
+        for name, results in paths.items():
+            live = name in ("serial", "cold")
+            for r in results:
+                assert type(r) is RunResult and r.ok, name
+                assert (r.cluster is not None) == live, name
+        live = paths["serial"][0]
+        assert pickle.loads(pickle.dumps(live)).cluster is None
+        assert live.cluster is not None  # detaching the copy, not the original
 
     def test_epoch_bump_invalidates_everything(self, tmp_path):
         sweep = seed_sweep()
@@ -148,7 +188,7 @@ class TestParallelCache:
         runner = ProcessPoolRunner(workers=2)
         results = runner.run(specs, cache=cache)
         assert cache.hits == 2
-        assert all(isinstance(r, PortableRunResult) for r in results)
+        assert all(type(r) is RunResult and r.cluster is None for r in results)
 
     def test_partial_fill_executes_only_missing_cells(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -166,7 +206,7 @@ class TestParallelCache:
         cache = ResultCache(tmp_path)
         ok = small_base()
         results = ProcessPoolRunner(workers=2).run([ok, POISONED], cache=cache)
-        assert isinstance(results[0], PortableRunResult)
+        assert type(results[0]) is RunResult
         assert isinstance(results[1], CellFailure)
         assert cache.stores == 1
         assert cache.get(POISONED) is None  # still a miss next time
