@@ -34,7 +34,6 @@ from repro.chaos.events import (
 from repro.chaos.scenarios import (
     coordination_outage,
     crash_restart_cycle,
-    flaky_link,
     gray_failure,
     rolling_partition,
     storage_brownout,
@@ -54,7 +53,6 @@ __all__ = [
     "StorageStall",
     "coordination_outage",
     "crash_restart_cycle",
-    "flaky_link",
     "gray_failure",
     "rolling_partition",
     "storage_brownout",

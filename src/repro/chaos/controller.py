@@ -87,9 +87,8 @@ class ChaosController:
 
     def _record(self, phase: str, event: FaultEvent) -> None:
         self.fault_log.append((self.sim.now, phase, event))
-        tracer = getattr(self.cluster, "tracer", None)
+        tracer = self.cluster.tracer
         if tracer is not None:
-            tracer.count("chaos." + phase)
             tracer.instant(
                 "chaos", "chaos:" + phase,
                 args={"event": type(event).__name__},

@@ -9,12 +9,11 @@ parameter.  Times are absolute sim seconds, matching the harness convention
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.chaos.events import (
     Crash,
     FaultSchedule,
-    PacketLoss,
     Partition,
     SlowNode,
     StorageStall,
@@ -23,7 +22,6 @@ from repro.chaos.events import (
 __all__ = [
     "coordination_outage",
     "crash_restart_cycle",
-    "flaky_link",
     "gray_failure",
     "replica_link_degradation",
     "rolling_partition",
@@ -165,16 +163,4 @@ def crash_restart_cycle(
     """Crash a node and bring it back ``down_for`` seconds later."""
     return FaultSchedule().at(
         at, Crash(node=node, rejoin=rejoin, duration=down_for)
-    )
-
-
-def flaky_link(
-    pair: Tuple[int, int],
-    at: float = 1.0,
-    rate: float = 0.3,
-    duration: float = 2.0,
-) -> FaultSchedule:
-    """Probabilistic loss on one node pair (both directions)."""
-    return FaultSchedule().at(
-        at, PacketLoss(pair=pair, rate=rate, duration=duration)
     )

@@ -10,7 +10,8 @@ checks.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector
@@ -21,20 +22,95 @@ from repro.engine.node import (
     MTABLE,
     SYSLOG,
     ComputeNode,
-    glog_name,
     node_address,
 )
 from repro.sim.core import Simulator, Timeout, all_of
 from repro.sim.network import LatencyModel, Network
+from repro.sim.resources import CpuResource
 from repro.sim.rpc import RpcEndpoint
 from repro.storage.log import Delete, Put, RecordKind
 from repro.storage.service import StorageService
 
-__all__ = ["Cluster"]
+__all__ = ["STATS", "Cluster"]
 
 
 def storage_address(region: str) -> str:
     return f"storage-{region}"
+
+
+def _sum(items: str, read: str) -> Callable:
+    """Reader summing the dotted attribute ``read`` over ``cluster.<items>``
+    (a list, or a dict's values)."""
+    get_items, get = attrgetter(items), attrgetter(read)
+
+    def total(c: "Cluster") -> int:
+        xs = get_items(c)
+        return sum(get(x) for x in (xs.values() if isinstance(xs, dict) else xs))
+
+    return total
+
+
+def _reconfig_commits(external: bool) -> Callable:
+    """One runtime class per cell: MarlinRuntime, or ExternalRuntime."""
+    read = _sum("nodes", "runtime.reconfig_commits")
+    return lambda c: read(c) if (c.service is not None) == external else 0
+
+
+def _jobs_completed(c: "Cluster") -> int:
+    """Jobs done on every node's CPU and on each CpuResource the coordination
+    service holds (a leader pipeline, or fdb's sequencer and shards)."""
+    held = [n.cpu for n in c.nodes.values()]
+    for value in vars(c.service).values() if c.service is not None else ():
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        held.extend(r for r in items if isinstance(r, CpuResource))
+    return sum(r.jobs_completed for r in held)
+
+
+#: ``Cluster.stats()`` key -> its reader.  Every value is an always-on slot a
+#: layer already keeps, so reading it adds nothing to any hot path; keys are
+#: ``<package>.<module>.<counter>`` (OBSERVABILITY.md has the catalogue).
+STATS: Dict[str, Callable[["Cluster"], int]] = {
+    "sim.core.events_executed": attrgetter("sim.events_executed"),
+    "sim.rpc.requests_served": _sum("network.endpoints", "requests_served"),
+    "sim.network.messages_sent": attrgetter("network.messages_sent"),
+    "sim.network.messages_dropped": attrgetter("network.messages_dropped"),
+    "sim.resources.jobs_completed": _jobs_completed,
+    "storage.service.appends_served": _sum("storages", "appends_served"),
+    "storage.service.reads_served": _sum("storages", "reads_served"),
+    "storage.log.failed_appends": lambda c: sum(
+        log.failed_appends for s in c.storages.values() for log in s.logs.values()
+    ),
+    "storage.pagestore.records_applied": _sum("storages", "pagestore.records_applied"),
+    **{f"engine.locks.{k}": _sum("nodes", f"locks.{k}")
+       for k in ("acquisitions", "conflicts", "waits")},
+    **{f"engine.buffer.{k}": _sum("nodes", f"cache.{k}")
+       for k in ("hits", "misses", "evictions")},
+    **{f"engine.group_commit.{k}": _sum("nodes", f"committer.{k}")
+       for k in ("batches_flushed", "records_flushed", "cas_failures")},
+    **{f"engine.replication.{k}": lambda c, k=k: getattr(c.replicas, k, 0)
+       for k in ("ships", "bytes_shipped")},
+    **{f"engine.node.{k}": lambda c, k=k: sum(n.stats[k] for n in c.nodes.values())
+       for k in ComputeNode.COUNTERS},
+    "core.runtime.reconfig_commits": _reconfig_commits(external=False),
+    "coord.external.reconfig_commits": _reconfig_commits(external=True),
+    **{f"core.failure.{k}": _sum("_all_detectors", k)
+       for k in FailureDetector.COUNTERS},
+    "core.recovery.passes": lambda c: len(c.recovery_reports),
+    **{f"core.recovery.{k}": _sum("recovery_reports", k)
+       for k in ("in_doubt", "begun_unvoted", "coordinator_open", "committed",
+                 "aborted")},
+    # Each external service keeps the subset its protocol serves.
+    **{f"coord.service.{k}": lambda c, k=k: getattr(c.service, k, 0)
+       for k in ("writes_served", "reads_served", "renews_served", "commits_served")},
+    "coord.session.pings_served": lambda c: getattr(c.service, "pings_served", 0),
+    "cluster.metrics.committed": attrgetter("metrics.total_committed"),
+    "cluster.metrics.aborted": attrgetter("metrics.total_aborted"),
+    "cluster.metrics.migrations": attrgetter("metrics.total_migrations"),
+    # Read only if a schedule or a test created the controller.
+    "chaos.controller.faults_injected": (
+        lambda c: 0 if c._chaos is None else c._chaos.faults_injected
+    ),
+}
 
 
 class Cluster:
@@ -225,8 +301,7 @@ class Cluster:
         ``first_failover_s`` minus the fault's injection time.
         """
         stats: Dict[str, object] = {
-            counter: sum(getattr(d, counter) for d in self._all_detectors)
-            for counter in FailureDetector.COUNTERS
+            key: STATS[f"core.failure.{key}"](self) for key in FailureDetector.COUNTERS
         }
         started = [
             d.first_failover_at for d in self._all_detectors
@@ -234,6 +309,10 @@ class Cluster:
         ]
         stats["first_failover_s"] = min(started, default=None)
         return stats
+
+    def stats(self) -> Dict[str, int]:
+        """Every always-on work counter of this cluster, keyed as :data:`STATS`."""
+        return {key: read(self) for key, read in STATS.items()}
 
     # -- introspection ---------------------------------------------------------------
 

@@ -175,7 +175,6 @@ class FailureDetector:
         self.suspicions_raised += 1
         tracer = node.tracer
         if tracer is not None:
-            tracer.count("detector.suspicions")
             tracer.instant(
                 node.address, "detector:suspect",
                 args={"target": target, **evidence},
@@ -206,8 +205,6 @@ class FailureDetector:
         try:
             if not (yield from self.confirm(key, target)):
                 self.stand_downs += 1
-                if tracer is not None:
-                    tracer.count("detector.stand_downs")
                 outcome = "stand_down"
                 return
             if self.first_failover_at is None:
@@ -233,7 +230,6 @@ class FailureDetector:
                     yield Timeout((0.25 + node.sim.rng.random()) * self.interval)
             self.fencings_committed += 1
             if tracer is not None:
-                tracer.count("detector.fencings")
                 tracer.instant(
                     node.address, "detector:fence", args={"target": target}
                 )

@@ -134,10 +134,6 @@ def recover_node(node: "ComputeNode") -> Generator:
     records = yield node.storage_call("read_log", node.glog, 0, log=node.glog)
     node.lsn_tracker[node.glog] = records[-1].lsn if records else 0
     plan = analyze(records, node.glog)
-    if tracer is not None:
-        tracer.count("recovery.in_doubt", len(plan.in_doubt))
-        tracer.count("recovery.begun_unvoted", len(plan.begun_unvoted))
-        tracer.count("recovery.coordinator_open", len(plan.coordinator_open))
     report = RecoveryReport(
         node_id=node.node_id,
         log_name=node.glog,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.sim.core import Future, Timeout
+from repro.sim.core import Future
 from repro.storage.log import AppendResult, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,8 +115,6 @@ class GroupCommitter:
             self.batches_flushed += 1
             if result.ok:
                 self.records_flushed += len(batch)
-                if tracer is not None:
-                    tracer.count("wal.appends", len(batch))
                 # Replication rides the flush batch (piggyback ships exactly
                 # this batch; sync_quorum blocks the acks below on follower
                 # acks — commit futures resolve only after the quorum).

@@ -17,7 +17,7 @@ entries lock ``("gtable", gid)``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["LockConflict", "LockTable"]
 
@@ -170,7 +170,6 @@ class LockTable:
         self.waits += 1
         tracer = self.tracer
         if tracer is not None:
-            tracer.count("lock.waits")
             wsid = tracer.begin(
                 self.track, "lock_wait",
                 args={"txn": txn_id, "key": str(key)},

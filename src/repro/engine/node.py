@@ -23,8 +23,7 @@ the race MarlinCommit must win.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.engine.buffer import CacheManager
@@ -158,6 +157,12 @@ class ComputeNode:
     joins that list; nothing else on a node is tested for ``None``.
     """
 
+    #: The always-on outcome counters kept in :attr:`stats`.
+    COUNTERS = (
+        "committed", "aborted", "wrong_node", "lock_conflicts", "cas_aborts",
+        "branches_served", "fast_path_commits", "two_pc_commits",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -225,16 +230,7 @@ class ComputeNode:
         #: happen to share the process.
         self._txn_seq = 0
 
-        self.stats = {
-            "committed": 0,
-            "aborted": 0,
-            "wrong_node": 0,
-            "lock_conflicts": 0,
-            "cas_aborts": 0,
-            "branches_served": 0,
-            "fast_path_commits": 0,
-            "two_pc_commits": 0,
-        }
+        self.stats = dict.fromkeys(self.COUNTERS, 0)
 
         for method, handler in (
             ("user_txn", self._h_user_txn),
@@ -358,7 +354,6 @@ class ComputeNode:
         tracer = self.tracer
         sid = 0
         if tracer is not None:
-            tracer.count("wal.appends")
             # The span covers the gate wait too, so WAL-gate queueing shows
             # up as time-in-wal_append rather than vanishing.
             sid = tracer.begin(
@@ -547,10 +542,6 @@ class ComputeNode:
         misses = self.cache.probe(
             [(table, key // per_page) for _write, table, key, _incr in ops]
         )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.count("cache.misses", len(misses))
-            tracer.count("cache.hits", len(ops) - len(misses))
         yield from self.cpu.run(len(ops) * self.params.op_cpu)
         if misses:
             fetches = [

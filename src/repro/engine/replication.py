@@ -267,7 +267,6 @@ class ReplicaManager:
             acked = tail.apply(lsn, records)
             tracer = node.tracer
             if tracer is not None:
-                tracer.count("repl.acks")
                 tracer.instant(
                     node.address, "repl:ack",
                     args={"from": primary_id, "lsn": lsn},
@@ -322,7 +321,6 @@ class ReplicaManager:
         tracer = node.tracer
         sid = 0
         if tracer is not None:
-            tracer.count("repl.ships")
             sid = tracer.begin(
                 node.address, "repl:ship",
                 args={"to": fid, "lsn": lsn, "records": len(payload)},

@@ -202,22 +202,22 @@ def recovery_spec(
 def row(point, result):
     m = result.metrics
     probes = {p.name: p for p in result.probes}
-    coord = result.extras.get("coordination", {})
-    recovery = result.extras.get("recovery", {})
+    c = result.extras["counters"]
+    fast, two_pc = c["engine.node.fast_path_commits"], c["engine.node.two_pc_commits"]
     return dict(
         crash=point["crash_kind"],
         system=label(point["system"]),
         committed=m.total_committed,
         aborted=m.total_aborted,
-        recovery_passes=recovery.get("passes", 0),
-        in_doubt=recovery.get("in_doubt", 0),
-        begun_unvoted=recovery.get("begun_unvoted", 0),
-        coordinator_open=recovery.get("coordinator_open", 0),
-        recovered_commit=recovery.get("committed", 0),
-        recovered_abort=recovery.get("aborted", 0),
-        fast_commits=coord.get("fast_path_commits", 0),
-        two_pc_commits=coord.get("two_pc_commits", 0),
-        fast_frac=coord.get("avoided_fraction", 0.0),
+        recovery_passes=c["core.recovery.passes"],
+        in_doubt=c["core.recovery.in_doubt"],
+        begun_unvoted=c["core.recovery.begun_unvoted"],
+        coordinator_open=c["core.recovery.coordinator_open"],
+        recovered_commit=c["core.recovery.committed"],
+        recovered_abort=c["core.recovery.aborted"],
+        fast_commits=fast,
+        two_pc_commits=two_pc,
+        fast_frac=fast / (fast + two_pc) if fast + two_pc else 0.0,
         p99_s=probes["p99_latency"].value,
         unavail_s=probes["unavailability"].value,
         **span_columns(result),

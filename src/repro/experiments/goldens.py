@@ -4,7 +4,8 @@ One module owns every golden the test suite pins a seeded run against:
 
 * :data:`DETERMINISM_GOLDEN` — the kernel-determinism scenario
   (``tests/test_kernel_determinism.py``): exact event count, commit/abort/
-  migration totals and final simulated time of one seeded scale-out run.
+  migration totals, final simulated time and ``Cluster.stats()`` of one
+  seeded scale-out run.
 * :data:`SPEC_PARITY_GOLDENS` — the spec-runner parity scenarios
   (``tests/test_experiment_spec.py``): the fig8 family, fig14 dynamic and
   fig15 stress runs.
@@ -52,6 +53,25 @@ DETERMINISM_GOLDEN = {
     "total_aborted": 73,
     "total_migrations": 32,
     "final_now": 3.572544273356236,
+    #: The non-zero ``Cluster.stats()`` counters of the same run (the key set
+    #: is static, so every key left out reads 0).
+    "stats": {
+        "sim.core.events_executed": 15348, "sim.rpc.requests_served": 2009,
+        "sim.network.messages_sent": 3981, "sim.resources.jobs_completed": 305,
+        "storage.service.appends_served": 441,
+        "storage.service.reads_served": 1085,
+        "storage.pagestore.records_applied": 470,
+        "engine.locks.acquisitions": 4971, "engine.locks.conflicts": 61,
+        "engine.locks.waits": 2,
+        "engine.buffer.hits": 5473, "engine.buffer.misses": 1083,
+        "engine.group_commit.batches_flushed": 279,
+        "engine.group_commit.records_flushed": 305,
+        "engine.node.committed": 273, "engine.node.aborted": 73,
+        "engine.node.wrong_node": 12, "engine.node.lock_conflicts": 61,
+        "core.runtime.reconfig_commits": 34,
+        "cluster.metrics.committed": 265, "cluster.metrics.aborted": 73,
+        "cluster.metrics.migrations": 32,
+    },
 }
 
 SPEC_PARITY_GOLDENS = {

@@ -62,9 +62,6 @@ class FigureResult:
         self.rows: List[Dict] = []
         self.findings: Dict[str, float] = {}
 
-    def add_row(self, **fields) -> None:
-        self.rows.append(dict(fields))
-
     def to_dict(self, include_series: bool = True) -> Dict:
         """JSON-ready form (the ``python -m repro.experiments`` CLI output)."""
         rows = []

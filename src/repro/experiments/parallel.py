@@ -349,13 +349,14 @@ def run_cells(
 ) -> List[Any]:
     """Run a list of cells, serially or on a pool (what ``Grid.run`` calls).
 
-    Serial is forced when ``workers`` is None or <= 1, or when there are
-    fewer than two cells; the serial path calls
+    Without a ``timeout``, serial is forced when ``workers`` is None or <= 1,
+    or when there are fewer than two cells; the serial path calls
     :func:`~repro.experiments.runner.run_spec` in-process (the bit-identical
-    baseline) and raises on the first failing cell.  The parallel path
-    completes the whole grid and returns :class:`CellFailure` entries for
-    failed cells — see :func:`raise_failures` for callers that need
-    everything to have succeeded.
+    baseline) and raises on the first failing cell.  A ``timeout`` always
+    takes the pool, the only path that can enforce one.  The pool completes
+    the whole grid and returns :class:`CellFailure` entries for failed cells
+    — see :func:`raise_failures` for callers that need everything to have
+    succeeded.
 
     ``cache`` (a directory path or
     :class:`~repro.experiments.cache.ResultCache`) consults the
@@ -367,7 +368,7 @@ def run_cells(
     """
     specs = list(specs)
     cache = resolve_cache(cache)
-    if workers is None or workers <= 1 or len(specs) <= 1:
+    if timeout is None and (workers is None or workers <= 1 or len(specs) <= 1):
         results: List[Any] = []
         for spec in specs:
             result = cache.get(spec) if cache is not None else None
@@ -378,7 +379,7 @@ def run_cells(
             results.append(result)
         return results
     return ProcessPoolRunner(
-        workers=workers, timeout=timeout, start_method=start_method
+        workers=workers or 1, timeout=timeout, start_method=start_method
     ).run(specs, cache=cache)
 
 

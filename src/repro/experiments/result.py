@@ -203,10 +203,9 @@ def _abort_ratio(result, probe, t0, t1):
 
 
 def _counter(result, probe, t0, t1):
-    # Whole-run counters from the tracing registry; windows do not apply
-    # (counters are not bucketed).  An untraced run has none.
-    value = (result.extras.get("counters") or {}).get(probe.counter)
-    return None if value is None else float(value)
+    # A whole-run ``Cluster.stats()`` value; windows do not apply (counters
+    # are not bucketed).
+    return float(result.extras["counters"][probe.counter])
 
 
 #: kind -> how it is read, ceiling or floor, what an empty window reads.

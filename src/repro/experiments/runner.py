@@ -480,27 +480,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
         with forensics(cluster):
             live = [cluster.nodes[n] for n in cluster.live_node_ids()]
             check_view_consistency(live, cluster.gmap.num_granules)
-    fast = sum(n.stats["fast_path_commits"] for n in cluster.nodes.values())
-    two_pc = sum(n.stats["two_pc_commits"] for n in cluster.nodes.values())
-    if fast or two_pc:
-        result.extras["coordination"] = {
-            "fast_path_commits": fast,
-            "two_pc_commits": two_pc,
-            "avoided_fraction": fast / (fast + two_pc) if fast + two_pc else 0.0,
-        }
-    if cluster.recovery_reports:
-        result.extras["recovery"] = {
-            "passes": len(cluster.recovery_reports),
-            "in_doubt": sum(r.in_doubt for r in cluster.recovery_reports),
-            "begun_unvoted": sum(
-                r.begun_unvoted for r in cluster.recovery_reports
-            ),
-            "coordinator_open": sum(
-                r.coordinator_open for r in cluster.recovery_reports
-            ),
-            "committed": sum(r.committed for r in cluster.recovery_reports),
-            "aborted": sum(r.aborted for r in cluster.recovery_reports),
-        }
+    result.extras["counters"] = cluster.stats()
     if cluster.replicas is not None:
         result.extras["replication"] = cluster.replicas.stats()
     if cluster._all_detectors:
@@ -511,13 +491,7 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
     if tracer is not None:
         from repro.obs import span_summary
 
-        tracer.count("commit.fast_path", fast)
-        tracer.count("commit.two_pc", two_pc)
-        tracer.count("txn.committed", cluster.metrics.total_committed)
-        tracer.count("txn.aborted", cluster.metrics.total_aborted)
-        trace = tracer.detach()
-        result.trace = trace
-        result.extras["counters"] = dict(sorted(trace.counters.items()))
-        result.extras["span_summary"] = span_summary(trace)
+        result.trace = tracer.detach()
+        result.extras["span_summary"] = span_summary(result.trace)
     result.probes = [_evaluate_probe(p, result) for p in spec.probes]
     return result

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chaos.events import FaultSchedule
+from repro.cluster.cluster import STATS
 from repro.engine.node import NodeParams
 from repro.engine.replication import ReplicationSpec
 from repro.experiments.harness import EXP_NODE_PARAMS
@@ -276,7 +277,7 @@ class TraceSpec(_SpecBase):
     :class:`repro.obs.Tracer` to the cluster before the run: every RPC,
     transaction, 2PC phase, WAL append, lock wait, migration, detector
     verdict and chaos action becomes a span/instant keyed by sim time, the
-    run result carries the detached trace plus a counters registry, and
+    run result carries the detached trace and its ``span_summary``, and
     each node keeps a bounded flight-recorder ring for failure forensics.
     Tracing is purely observational — a traced run executes the exact same
     event sequence as an untraced one.
@@ -285,8 +286,7 @@ class TraceSpec(_SpecBase):
     enabled: bool = True
     #: Per-track flight-recorder ring size (last N span events kept).
     flight_recorder: int = 256
-    #: Optional span-name prefixes; spans not matching any are dropped
-    #: (counters and instants are always recorded).
+    #: Optional name prefixes; spans and instants matching none are dropped.
     filter: Optional[List[str]] = None
 
     def __post_init__(self):
@@ -324,7 +324,7 @@ class ProbeSpec(_SpecBase):
     window: Optional[Tuple[float, float]] = None
     #: Sub-window width (seconds) for the per-window probe series.
     every: Optional[float] = None
-    #: Counter name for the ``counter_max`` / ``counter_min`` kinds.
+    #: ``Cluster.stats()`` key for the ``counter_max`` / ``counter_min`` kinds.
     counter: Optional[str] = None
 
     KINDS = tuple(PROBES)
@@ -348,8 +348,11 @@ class ProbeSpec(_SpecBase):
                 )
         if self.every is not None and self.every <= 0:
             raise ValueError(f"probe `every` must be positive, got {self.every}")
-        if self.kind in ("counter_max", "counter_min") and not self.counter:
-            raise ValueError(f"probe kind {self.kind!r} needs a `counter` name")
+        if self.kind in ("counter_max", "counter_min") and self.counter not in STATS:
+            raise ValueError(
+                f"probe kind {self.kind!r} needs a `counter` that is a "
+                f"Cluster.stats() key, got {self.counter!r}; valid: {sorted(STATS)}"
+            )
 
 
 @dataclass
@@ -623,14 +626,15 @@ class Sweep:
     ) -> List[Tuple[Dict[str, Any], Any]]:
         """Run every cell; returns ``[(point, result), ...]`` in grid order.
 
-        ``workers > 1`` executes cells on a
+        ``workers > 1`` or a ``timeout`` executes cells on a
         :class:`repro.experiments.parallel.ProcessPoolRunner`: results come
         back in the same deterministic cell order (keyed by index, not
         completion), seeded runs are bit-identical to the serial path, and a
         crashed / timed-out / failing cell yields a structured
         :class:`~repro.experiments.parallel.CellFailure` in its slot while
         the rest of the grid completes.  Serial mode (``workers`` None or
-        <= 1) runs in-process and raises on the first failing cell.
+        <= 1, no ``timeout``) runs in-process and raises on the first failing
+        cell.
 
         ``cache`` (a directory path or
         :class:`~repro.experiments.cache.ResultCache`) short-circuits cells

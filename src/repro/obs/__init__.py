@@ -2,9 +2,8 @@
 
 See OBSERVABILITY.md for the span model and how the pieces connect:
 
-* :class:`Tracer` / :class:`TraceData` — sim-time span recorder with a
-  structured counters registry and bounded per-track flight-recorder
-  rings (:mod:`repro.obs.tracer`);
+* :class:`Tracer` / :class:`TraceData` — sim-time span recorder with
+  bounded per-track flight-recorder rings (:mod:`repro.obs.tracer`);
 * Chrome trace-event export + schema validation
   (:mod:`repro.obs.export`), also runnable as
   ``python -m repro.obs TRACE.json``;

@@ -89,11 +89,7 @@ def chrome_trace(trace: TraceData) -> dict:
                 "ph": "i", "s": "t", "pid": _PID, "tid": tids[track],
                 "ts": _us(t), "args": dict(args) if args else {},
             })
-    return {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": {"counters": dict(sorted(trace.counters.items()))},
-    }
+    return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
 def trace_json(trace: TraceData) -> str:

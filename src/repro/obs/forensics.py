@@ -65,10 +65,10 @@ def fault_log_lines(chaos) -> List[str]:
 def forensic_report(cluster, tail: Optional[int] = 40) -> str:
     """Build the combined timeline for ``cluster`` (may be multi-line '')."""
     lines: List[str] = ["=== forensics ==="]
-    chaos = getattr(cluster, "_chaos", None)
+    chaos = cluster._chaos
     if chaos is not None and chaos.fault_log:
         lines.extend(fault_log_lines(chaos))
-    tracer = getattr(cluster, "tracer", None)
+    tracer = cluster.tracer
     if tracer is not None:
         lines.extend(flight_recorder_lines(tracer, tail=tail))
     else:

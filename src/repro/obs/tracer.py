@@ -55,7 +55,6 @@ class TraceData:
     """
 
     events: List[tuple] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
     #: track -> most recent ring entries ``(t, kind, name, detail)``.
     rings: Dict[str, List[tuple]] = field(default_factory=dict)
     #: spans never closed (timeouts, crashes): sid -> (track, name, t0).
@@ -65,20 +64,18 @@ class TraceData:
 
 
 class Tracer:
-    """Records spans/instants/counters synchronously, keyed by sim time."""
+    """Records spans and instants synchronously, keyed by sim time."""
 
     __slots__ = (
-        "sim", "events", "counters", "prefixes", "ring_size", "rings",
-        "_open", "_next_id",
+        "sim", "events", "prefixes", "ring_size", "rings", "_open", "_next_id",
     )
 
     def __init__(self, sim, ring_size: int = 256,
                  prefixes: Optional[Sequence[str]] = None):
         self.sim = sim
         self.events: List[tuple] = []
-        self.counters: Dict[str, float] = {}
         #: Optional name-prefix filter: spans/instants whose name does not
-        #: start with one of these are dropped (counters are unaffected).
+        #: start with one of these are dropped.
         self.prefixes: Optional[Tuple[str, ...]] = (
             tuple(prefixes) if prefixes else None
         )
@@ -123,11 +120,6 @@ class Tracer:
         self.events.append(("I", track, name, t, args))
         self._ring(track).append((t, "instant", name, args))
 
-    def count(self, key: str, delta: float = 1) -> None:
-        """Bump a counter in the structured counters registry."""
-        c = self.counters
-        c[key] = c.get(key, 0) + delta
-
     def _ring(self, track: str) -> deque:
         ring = self.rings.get(track)
         if ring is None:
@@ -145,7 +137,6 @@ class Tracer:
         """
         return TraceData(
             events=self.events,
-            counters=dict(self.counters),
             rings={track: list(ring) for track, ring in self.rings.items()},
             open_spans=dict(self._open),
             end_time=self.sim.now,

@@ -11,11 +11,11 @@ Fault injection
 ---------------
 
 ``Network.fault_plane`` is an optional :class:`NetworkFaultPlane` consulted on
-every addressed delivery: a directed reachability matrix (partitions), a
-per-link drop rate (packet loss) and per-link extra delay (degraded links).
-It is ``None`` by default, so fault-free runs pay one attribute check and
-never touch the RNG — existing seeded runs stay bit-identical.  The plane is
-installed and driven by :class:`repro.chaos.ChaosController`.
+every addressed delivery: a directed reachability matrix (partitions) and a
+per-link drop rate (packet loss).  It is ``None`` by default, so fault-free
+runs pay one attribute check and never touch the RNG — existing seeded runs
+stay bit-identical.  The plane is installed and driven by
+:class:`repro.chaos.ChaosController`.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class NetworkFaultPlane:
     chaotic run replays bit-identically.
     """
 
-    __slots__ = ("rng", "blocked", "loss", "link_delay")
+    __slots__ = ("rng", "blocked", "loss")
 
     def __init__(self, rng):
         self.rng = rng
@@ -105,18 +105,14 @@ class NetworkFaultPlane:
         self.blocked: set = set()
         #: Directed (src, dst) -> drop probability in [0, 1].
         self.loss: Dict[Tuple[str, str], float] = {}
-        #: Directed (src, dst) -> extra one-way delay (seconds).
-        self.link_delay: Dict[Tuple[str, str], float] = {}
 
-    def on_message(self, src: Optional[str], dst: Optional[str]) -> Optional[float]:
-        """Verdict for one message: ``None`` to drop it, else extra delay."""
+    def on_message(self, src: Optional[str], dst: Optional[str]) -> bool:
+        """Verdict for one message: ``True`` to deliver it, ``False`` to drop."""
         pair = (src, dst)
         if pair in self.blocked:
-            return None
+            return False
         rate = self.loss.get(pair)
-        if rate and self.rng.random() < rate:
-            return None
-        return self.link_delay.get(pair, 0.0)
+        return not rate or self.rng.random() >= rate
 
     # -- mutation helpers (used by the chaos controller) ---------------------
 
@@ -144,12 +140,6 @@ class NetworkFaultPlane:
             self.loss[(src, dst)] = rate
         else:
             self.loss.pop((src, dst), None)
-
-    def set_link_delay(self, src: str, dst: str, extra: float) -> None:
-        if extra > 0.0:
-            self.link_delay[(src, dst)] = extra
-        else:
-            self.link_delay.pop((src, dst), None)
 
 
 class Network:
@@ -208,17 +198,13 @@ class Network:
         sends on a fault-free network — the RPC ping-pong shape — take a
         fast lane: the delay is the latency model's ``intra`` constant, with
         no memo-dict double lookup and no RNG.  The fault plane, when
-        installed, may drop the message (partition / packet loss) or add
-        per-link delay.
+        installed, may drop the message (partition / packet loss).
         """
-        extra = 0.0
         plane = self.fault_plane
         if plane is not None:
-            verdict = plane.on_message(src_addr, dst_addr)
-            if verdict is None:
+            if not plane.on_message(src_addr, dst_addr):
                 self.messages_dropped += 1
                 return
-            extra = verdict
         elif src_region == dst_region:
             latency = self.latency
             if latency.jitter_frac == 0.0:
@@ -233,7 +219,5 @@ class Network:
         jitter = self.latency.jitter_frac
         if jitter > 0.0:
             delay *= 1.0 + jitter * self.sim.rng.random()
-        if extra > 0.0:
-            delay += extra
         self.messages_sent += 1
         self.sim.timer(delay, fn, *args)

@@ -9,7 +9,7 @@ leader runs out of CPU, a compute node runs out of CPU, ...).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.sim.core import Future, SimError, Simulator, Timeout
 
@@ -99,10 +99,6 @@ class Mutex:
         self.name = name
         self._locked = False
         self._waiters: deque[Future] = deque()
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
 
     def acquire(self) -> Future:
         fut = self.sim.event(name=(self.name, "acquire"))

@@ -215,9 +215,6 @@ class RpcEndpoint:
     def register(self, method: str, handler: Callable) -> None:
         self._handlers[method] = handler
 
-    def unregister_all(self) -> None:
-        self._handlers.clear()
-
     def kill_processes(self) -> None:
         """Kill in-flight handler processes (node freeze/crash semantics)."""
         for proc in list(self._live_processes):
@@ -326,7 +323,6 @@ class RpcEndpoint:
         sid = 0
         tracer = self.network.tracer
         if tracer is not None:
-            tracer.count("rpc." + method)
             parent = 0
             if reply is not None:
                 # The trace context rides the _PendingCall the bound reply

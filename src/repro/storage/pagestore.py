@@ -10,13 +10,11 @@ discarded when the decision record arrives.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.storage.log import Delete, Increment, LogRecord, Put, RecordKind
 
 __all__ = ["PageStore"]
-
-_TOMBSTONE = object()
 
 
 class PageStore:

@@ -111,11 +111,11 @@ class TestNetworkFaultPlane:
         net = Network(sim)
         plane = net.install_fault_plane(sim.rng)
         plane.partition(["a"], ["b", "c"])
-        assert plane.on_message("a", "b") is None
-        assert plane.on_message("c", "a") is None
-        assert plane.on_message("b", "c") == 0.0
+        assert plane.on_message("a", "b") is False
+        assert plane.on_message("c", "a") is False
+        assert plane.on_message("b", "c") is True
         plane.heal(["a"], ["b", "c"])
-        assert plane.on_message("a", "b") == 0.0
+        assert plane.on_message("a", "b") is True
 
     def test_loss_rate_one_drops_everything(self):
         sim = Simulator(seed=1)

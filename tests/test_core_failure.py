@@ -1,5 +1,7 @@
 """Tests for ring failure detection and the failover driver (§4.4.2)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.chaos import Partition
@@ -120,7 +122,7 @@ class TestEndToEndDetection:
 
     def test_pipeline_counters_track_detection(self):
         """suspicion -> failover -> fencing shows up in the always-on
-        per-detector counters and (when traced) the counters registry."""
+        per-detector counters, one trace instant per counted step."""
         from repro.obs import Tracer
 
         cluster = make_cluster(
@@ -135,9 +137,11 @@ class TestEndToEndDetection:
         assert stats["failovers_started"] >= 1
         # Exactly one survivor won the vote-gated fencing race.
         assert stats["fencings_committed"] == 1
-        counters = cluster.tracer.counters
-        assert counters["detector.suspicions"] == stats["suspicions_raised"]
-        assert counters["detector.fencings"] == 1
+        instants = Counter(
+            ev[2] for ev in cluster.tracer.detach().events if ev[0] == "I"
+        )
+        assert instants["detector:suspect"] == stats["suspicions_raised"]
+        assert instants["detector:fence"] == 1
 
     def test_asymmetric_partition_fences_not_double_owns(self):
         """A node unreachable from its monitors but still reachable from

@@ -13,6 +13,11 @@ reporting their times): the re-captured values are identical to the
 pre-fast-path goldens — this run never hits the overshoot window — so the
 constants below are unchanged and now also pin the fixed-deadline kernel.
 
+``stats`` pins the run's ``Cluster.stats()`` (``extras["counters"]``): every
+always-on work counter, whether or not the cell is traced.  Its key set is
+static, so the golden lists the non-zero ones and a counter that moves to or
+from zero shows up as a key gained or lost.
+
 The golden values now live in :mod:`repro.experiments.goldens`, where they
 (together with the spec-parity goldens) derive the sweep result cache's
 ``CACHE_EPOCH`` — re-capturing them after a behaviour change automatically
@@ -46,6 +51,7 @@ def _small_fig9_run():
         "total_aborted": metrics.total_aborted,
         "total_migrations": metrics.total_migrations,
         "final_now": sim.now,
+        "stats": {k: v for k, v in result.extras["counters"].items() if v},
     }
 
 

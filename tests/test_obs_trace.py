@@ -2,7 +2,7 @@
 
 Covers the observability contract end to end:
 
-* ``Tracer`` span/instant/counter mechanics, prefix filtering, the bounded
+* ``Tracer`` span/instant mechanics, prefix filtering, the bounded
   flight-recorder ring, and picklable detachment;
 * Chrome trace-event export — schema validity (the subset Perfetto needs),
   dangling-span closing, and the validator's own error paths;
@@ -11,8 +11,8 @@ Covers the observability contract end to end:
   leak into tracks or span args);
 * span-tree integrity across the process-pool transport (pooled == serial,
   byte for byte);
-* ``counter_max`` / ``counter_min`` probe kinds over the structured
-  counters registry;
+* ``counter_max`` / ``counter_min`` probe kinds over ``Cluster.stats()``,
+  traced or not;
 * ``TraceSpec`` serialisation back-compat: untraced specs serialise to the
   exact same JSON as before the field existed (cache keys stay stable).
 """
@@ -84,19 +84,17 @@ class TestTracerUnit:
         assert tr.events[2] == ("E", 2, 1.0, None)
         assert tr.events[3] == ("E", 1, 1.0, {"outcome": "commit"})
 
-    def test_prefix_filter_drops_spans_but_not_counters(self):
+    def test_prefix_filter_drops_spans_and_instants(self):
         _sim, tr = make_trace(prefixes=["2pc"])
         kept = tr.begin("n", "2pc.prepare")
         dropped = tr.begin("n", "rpc:user_txn")
         tr.instant("n", "edge:vote")
         tr.instant("n", "2pc:decided")
-        tr.count("rpc.user_txn")
         assert kept == 1 and dropped == 0
         tr.end(dropped)  # no-op handle, must not raise or record
         names = [ev[4] if ev[0] == "B" else ev[2] for ev in tr.events
                  if ev[0] in ("B", "I")]
         assert names == ["2pc.prepare", "2pc:decided"]
-        assert tr.counters == {"rpc.user_txn": 1}
 
     def test_flight_recorder_ring_is_bounded(self):
         _sim, tr = make_trace(ring_size=4)
@@ -191,14 +189,16 @@ class TestTraceDeterminism:
     def test_tracing_is_purely_observational(self):
         off = run_spec(small_spec())
         on = run_spec(small_spec(trace=TraceSpec()))
-        assert off.trace is None
-        assert "counters" not in off.extras
+        assert off.trace is None and "span_summary" not in off.extras
         assert on.trace is not None and on.trace.events
-        # Same schedule, same outcomes: tracing never perturbs the run.
+        # Same schedule, same outcomes, same work: tracing never perturbs
+        # the run, and every cell counts whether or not it is traced.
         assert off.metrics.total_committed == on.metrics.total_committed
         assert off.metrics.total_aborted == on.metrics.total_aborted
-        counters = on.extras["counters"]
-        assert counters["txn.committed"] == on.metrics.total_committed
+        assert on.extras["counters"] == off.extras["counters"]
+        assert off.extras["counters"]["cluster.metrics.committed"] == (
+            off.metrics.total_committed
+        )
         assert "2pc" in on.extras["span_summary"]
 
     def test_trace_filter_limits_spans(self):
@@ -238,9 +238,9 @@ class TestCounterProbes:
     def test_counter_min_and_max_verdicts(self):
         result = run_spec(small_spec(trace=TraceSpec(), probes=[
             ProbeSpec(name="committed_floor", kind="counter_min",
-                      counter="txn.committed", threshold=1.0),
+                      counter="cluster.metrics.committed", threshold=1.0),
             ProbeSpec(name="suspicion_ceiling", kind="counter_max",
-                      counter="detector.suspicions", threshold=0.0),
+                      counter="core.failure.suspicions_raised", threshold=0.0),
         ]))
         verdicts = {p.name: p for p in result.probes}
         floor = verdicts["committed_floor"]
@@ -249,13 +249,20 @@ class TestCounterProbes:
         ceiling = verdicts["suspicion_ceiling"]
         assert ceiling.ok and ceiling.value == 0.0
 
-    def test_counter_probe_reads_zero_when_untraced(self):
+    def test_untraced_counter_probe_reads_the_real_total(self):
         result = run_spec(small_spec(probes=[
             ProbeSpec(name="committed_floor", kind="counter_min",
-                      counter="txn.committed", threshold=1.0),
+                      counter="cluster.metrics.committed", threshold=1.0),
         ]))
         probe = result.probes[0]
-        assert probe.value == 0.0 and not probe.ok
+        assert result.trace is None
+        assert probe.ok and probe.value == result.metrics.total_committed > 0
+
+    def test_unknown_counter_is_a_spec_error(self):
+        # A pre-``Cluster.stats()`` tracer name fails before any cluster is
+        # built, listing the valid keys.
+        with pytest.raises(ValueError, match="cluster.metrics.committed"):
+            ProbeSpec(name="bad", kind="counter_max", counter="txn.committed")
 
     def test_counter_kind_requires_counter_name(self):
         with pytest.raises(ValueError, match="counter"):
@@ -277,12 +284,13 @@ class TestSpecSerialization:
         spec = small_spec(
             trace=TraceSpec(flight_recorder=64, filter=["2pc", "rpc:"]),
             probes=[ProbeSpec(name="floor", kind="counter_min",
-                              counter="txn.committed", threshold=1.0)],
+                              counter="cluster.metrics.committed",
+                              threshold=1.0)],
         )
         clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert clone.trace.filter == ["2pc", "rpc:"]
-        assert clone.probes[0].counter == "txn.committed"
+        assert clone.probes[0].counter == "cluster.metrics.committed"
 
     def test_trace_spec_validates_ring_size(self):
         with pytest.raises(ValueError):
@@ -307,6 +315,7 @@ class TestForensicReport:
     def test_report_without_tracer_points_at_tracespec(self):
         class Shell:
             tracer = None
+            _chaos = None
 
         assert "tracing off" in forensic_report(Shell())
 

@@ -211,6 +211,16 @@ class TestFailureSemantics:
         assert results[0].kind == "timeout"
         assert [r.spec.name for r in results[1:]] == ["after-a", "after-b"]
 
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_timeout_is_enforced_without_workers(self):
+        # One cell and no ``workers`` would take the serial path, which has
+        # no wall-clock budget; a ``timeout`` routes it through the pool.
+        wedged = tiny_spec(
+            "wedged", phases=[PhaseSpec(at=0.2, action="test_block_forever")]
+        )
+        (failure,) = run_cells([wedged], timeout=1.5)
+        assert isinstance(failure, CellFailure) and failure.kind == "timeout"
+
     def test_empty_and_single_cell(self):
         assert ProcessPoolRunner(workers=2).run([]) == []
         # run_cells forces serial for a single cell (run in this process).
