@@ -37,18 +37,24 @@ SIZES = {
 }
 
 
+class _Token:
+    """A ``timer_token`` cancellation token that is never cancelled."""
+
+    cancelled = False
+
+
 def bench_raw_events(n: int) -> Dict[str, float]:
-    """Same-time callback chains: the ``call_soon`` fast path."""
+    """Same-time callback chains: the zero-delay ``timer`` (ready queue) path."""
     sim = Simulator(seed=1)
     remaining = [n]
 
     def tick() -> None:
         if remaining[0] > 0:
             remaining[0] -= 1
-            sim.call_soon(tick)
+            sim.timer(0.0, tick)
 
     for _ in range(64):
-        sim.call_soon(tick)
+        sim.timer(0.0, tick)
     t0 = time.perf_counter()
     sim.run()
     dt = time.perf_counter() - t0
@@ -57,18 +63,19 @@ def bench_raw_events(n: int) -> Dict[str, float]:
 
 
 def bench_timer_events(n: int) -> Dict[str, float]:
-    """True timers at distinct times: the heap slow path."""
+    """True timers at distinct times: the cancellable-heap path."""
     sim = Simulator(seed=2)
     rng = sim.rng
     remaining = [n]
+    token = _Token()
 
     def tick() -> None:
         if remaining[0] > 0:
             remaining[0] -= 1
-            sim.call_after(1e-6 + rng.random() * 1e-4, tick)
+            sim.timer_token(1e-6 + rng.random() * 1e-4, token, tick)
 
     for _ in range(64):
-        sim.call_after(rng.random() * 1e-4, tick)
+        sim.timer_token(rng.random() * 1e-4, token, tick)
     t0 = time.perf_counter()
     sim.run()
     dt = time.perf_counter() - t0
@@ -109,7 +116,7 @@ def bench_futures_fanin(rounds: int, fan: int = 100) -> Dict[str, float]:
     def one_round():
         futs = [sim.event() for _ in range(fan)]
         for i, fut in enumerate(futs):
-            sim.call_soon(fut.resolve, i)
+            sim.timer(0.0, fut.resolve, i)
         values = yield all_of(sim, futs)
         return len(values)
 

@@ -636,7 +636,8 @@ class SlotsAdvisoryRule(Rule):
             if not self_names:
                 continue
             if self_names & class_attrs:
-                # Class-attr default pattern (e.g. Handle.cancelled):
+                # Class-attr default pattern (``cancelled = False`` on the
+                # class, set per instance only when it flips):
                 # __slots__ of the same name would shadow-conflict; not free.
                 continue
             yield ctx.finding(

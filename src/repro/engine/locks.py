@@ -189,7 +189,7 @@ class LockTable:
                         if wsid:
                             self.tracer.end(wsid, {"outcome": "timeout"})
                     fut.fail(LockConflict(key, lock.holders))
-            # Handle-free timer; ``expire`` no-ops if the wait already ended.
+            # Fire-and-forget timer; ``expire`` no-ops if the wait already ended.
             self.sim.timer(timeout, expire)
         return fut
 

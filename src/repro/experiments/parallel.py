@@ -272,6 +272,38 @@ class ProcessPoolRunner:
                     )
                 block = False  # after one blocking get, sweep the backlog
 
+        def lose_worker(
+            slot: int,
+            kind: str,
+            error: str,
+            message: str,
+            exitcode: Optional[int] = None,
+        ) -> int:
+            """Fail the cell a dead or overdue worker holds; respawn the slot
+            while cells are pending."""
+            worker = pool[slot]
+            index = worker.current
+            # Detach *before* settling: settle() re-feeds the worker that held
+            # the cell, and a dead worker's queue would swallow the next
+            # pending cell.
+            worker.current = None
+            worker.kill()
+            settled = settle(
+                index,
+                CellFailure(
+                    index=index,
+                    name=names[index],
+                    kind=kind,
+                    error=error,
+                    message=message,
+                    exitcode=exitcode,
+                ),
+            )
+            if pending:
+                pool[slot] = _Worker(ctx, result_q)
+                feed(pool[slot])
+            return settled
+
         try:
             for worker in pool:
                 feed(worker)
@@ -281,57 +313,28 @@ class ProcessPoolRunner:
                 for slot, worker in enumerate(pool):
                     if worker.current is None:
                         continue
-                    index = worker.current
                     if not worker.proc.is_alive():
                         # The result may have raced the exit: sweep the
                         # queue once more before declaring a crash.
                         done += drain(block=False)
                         if worker.current is None:
                             continue
-                        # Detach *before* settling: settle() re-feeds the
-                        # worker that held the cell, and a dead worker's
-                        # queue would swallow the next pending cell.
-                        worker.current = None
-                        worker.kill()  # reap
-                        done += settle(
-                            index,
-                            CellFailure(
-                                index=index,
-                                name=names[index],
-                                kind="crash",
-                                error="WorkerCrashed",
-                                message=(
-                                    "worker process died while running this "
-                                    f"cell (exitcode {worker.proc.exitcode})"
-                                ),
-                                exitcode=worker.proc.exitcode,
-                            ),
+                        exitcode = worker.proc.exitcode
+                        done += lose_worker(
+                            slot, "crash", "WorkerCrashed",
+                            "worker process died while running this cell "
+                            f"(exitcode {exitcode})",
+                            exitcode,
                         )
-                        if pending:
-                            pool[slot] = _Worker(ctx, result_q)
-                            feed(pool[slot])
                     elif (
                         self.timeout is not None
                         and now - worker.started > self.timeout
                     ):
-                        worker.current = None  # detach before settle re-feeds
-                        worker.kill()
-                        done += settle(
-                            index,
-                            CellFailure(
-                                index=index,
-                                name=names[index],
-                                kind="timeout",
-                                error="CellTimeout",
-                                message=(
-                                    f"cell exceeded the {self.timeout}s "
-                                    "wall-clock budget; worker terminated"
-                                ),
-                            ),
+                        done += lose_worker(
+                            slot, "timeout", "CellTimeout",
+                            f"cell exceeded the {self.timeout}s wall-clock "
+                            "budget; worker terminated",
                         )
-                        if pending:
-                            pool[slot] = _Worker(ctx, result_q)
-                            feed(pool[slot])
         finally:
             for worker in pool:
                 worker.kill()

@@ -70,19 +70,24 @@ def register_action(name: str):
     return decorate
 
 
-@register_action("scale_out")
-def _act_scale_out(ctx: RunContext, count: int, router: str = "primary") -> None:
-    """Add ``count`` nodes, rebalance, and sync the named client router."""
+def _run_scale(ctx: RunContext, scale, name: str, router: str) -> None:
+    """Run one scale process to completion, then sync the named router."""
     cluster = ctx.cluster
 
     def do_scale():
-        yield from cluster.scale_out(count)
+        yield from scale
         target = ctx.routers.get(router)
         if target is not None:
             target.sync(cluster.assignment_from_views())
 
-    proc = cluster.sim.spawn(do_scale(), name="scale-out", daemon=True)
+    proc = cluster.sim.spawn(do_scale(), name=name, daemon=True)
     cluster.sim.run_until(proc.result, limit=ctx.spec.run_limit)
+
+
+@register_action("scale_out")
+def _act_scale_out(ctx: RunContext, count: int, router: str = "primary") -> None:
+    """Add ``count`` nodes, rebalance, and sync the named client router."""
+    _run_scale(ctx, ctx.cluster.scale_out(count), "scale-out", router)
 
 
 @register_action("scale_in")
@@ -98,15 +103,7 @@ def _act_scale_in(
         if not count:
             raise ValueError("scale_in needs victims or count")
         victims = cluster.live_node_ids()[-count:]
-
-    def do_scale():
-        yield from cluster.scale_in(list(victims))
-        target = ctx.routers.get(router)
-        if target is not None:
-            target.sync(cluster.assignment_from_views())
-
-    proc = cluster.sim.spawn(do_scale(), name="scale-in", daemon=True)
-    cluster.sim.run_until(proc.result, limit=ctx.spec.run_limit)
+    _run_scale(ctx, cluster.scale_in(victims), "scale-in", router)
 
 
 @register_action("clients_start")
@@ -118,7 +115,8 @@ def _act_clients_start(
     bind_to_nodes: Optional[List[int]] = None,
     workload: Optional[str] = None,
 ) -> None:
-    """Attach an extra client pool (e.g. the §6.6 burst population)."""
+    """Attach a client pool: ``run_spec``'s primary one, or an extra one
+    (e.g. the §6.6 burst population)."""
     spec = ctx.spec
     # Default to a pool-distinct factor: reusing the primary pool's factor
     # verbatim would hand the burst clients byte-identical RNG seeds (and so
@@ -432,17 +430,13 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
 
     cluster.run(until=spec.warmup)
     if spec.workload.kind != "none":
-        router, clients = start_clients(
-            cluster,
-            spec.workload.clients,
-            spec.workload.kind,
-            seed=spec.seed * spec.workload.client_seed_factor,
+        # With no pool yet, the default seed factor is the workload's own.
+        _act_clients_start(
+            ctx,
+            pool="primary",
+            count=spec.workload.clients,
             bind_to_nodes=spec.workload.bind_to_nodes,
-            incr_fraction=spec.workload.incr_fraction,
-            remote_fraction=spec.workload.remote_fraction,
         )
-        ctx.routers["primary"] = router
-        ctx.pools["primary"] = clients
 
     for phase, action in timeline:
         if phase.at > cluster.sim.now:

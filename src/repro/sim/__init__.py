@@ -14,10 +14,9 @@ from repro.sim.core import (
     Simulator,
     Timeout,
     all_of,
-    any_of,
 )
-from repro.sim.network import AZURE_REGIONS, LatencyModel, Network, NetworkFaultPlane
-from repro.sim.resources import CpuResource, Queue
+from repro.sim.network import AZURE_REGIONS, LatencyModel, Network
+from repro.sim.resources import CpuResource
 from repro.sim.rpc import (
     EndpointDegradation,
     RemoteError,
@@ -33,9 +32,7 @@ __all__ = [
     "Future",
     "LatencyModel",
     "Network",
-    "NetworkFaultPlane",
     "Process",
-    "Queue",
     "RemoteError",
     "RpcEndpoint",
     "RpcError",
@@ -44,5 +41,4 @@ __all__ = [
     "Simulator",
     "Timeout",
     "all_of",
-    "any_of",
 ]

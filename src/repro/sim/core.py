@@ -14,30 +14,40 @@ becomes the value of the ``yield from`` expression.
 Three-queue scheduler design
 ----------------------------
 
-The dominant event class in every workload is the *same-time* callback:
-``call_soon`` is used for every future resolution (``Future._flush``),
-process spawn, process kill, and bare ``yield None``.  Pushing those through
-a binary heap pays an O(log n) comparison chain per event for entries that
-by construction always sort at the front.  True future timers split further
-by whether they can be cancelled: the overwhelming majority — every network
-delivery, storage latency, process ``Timeout`` — are fire-and-forget, so
-carrying (and checking) a cancellation slot for them is pure overhead.  The
-scheduler therefore keeps three structures:
+The program schedules through two verbs: :meth:`Simulator.timer`
+(fire-and-forget: network delivery, storage latency, process ``Timeout``,
+lock waits, replay) and :meth:`Simulator.timer_token` (cancellable through
+a caller-provided token: the RPC layer's timeouts).  The dominant event
+class is the *same-time* callback — every future resolution
+(``Future._flush``), process spawn, process kill, bare ``yield None`` and
+zero-delay timer.  Pushing those through a binary heap pays an O(log n)
+comparison chain per event for entries that by construction always sort at
+the front, so the scheduler keeps three structures:
 
-* **ready queue** — a FIFO ``deque`` of ``(handle, fn, args)`` entries for
-  callbacks at the *current* simulated time.  ``call_soon`` (and any
-  ``call_at``/``call_after`` that lands at or before ``now``) appends here in
-  O(1); kernel-internal schedulings skip the :class:`Handle` allocation
-  entirely by appending ``(None, fn, args)``.
-* **fire-and-forget timer heap** — 4-tuples ``(when, seq, fn, args)`` with
-  *no* handle slot, fed by :meth:`Simulator.timer` (the network/storage/
-  ``Timeout`` path).  Entries are never cancelled, so the pop needs no flag
-  check and each entry is one word smaller.
-* **cancellable timer heap** — 5-tuples ``(when, seq, token, fn, args)``
-  fed by ``call_at``/``call_after`` (fresh :class:`Handle`) and
-  :meth:`Simulator.timer_token` (caller-provided token, e.g. the RPC layer's
-  pending-call record).  Cancellation flips ``token.cancelled``; the entry
-  is lazily discarded when popped.
+* **ready queue** — a FIFO ``deque`` of ``(fn, args)`` entries for
+  callbacks at the *current* simulated time, appended in O(1).  No entry
+  carries a cancellation slot: a zero-delay ``timer_token`` appends
+  ``(_unless_cancelled, (token, fn, args))``, which checks its token when
+  it runs.
+* **fire-and-forget timer heap** — 4-tuples ``(when, seq, fn, args)``, fed
+  by :meth:`Simulator.timer`.  Entries are never cancelled, so the pop needs
+  no flag check.
+* **cancellable timer heap** — 5-tuples ``(when, seq, token, fn, args)``,
+  fed by :meth:`Simulator.timer_token`.  Cancellation flips
+  ``token.cancelled``; the entry is lazily discarded when popped.
+
+The two heaps are kept apart because their traffic differs.  Seed 1, heap
+sizes sampled every 0.05 sim-s:
+
+    workload              timer     timer_token  fire-and-forget  cancellable  of which
+                          pushes    pushes       median / max     median       cancelled
+    ycsb_steady           158 307   10 194       16 / 135         1 013        981
+    tpcc_2pc              165 683    8 063       20 / 71          1 223        1 186
+    scaleout_ctl, marlin   98 951    9 000       64 / 95          2 406        2 347
+
+RPC timeouts are almost all cancelled (the reply wins) yet stay in their
+heap until their time comes, so one merged heap would push every
+fire-and-forget timer through a heap about 60x larger.
 
 Both heaps share one ``seq`` counter, so merging their heads by ``(when,
 seq)`` reproduces exactly the global order of a single combined heap.
@@ -74,7 +84,6 @@ from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "Future",
-    "Handle",
     "Process",
     "ProcessCrashed",
     "ProcessKilled",
@@ -82,7 +91,6 @@ __all__ = [
     "Simulator",
     "Timeout",
     "all_of",
-    "any_of",
 ]
 
 #: Scheduling in the past is tolerated up to this much floating-point slop.
@@ -133,20 +141,6 @@ class Timeout:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
-
-
-class Handle:
-    """Cancellation handle for a scheduled callback (lazily honoured).
-
-    ``cancelled`` defaults through the class attribute so creating a handle
-    runs no ``__init__`` — the scheduling paths allocate one per cancellable
-    entry, and virtually all of them are never cancelled.
-    """
-
-    cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class Future:
@@ -205,7 +199,7 @@ class Future:
 
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         if self._done:
-            self._sim._ready.append((None, fn, (self,)))
+            self._sim._ready.append((fn, (self,)))
         else:
             self._callbacks.append(fn)
 
@@ -213,7 +207,7 @@ class Future:
         ready = self._sim._ready
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
-            ready.append((None, fn, (self,)))
+            ready.append((fn, (self,)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"
@@ -262,22 +256,16 @@ class Process:
         sim._spawned[self] = None
         if owner is not None:
             owner[self] = None
-        sim._ready.append((None, self._step, (None, None)))
+        sim._ready.append((self._step, (None, None)))
 
     @property
     def name(self) -> str:
         return _join_name(self._name)
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def kill(self) -> None:
         """Throw :class:`ProcessKilled` into the process at the current time."""
         if not self._finished:
-            self.sim._ready.append(
-                (None, self._step, (None, ProcessKilled(self.name)))
-            )
+            self.sim._ready.append((self._step, (None, ProcessKilled(self.name))))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if self._finished:
@@ -298,13 +286,12 @@ class Process:
             if not self.daemon:
                 self.sim._report_crash(self, err)
             return
-        # Exact-type dispatch table first (the common cases); fall back to the
-        # isinstance chain only for subclasses of the yieldable types.
+        # Exact-type dispatch: nothing subclasses the yieldable types.
         handler = _DISPATCH.get(yielded.__class__)
         if handler is not None:
             handler(self, yielded)
         else:
-            self._dispatch_slow(yielded)
+            self._step(None, SimError(f"process yielded unsupported value {yielded!r}"))
 
     def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
         """The one exit: leave the registries, then settle ``result``.
@@ -330,7 +317,7 @@ class Process:
 
     def _on_future(self, yielded: "Future") -> None:
         if yielded._done:
-            self.sim._ready.append((None, self._resume_from_future, (yielded,)))
+            self.sim._ready.append((self._resume_from_future, (yielded,)))
         else:
             yielded._callbacks.append(self._resume_from_future)
 
@@ -338,17 +325,7 @@ class Process:
         self._on_future(yielded.result)
 
     def _on_none(self, yielded: None) -> None:
-        self.sim._ready.append((None, self._step, (None, None)))
-
-    def _dispatch_slow(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            self._on_timeout(yielded)
-        elif isinstance(yielded, Future):
-            self._on_future(yielded)
-        elif isinstance(yielded, Process):
-            self._on_process(yielded)
-        else:
-            self._step(None, SimError(f"process yielded unsupported value {yielded!r}"))
+        self.sim._ready.append((self._step, (None, None)))
 
     def _resume_from_future(self, fut: Future) -> None:
         if fut._exc is not None:
@@ -360,13 +337,19 @@ class Process:
         return f"Process({self.name!r}, finished={self._finished})"
 
 
-#: Exact-type yield dispatch; subclasses fall through to ``_dispatch_slow``.
+#: Exact-type yield dispatch; any other yielded value crashes the process.
 _DISPATCH: dict = {
     Timeout: Process._on_timeout,
     Future: Process._on_future,
     Process: Process._on_process,
     type(None): Process._on_none,
 }
+
+
+def _unless_cancelled(token: Any, fn: Callable, args: tuple) -> None:
+    """A zero-delay :meth:`Simulator.timer_token` entry: run unless cancelled."""
+    if not token.cancelled:
+        fn(*args)
 
 
 class Simulator:
@@ -377,12 +360,12 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        #: FIFO of (handle_or_None, fn, args) at the current simulated time.
+        #: FIFO of (fn, args) at the current simulated time.
         self._ready: deque = deque()
         #: Fire-and-forget heap of (when, seq, fn, args); never cancelled.
         self._timers: list = []
-        #: Cancellable heap of (when, seq, token, fn, args); token has a
-        #: ``cancelled`` flag (a :class:`Handle` or a caller-provided object).
+        #: Cancellable heap of (when, seq, token, fn, args); token is any
+        #: caller-provided object with a ``cancelled`` flag.
         self._cancellable: list = []
         #: One counter for both heaps, so their heads merge by (when, seq).
         self._seq = itertools.count(1)
@@ -409,41 +392,8 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def call_at(self, when: float, fn: Callable, *args: Any) -> Handle:
-        """Schedule ``fn(*args)`` at absolute time ``when``; cancellable."""
-        handle = Handle()
-        if when > self._now:
-            _heappush(self._cancellable, (when, next(self._seq), handle, fn, args))
-        else:
-            if when < self._now - _PAST_SLOP:
-                raise SimError(f"cannot schedule in the past: {when} < {self._now}")
-            self._ready.append((handle, fn, args))
-        return handle
-
-    def call_after(self, delay: float, fn: Callable, *args: Any) -> Handle:
-        # call_at, inlined: one fewer call on the cancellable-timer hot path.
-        now = self._now
-        when = now + delay
-        handle = Handle()
-        if when > now:
-            _heappush(self._cancellable, (when, next(self._seq), handle, fn, args))
-        else:
-            if when < now - _PAST_SLOP:
-                raise SimError(f"cannot schedule in the past: {when} < {now}")
-            self._ready.append((handle, fn, args))
-        return handle
-
-    def call_soon(self, fn: Callable, *args: Any) -> Handle:
-        handle = Handle()
-        self._ready.append((handle, fn, args))
-        return handle
-
-    def defer(self, fn: Callable, *args: Any) -> None:
-        """Allocation-lean ``call_soon``: no :class:`Handle`, not cancellable."""
-        self._ready.append((None, fn, args))
-
     def timer(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Allocation-lean ``call_after``: no :class:`Handle`, not cancellable.
+        """Schedule ``fn(*args)`` after ``delay``; not cancellable.
 
         A non-positive ``delay`` lands on the ready queue, preserving the
         invariant that the heaps only hold strictly-future entries.
@@ -453,15 +403,16 @@ class Simulator:
         else:
             if delay < -_PAST_SLOP:
                 raise SimError(f"cannot schedule in the past: delay {delay}")
-            self._ready.append((None, fn, args))
+            self._ready.append((fn, args))
 
     def timer_token(self, delay: float, token: Any, fn: Callable, *args: Any) -> None:
         """Cancellable timer with a caller-provided ``token``.
 
         ``token`` is any object with a mutable ``cancelled`` attribute; the
-        caller flips it to cancel.  This lets a layer that already keeps
-        per-operation state (e.g. the RPC pending-call record) double as its
-        own cancellation handle instead of allocating a :class:`Handle`.
+        caller flips it to cancel, up to the moment the entry runs (a
+        zero-delay entry included).  A layer that already keeps per-operation
+        state (e.g. the RPC pending-call record) thereby doubles as its own
+        cancellation handle.
         """
         if delay > 0.0:
             _heappush(
@@ -471,7 +422,7 @@ class Simulator:
         else:
             if delay < -_PAST_SLOP:
                 raise SimError(f"cannot schedule in the past: delay {delay}")
-            self._ready.append((token, fn, args))
+            self._ready.append((_unless_cancelled, (token, fn, args)))
 
     def spawn(
         self,
@@ -519,9 +470,7 @@ class Simulator:
                         continue
                 self._now = when
             elif ready:
-                token, fn, args = ready.popleft()
-                if token is not None and token.cancelled:
-                    continue
+                fn, args = ready.popleft()
             else:
                 return False
             self.events_executed += 1
@@ -534,17 +483,14 @@ class Simulator:
     def _next_event_time(self) -> Optional[float]:
         """Time of the next *live* entry in pop order, ``None`` if there is none.
 
-        Cancelled entries are pruned here (cancellable-heap top popped, ready
-        front dropped) — the loops would discard them anyway, and a cancelled
-        timer at the heap top must not pass for a pending event.  Off the hot
-        path: only :meth:`run_until` asks, to word its failure.
+        Cancelled cancellable-heap tops are popped here — the loops would
+        discard them anyway, and a cancelled timer at the heap top must not
+        pass for a pending event.  Off the hot path: only :meth:`run_until`
+        asks, to word its failure.
         """
         canc = self._cancellable
         while canc and canc[0][2].cancelled:
             _heappop(canc)
-        ready = self._ready
-        while ready and ready[0][0] is not None and ready[0][0].cancelled:
-            ready.popleft()
         fnf = self._timers
         if fnf:
             t = fnf[0][0]
@@ -556,7 +502,7 @@ class Simulator:
             t = None
         if t is not None and t <= self._now:
             return t
-        if ready:
+        if self._ready:
             return self._now
         return t
 
@@ -600,9 +546,7 @@ class Simulator:
                         when, _seq, _token, fn, args = _heappop(heap)
                     self._now = when
                 elif ready:
-                    token, fn, args = ready.popleft()
-                    if token is not None and token.cancelled:
-                        continue
+                    fn, args = ready.popleft()
                 else:
                     break
                 executed += 1
@@ -660,23 +604,3 @@ def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
     for i, fut in enumerate(futures):
         fut.add_done_callback(lambda f, i=i: on_done(i, f))
     return gathered
-
-
-def any_of(sim: Simulator, futures: Iterable[Future]) -> Future:
-    """A future resolving with ``(index, value)`` of the first completion."""
-    futures = list(futures)
-    if not futures:
-        raise SimError("any_of() needs at least one future")
-    first = Future(sim, name="any_of")
-
-    def on_done(index: int, fut: Future) -> None:
-        if first._done:
-            return
-        if fut._exc is not None:
-            first.fail(fut._exc)
-        else:
-            first.resolve((index, fut._value))
-
-    for i, fut in enumerate(futures):
-        fut.add_done_callback(lambda f, i=i: on_done(i, f))
-    return first

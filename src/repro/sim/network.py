@@ -48,7 +48,8 @@ INTRA_REGION_ONE_WAY = 0.00025
 
 
 class LatencyModel:
-    """Samples one-way latencies between regions.
+    """One-way latencies between regions (:meth:`Network.deliver_addr`
+    samples the jitter).
 
     Parameters
     ----------
@@ -79,12 +80,6 @@ class LatencyModel:
         if region_a == region_b:
             return self.intra
         return self.cross.get(frozenset((region_a, region_b)), self.default_cross)
-
-    def one_way(self, rng, region_a: str, region_b: str) -> float:
-        base = self.base_one_way(region_a, region_b)
-        if self.jitter_frac <= 0:
-            return base
-        return base * (1.0 + self.jitter_frac * rng.random())
 
 
 class NetworkFaultPlane:
@@ -174,13 +169,6 @@ class Network:
             self.fault_plane = NetworkFaultPlane(rng)
         return self.fault_plane
 
-    def deliver(
-        self, src_region: str, dst_region: str, fn: Callable, *args
-    ) -> None:
-        """Schedule ``fn(*args)`` after one sampled one-way latency (no
-        endpoint addressing; not subject to address-level faults)."""
-        self.deliver_addr(src_region, dst_region, None, None, fn, *args)
-
     def deliver_addr(
         self,
         src_region: str,
@@ -192,7 +180,7 @@ class Network:
     ) -> None:
         """Schedule ``fn(*args)`` after one sampled one-way latency.
 
-        Hot path: messages become direct (handle-free) timer entries, and
+        Hot path: messages become fire-and-forget timer entries, and
         jitter sampling is skipped entirely when ``jitter_frac == 0`` so
         jitterless runs never touch the RNG here.  Jitterless intra-region
         sends on a fault-free network — the RPC ping-pong shape — take a

@@ -1,4 +1,4 @@
-"""Contended resources: bounded CPU pools and async FIFO queues.
+"""Contended resources: bounded CPU pools and an async FIFO mutex.
 
 ``CpuResource`` models a VM's vCPUs: at most ``workers`` jobs execute
 simultaneously; excess jobs queue FIFO.  This is what makes throughput
@@ -9,11 +9,11 @@ leader runs out of CPU, a compute node runs out of CPU, ...).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator
+from typing import Generator
 
 from repro.sim.core import Future, SimError, Simulator, Timeout
 
-__all__ = ["CpuResource", "Mutex", "Queue"]
+__all__ = ["CpuResource", "Mutex"]
 
 
 class CpuResource:
@@ -116,39 +116,3 @@ class Mutex:
             self._waiters.popleft().resolve()
         else:
             self._locked = False
-
-
-class Queue:
-    """Unbounded async FIFO queue (mailbox pattern)."""
-
-    __slots__ = ("sim", "name", "_items", "_getters")
-
-    def __init__(self, sim: Simulator, name: str = "queue"):
-        self.sim = sim
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Future] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().resolve(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Future:
-        """A future resolving with the next item (FIFO among waiters)."""
-        fut = self.sim.event(name=(self.name, "get"))
-        if self._items:
-            fut.resolve(self._items.popleft())
-        else:
-            self._getters.append(fut)
-        return fut
-
-    def drain(self) -> list:
-        """Remove and return all currently queued items synchronously."""
-        items = list(self._items)
-        self._items.clear()
-        return items

@@ -91,8 +91,7 @@ class _PendingCall:
     ``respond`` (client side: settle the future) as bound methods.  The
     record also doubles as its own timeout-cancellation token
     (:meth:`Simulator.timer_token`): ``respond`` flips ``cancelled`` so the
-    armed timeout entry is lazily discarded, with no :class:`Handle`
-    allocated and no separate cancel call.
+    armed timeout entry is lazily discarded, with no separate cancel call.
     """
 
     __slots__ = (
@@ -327,7 +326,7 @@ class RpcEndpoint:
             if reply is not None:
                 # The trace context rides the _PendingCall the bound reply
                 # method belongs to (casts arrive with reply=None: no parent).
-                sp = getattr(getattr(reply, "__self__", None), "span", None)
+                sp = reply.__self__.span
                 if sp is not None:
                     parent = sp[1]
             sid = tracer.begin(self.address, "serve:" + method, parent=parent)

@@ -46,7 +46,7 @@ class ReplayService:
         log.subscribe(lambda record: self._schedule(log.name, record))
 
     def _schedule(self, log_name: str, record: LogRecord) -> None:
-        # Handle-free timer: replay entries are never cancelled.
+        # Fire-and-forget timer: replay entries are never cancelled.
         self.sim.timer(self.lag, self._apply, log_name, record)
 
     def _apply(self, log_name: str, record: LogRecord) -> None:

@@ -132,15 +132,6 @@ class TestNetworkFaultPlane:
         sim.run()
         assert seen == [1]
 
-    def test_unaddressed_deliver_bypasses_faults(self):
-        sim = Simulator(seed=1)
-        net = Network(sim)
-        net.install_fault_plane(sim.rng).block("a", "b")
-        seen = []
-        net.deliver("us-west", "us-west", seen.append, 1)
-        sim.run()
-        assert seen == [1]
-
 
 class TestInjectionPrimitives:
     def test_slow_node_dilates_cpu_and_restores(self, marlin_pair):

@@ -202,7 +202,7 @@ class TestProcessRegistries:
             "node-0.work", "node-0.work"
         ]
         assert [p.name for p in node._procs if p not in background] == ["p1", "p3"]
-        assert all(not p.finished for p in node._procs)
+        assert all(not p.result.done for p in node._procs)
 
     def test_freeze_kills_exactly_the_unfinished_in_spawn_order(self, pair):
         node = pair.nodes[0]
@@ -239,7 +239,7 @@ class TestProcessRegistries:
         ]
         assert served > 400  # hundreds of handler processes came and went
         assert len(alive) == len(sim._spawned) == 4
-        assert all(not proc.finished for proc in alive)
+        assert all(not proc.result.done for proc in alive)
 
 
 class TestWarmupPull:

@@ -103,7 +103,7 @@ class TestCrashWindows:
         fut = cluster.admin.call(
             "node-0", "run_migrations", tuple((g, 1) for g in granules)
         )
-        cluster.call_later = cluster.sim.call_after(0.05, cluster.fail_node, 1)
+        cluster.sim.timer(0.05, cluster.fail_node, 1)
         cluster.run(until=20.0)
         quiesce_and_check(cluster)
         # All granules ended up on the survivor one way or another.

@@ -9,13 +9,17 @@ top-level facade re-exports from everywhere) and ``repro.analysis`` (detlint,
 which imports nothing of the system it lints — checked here too).
 
 This generalises ``tests/test_failure_pipeline.py``'s ``core/failure.py``
-check to the whole tree.
+check to the whole tree.  The bottom layer also carries nothing only tests
+call: every name ``repro.sim`` exports, and every public ``Simulator``
+method, has a reader in ``src/repro`` outside the module defining it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import repro
+import repro.sim
 from repro.core.base import CoordinationRuntime
 from repro.engine.node import ComputeNode
 from tests.conftest import make_cluster
@@ -125,3 +129,71 @@ def test_reconfiguration_verbs_arrive_through_the_runtime():
     assert set(bare.endpoint._handlers) == DATA_PLANE
     assert RECONFIG_VERBS <= set(real.endpoint._handlers) - DATA_PLANE
     assert CoordinationRuntime.attach.__module__ == "repro.core.base"
+
+
+#: Public ``Simulator`` methods kept without a reader in ``src/repro``.
+SIM_ALLOWLIST = {"step": "test reference for `run_until`"}
+
+
+def _referenced_names(tree: ast.AST, receivers=None) -> set:
+    """Names a module mentions: bare names, imported names and attributes
+    (only attributes read off one of ``receivers``, when given)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            owner = getattr(value, "id", None) or getattr(value, "attr", None)
+            if receivers is None or owner in receivers:
+                names.add(node.attr)
+        elif receivers is not None:
+            continue
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _trees_except(*excluded: Path):
+    for path in sorted(SRC.rglob("*.py")):
+        if path not in excluded:
+            yield ast.parse(path.read_text())
+
+
+def test_sim_exports_have_readers_outside_their_module():
+    unread = []
+    facade = SRC / "sim" / "__init__.py"
+    for name in repro.sim.__all__:
+        home = next(
+            mod for mod in ("core", "network", "resources", "rpc")
+            if name in importlib.import_module(f"repro.sim.{mod}").__all__
+        )
+        defining = SRC / "sim" / f"{home}.py"
+        if not any(
+            name in _referenced_names(tree)
+            for tree in _trees_except(defining, facade)
+        ):
+            unread.append(f"repro.sim.{home}.{name}")
+    assert not unread, f"exported but read only by tests: {unread}"
+
+
+def test_simulator_methods_have_readers_outside_the_kernel():
+    from repro.sim.core import Simulator
+
+    core = SRC / "sim" / "core.py"
+    klass = next(
+        node for node in ast.parse(core.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == Simulator.__name__
+    )
+    public = {
+        node.name for node in klass.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = set()
+    for tree in _trees_except(core):
+        read |= _referenced_names(tree, receivers={"sim", "_sim"})
+    assert {"timer", "timer_token", "run_until"} <= read, "vacuous walk"
+    assert set(SIM_ALLOWLIST) <= public
+    assert not set(SIM_ALLOWLIST) & read, "allowlisted method now has a reader"
+    unread = sorted(public - read - set(SIM_ALLOWLIST))
+    assert not unread, f"Simulator methods only tests call: {unread}"

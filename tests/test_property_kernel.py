@@ -4,13 +4,13 @@ The split scheduler (ready queue + fire-and-forget heap + cancellable heap,
 one shared seq counter) claims to execute *exactly* the global ``(time,
 scheduling-seq)`` order of the classic single-heap kernel.  The reference
 model here IS that classic kernel, reduced to its ordering essence: every
-scheduling — ``call_soon`` included — takes a ``(when, seq)`` ticket into
-one binary heap, pops run in ``(when, seq)`` order, cancellation is a lazy
-flag.  Hypothesis drives both kernels with the same randomized program of
-interleaved ``call_soon`` / ``call_at`` / ``call_after`` / ``timer`` /
-``timer_token`` / ``cancel`` operations issued from *inside* callbacks
-(heavy on time ties, so the heap-vs-ready merge rule is actually exercised),
-and the execution traces must match event for event.
+scheduling — zero delays included — takes a ``(when, seq)`` ticket into one
+binary heap, pops run in ``(when, seq)`` order, cancellation is a lazy flag.
+Hypothesis drives both kernels with the same randomized program of
+interleaved ``timer(0)`` / ``timer`` / ``timer_token`` / ``timer_token(0)``
+/ ``cancel`` operations issued from *inside* callbacks (heavy on time ties,
+so the heap-vs-ready merge rule is actually exercised), and the execution
+traces must match event for event.
 """
 
 import itertools
@@ -26,11 +26,11 @@ from repro.sim.core import SimError, Simulator
 #: entries and ready entries at the same instant are the interesting case.
 DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5)
 
-KINDS = ("soon", "at", "after", "timer", "timer_token")
+KINDS = ("timer0", "timer", "timer_token", "timer_token0")
 
 
 class Token:
-    """Shared cancellation token: duck-types both Handle and timer_token."""
+    """A ``timer_token`` cancellation token, shared by both kernels."""
 
     cancelled = False
 
@@ -50,15 +50,6 @@ class ReferenceKernel:
         token = Token()
         heappush(self._heap, (when, next(self._seq), token, fn))
         return token
-
-    def call_soon(self, fn):
-        return self._push(self.now, fn)
-
-    def call_at(self, when, fn):
-        return self._push(when, fn)
-
-    def call_after(self, delay, fn):
-        return self._push(self.now + delay, fn)
 
     def timer(self, delay, fn):
         self._push(self.now + delay, fn)
@@ -85,15 +76,6 @@ class KernelAdapter:
     @property
     def now(self):
         return self.sim.now
-
-    def call_soon(self, fn):
-        return self.sim.call_soon(fn)
-
-    def call_at(self, when, fn):
-        return self.sim.call_at(when, fn)
-
-    def call_after(self, delay, fn):
-        return self.sim.call_after(delay, fn)
 
     def timer(self, delay, fn):
         self.sim.timer(delay, fn)
@@ -137,16 +119,14 @@ def drive(kernel, seed: int, n_initial: int, budget: int = 120):
             if tokens and rng.random() < 0.3:
                 tokens[rng.randrange(len(tokens))].cancel()
 
-        if kind == "soon":
-            token = kernel.call_soon(cb)
-        elif kind == "at":
-            token = kernel.call_at(kernel.now + delay, cb)
-        elif kind == "after":
-            token = kernel.call_after(delay, cb)
+        if kind == "timer0":
+            token = kernel.timer(0.0, cb)
         elif kind == "timer":
             token = kernel.timer(delay, cb)
-        else:
+        elif kind == "timer_token":
             token = kernel.timer_token(delay, cb)
+        else:
+            token = kernel.timer_token(0.0, cb)
         if token is not None:
             tokens.append(token)
 
@@ -204,7 +184,7 @@ class RunUntilAdapter(KernelAdapter):
         self._limit = limit
         self.stop = self.sim.event("stop")
         if stop_at is not None:
-            self.sim.call_at(stop_at, self.stop.resolve, "stopped")
+            self.sim.timer(stop_at, self.stop.resolve, "stopped")
 
     def run(self):
         try:
@@ -238,13 +218,19 @@ def test_run_until_matches_step_loop_reference(seed, n_initial, stop_at, limit):
     assert actual.at_end == reference.at_end
 
 
+def cancelled():
+    token = Token()
+    token.cancel()
+    return token
+
+
 class TestRunUntilLimit:
     """The limit check sees live events only."""
 
     def test_only_cancelled_entries_beyond_the_limit_is_drained(self):
         sim = Simulator()
         fut = sim.event("target")
-        sim.call_after(5.0, lambda: None).cancel()
+        sim.timer_token(5.0, cancelled(), lambda: None)
         with pytest.raises(SimError, match="drained before 'target'"):
             sim.run_until(fut, limit=1.0)
 
@@ -252,8 +238,8 @@ class TestRunUntilLimit:
         sim = Simulator()
         fut = sim.event("target")
         seen = []
-        sim.call_after(0.5, lambda: None).cancel()
-        sim.call_after(5.0, seen.append, "late")
+        sim.timer_token(0.5, cancelled(), lambda: None)
+        sim.timer(5.0, seen.append, "late")
         with pytest.raises(SimError, match="'target' not done by t=1.0"):
             sim.run_until(fut, limit=1.0)
         assert seen == [] and sim.now == 0.0 and sim.events_executed == 0
@@ -262,15 +248,15 @@ class TestRunUntilLimit:
         sim = Simulator()
         fut = sim.event()
         fut.resolve(7)
-        sim.call_soon(lambda: None)
+        sim.timer(0.0, lambda: None)
         assert sim.run_until(fut) == 7
         assert sim.events_executed == 0
 
 
 class TestTimerToken:
-    """Unit coverage for the new caller-token cancellable timer."""
+    """Unit coverage for the caller-token cancellable timer."""
 
-    def test_fires_like_call_after(self):
+    def test_fires_after_its_delay(self):
         sim = Simulator()
         seen = []
         sim.timer_token(1.5, Token(), seen.append, "fired")
@@ -301,7 +287,7 @@ class TestTimerToken:
         """Same-time entries across the two heaps run in scheduling order."""
         sim = Simulator()
         order = []
-        sim.call_after(1.0, order.append, "cancellable-first")
+        sim.timer_token(1.0, Token(), order.append, "cancellable-first")
         sim.timer(1.0, order.append, "fnf-second")
         sim.timer_token(1.0, Token(), order.append, "token-third")
         sim.timer(1.0, order.append, "fnf-fourth")

@@ -96,14 +96,14 @@ def test_waiting_mode_grants_are_exclusive(seed):
     for i in range(20):
         key = rng.choice(KEYS)
         if rng.random() < 0.4:
-            sim.call_after(
+            sim.timer(
                 rng.random() * 0.05,
                 lambda i=i, key=key: sim.spawn(
                     reconfig(f"r{i}", key), daemon=True
                 ),
             )
         else:
-            sim.call_after(
+            sim.timer(
                 rng.random() * 0.05,
                 lambda i=i, key=key: sim.spawn(user(f"u{i}", key), daemon=True),
             )

@@ -12,7 +12,6 @@ from repro.sim.core import (
     Simulator,
     Timeout,
     all_of,
-    any_of,
 )
 
 
@@ -21,54 +20,49 @@ def sim():
     return Simulator(seed=42)
 
 
+class Token:
+    """A ``timer_token`` cancellation token."""
+
+    cancelled = False
+
+
 class TestScheduling:
     def test_now_starts_at_zero(self, sim):
         assert sim.now == 0.0
 
-    def test_call_after_runs_at_correct_time(self, sim):
+    def test_timer_runs_at_correct_time(self, sim):
         seen = []
-        sim.call_after(1.5, lambda: seen.append(sim.now))
+        sim.timer(1.5, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [1.5]
 
-    def test_call_at_absolute_time(self, sim):
-        seen = []
-        sim.call_at(3.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [3.0]
-
     def test_events_run_in_time_order(self, sim):
         order = []
-        sim.call_after(2.0, lambda: order.append("b"))
-        sim.call_after(1.0, lambda: order.append("a"))
-        sim.call_after(3.0, lambda: order.append("c"))
+        sim.timer(2.0, lambda: order.append("b"))
+        sim.timer(1.0, lambda: order.append("a"))
+        sim.timer(3.0, lambda: order.append("c"))
         sim.run()
         assert order == ["a", "b", "c"]
 
     def test_same_time_events_run_in_schedule_order(self, sim):
         order = []
         for tag in ("first", "second", "third"):
-            sim.call_after(1.0, lambda t=tag: order.append(t))
+            sim.timer(1.0, lambda t=tag: order.append(t))
         sim.run()
         assert order == ["first", "second", "third"]
 
     def test_cannot_schedule_in_past(self, sim):
-        sim.call_after(5.0, lambda: None)
+        sim.timer(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimError):
-            sim.call_at(1.0, lambda: None)
-
-    def test_cancelled_handle_does_not_fire(self, sim):
-        seen = []
-        handle = sim.call_after(1.0, lambda: seen.append(1))
-        handle.cancel()
-        sim.run()
-        assert seen == []
+            sim.timer(-4.0, lambda: None)
+        with pytest.raises(SimError):
+            sim.timer_token(-4.0, Token(), lambda: None)
 
     def test_run_until_time_stops_early(self, sim):
         seen = []
-        sim.call_after(1.0, lambda: seen.append("early"))
-        sim.call_after(10.0, lambda: seen.append("late"))
+        sim.timer(1.0, lambda: seen.append("early"))
+        sim.timer(10.0, lambda: seen.append("late"))
         sim.run(until=5.0)
         assert seen == ["early"]
         assert sim.now == 5.0
@@ -79,9 +73,10 @@ class TestScheduling:
         """A cancelled timer at the heap top must not drag the clock past
         ``until`` (the pre-PR-2 seed-kernel overshoot; ROADMAP trade-off)."""
         seen = []
-        cancelled = sim.call_after(5.0, lambda: seen.append("cancelled"))
-        sim.call_after(20.0, lambda: seen.append("late"))
-        cancelled.cancel()
+        cancelled = Token()
+        sim.timer_token(5.0, cancelled, lambda: seen.append("cancelled"))
+        sim.timer(20.0, lambda: seen.append("late"))
+        cancelled.cancelled = True
         sim.run(until=10.0)
         assert seen == []
         assert sim.now == 10.0
@@ -91,9 +86,15 @@ class TestScheduling:
 
     def test_run_until_not_overshot_by_cancelled_ready_entry(self, sim):
         seen = []
-        sim.call_after(1.0, lambda: seen.append("early"))
-        sim.call_after(9.0, lambda: sim.call_soon(lambda: seen.append("x")).cancel())
-        sim.call_after(20.0, lambda: seen.append("late"))
+        token = Token()
+
+        def schedule_and_cancel():
+            sim.timer_token(0.0, token, lambda: seen.append("x"))
+            token.cancelled = True
+
+        sim.timer(1.0, lambda: seen.append("early"))
+        sim.timer(9.0, schedule_and_cancel)
+        sim.timer(20.0, lambda: seen.append("late"))
         sim.run(until=10.0)
         assert seen == ["early"]
         assert sim.now == 10.0
@@ -101,21 +102,22 @@ class TestScheduling:
     def test_run_until_limit_honours_cancellation_pruning(self, sim):
         """run_until's deadline probe must also skip cancelled heap tops."""
         fut = sim.event(name="target")
-        sim.call_after(3.0, lambda: seen.cancel())
-        seen = sim.call_after(4.0, lambda: None)
-        sim.call_after(8.0, fut.resolve)
+        token = Token()
+        sim.timer(3.0, setattr, token, "cancelled", True)
+        sim.timer_token(4.0, token, lambda: None)
+        sim.timer(8.0, fut.resolve)
         assert sim.run_until(fut, limit=8.0) is None
         assert sim.now == 8.0
 
     def test_nested_scheduling(self, sim):
         seen = []
-        sim.call_after(1.0, lambda: sim.call_after(1.0, lambda: seen.append(sim.now)))
+        sim.timer(1.0, lambda: sim.timer(1.0, lambda: seen.append(sim.now)))
         sim.run()
         assert seen == [2.0]
 
     def test_events_executed_counter(self, sim):
         for _ in range(5):
-            sim.call_after(1.0, lambda: None)
+            sim.timer(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 5
 
@@ -164,7 +166,7 @@ class TestProcesses:
             got.append(value)
 
         sim.spawn(proc())
-        sim.call_after(2.0, fut.resolve, "hello")
+        sim.timer(2.0, fut.resolve, "hello")
         sim.run()
         assert got == ["hello"]
 
@@ -191,7 +193,7 @@ class TestProcesses:
                 caught.append(str(exc))
 
         sim.spawn(proc())
-        sim.call_after(1.0, fut.fail, ValueError("boom"))
+        sim.timer(1.0, fut.fail, ValueError("boom"))
         sim.run()
         assert caught == ["boom"]
 
@@ -257,7 +259,7 @@ class TestProcesses:
                 raise
 
         p = sim.spawn(proc())
-        sim.call_after(1.0, p.kill)
+        sim.timer(1.0, p.kill)
         sim.run()
         assert cleaned == [1.0]
         assert isinstance(p.result.exception, ProcessKilled)
@@ -327,7 +329,7 @@ class TestProcessLifecycle:
         sim.run(until=5.0)
         gc.collect()
         assert len(sim._spawned) == 3
-        assert all(not proc.finished for proc in sim._spawned)
+        assert all(not proc.result.done for proc in sim._spawned)
         assert [ref() is None for ref in refs] == [True] * 50 + [False] * 3
 
     def test_finished_process_stays_usable_while_held(self, sim):
@@ -338,7 +340,7 @@ class TestProcessLifecycle:
         proc = sim.spawn(worker(), name=("parts", "joined", "late"))
         sim.run()
         assert not sim._spawned
-        assert proc.finished and proc.result.result() == "kept"
+        assert proc.result.done and proc.result.result() == "kept"
         assert proc.name == "parts.joined.late"
         assert proc.result.name == "parts.joined.late.result"
 
@@ -373,10 +375,10 @@ class TestProcessLifecycle:
         quiet = sim.spawn(bad(), daemon=True, owner=owner)
         loud = sim.spawn(bad(), owner=owner)
         assert list(owner) == list(sim._spawned) == [victim, quiet, loud]
-        sim.call_after(0.5, victim.kill)
+        sim.timer(0.5, victim.kill)
         with pytest.raises(ProcessCrashed):
             sim.run()
-        assert victim.finished and quiet.finished and loud.finished
+        assert victim.result.done and quiet.result.done and loud.result.done
         assert not sim._spawned and not owner
 
     def test_owner_that_already_dropped_the_process_is_tolerated(self, sim):
@@ -388,7 +390,7 @@ class TestProcessLifecycle:
         proc = sim.spawn(sleeper(), owner=owner)
         owner.clear()  # what a group kill does before its kills are delivered
         sim.run()
-        assert proc.finished and not sim._spawned
+        assert proc.result.done and not sim._spawned
 
 
 class TestFutures:
@@ -420,7 +422,7 @@ class TestFutures:
 
     def test_run_until_failed_future_raises(self, sim):
         fut = sim.event()
-        sim.call_after(1.0, fut.fail, ValueError("x"))
+        sim.timer(1.0, fut.fail, ValueError("x"))
         with pytest.raises(ValueError):
             sim.run_until(fut)
 
@@ -434,7 +436,7 @@ class TestCombinators:
     def test_all_of_collects_values(self, sim):
         futs = [sim.event() for _ in range(3)]
         for i, f in enumerate(futs):
-            sim.call_after(float(3 - i), f.resolve, i * 10)
+            sim.timer(float(3 - i), f.resolve, i * 10)
         gathered = all_of(sim, futs)
         assert sim.run_until(gathered) == [0, 10, 20]
 
@@ -444,22 +446,11 @@ class TestCombinators:
 
     def test_all_of_fails_fast(self, sim):
         futs = [sim.event() for _ in range(2)]
-        sim.call_after(1.0, futs[1].fail, RuntimeError("first"))
-        sim.call_after(2.0, futs[0].resolve, "late")
+        sim.timer(1.0, futs[1].fail, RuntimeError("first"))
+        sim.timer(2.0, futs[0].resolve, "late")
         gathered = all_of(sim, futs)
         with pytest.raises(RuntimeError):
             sim.run_until(gathered)
-
-    def test_any_of_returns_first(self, sim):
-        futs = [sim.event() for _ in range(3)]
-        sim.call_after(2.0, futs[0].resolve, "slow")
-        sim.call_after(1.0, futs[2].resolve, "fast")
-        index, value = sim.run_until(any_of(sim, futs))
-        assert (index, value) == (2, "fast")
-
-    def test_any_of_requires_futures(self, sim):
-        with pytest.raises(SimError):
-            any_of(sim, [])
 
 
 class TestTwoTierScheduler:
@@ -467,29 +458,27 @@ class TestTwoTierScheduler:
 
     def test_heap_entries_at_now_precede_ready_entries(self, sim):
         # Two timers land at t=1.0 (scheduled before the clock got there);
-        # the first one issues a call_soon.  The old kernel ran strictly in
-        # sequence order: timer1, timer2, then the call_soon callback.
+        # the first one issues a zero-delay timer.  The single-heap kernel
+        # ran strictly in sequence order: timer1, timer2, then the new entry.
         order = []
-        sim.call_at(1.0, lambda: (order.append("timer1"),
-                                  sim.call_soon(lambda: order.append("soon"))))
-        sim.call_at(1.0, lambda: order.append("timer2"))
+        sim.timer(1.0, lambda: (order.append("timer1"),
+                                sim.timer(0.0, lambda: order.append("soon"))))
+        sim.timer(1.0, lambda: order.append("timer2"))
         sim.run()
         assert order == ["timer1", "timer2", "soon"]
 
-    def test_call_soon_and_defer_interleave_fifo(self, sim):
+    def test_cancelled_zero_delay_token_does_not_fire(self, sim):
+        """A zero-delay ``timer_token`` cancelled before its turn never
+        fires; a live one fires in its FIFO position."""
         order = []
-        sim.call_soon(lambda: order.append("a"))
-        sim.defer(lambda: order.append("b"))
-        sim.call_soon(lambda: order.append("c"))
+        dead, live = Token(), Token()
+        sim.timer(0.0, lambda: (order.append("a"), setattr(dead, "cancelled", True)))
+        sim.timer_token(0.0, dead, order.append, "cancelled")
+        sim.timer_token(0.0, live, order.append, "b")
+        sim.timer(0.0, order.append, "c")
         sim.run()
         assert order == ["a", "b", "c"]
-
-    def test_cancelled_call_soon_handle_does_not_fire(self, sim):
-        seen = []
-        handle = sim.call_soon(lambda: seen.append(1))
-        handle.cancel()
-        sim.run()
-        assert seen == []
+        assert sim.now == 0.0
 
     def test_timer_fires_at_offset(self, sim):
         seen = []
@@ -499,33 +488,35 @@ class TestTwoTierScheduler:
 
     def test_timer_zero_delay_runs_at_current_time_fifo(self, sim):
         order = []
-        sim.call_soon(lambda: order.append("soon"))
         sim.timer(0.0, lambda: order.append("timer0"))
+        sim.timer_token(0.0, Token(), lambda: order.append("token0"))
+        sim.timer(0.0, lambda: order.append("timer0-again"))
         sim.run()
-        assert order == ["soon", "timer0"]
+        assert order == ["timer0", "token0", "timer0-again"]
         assert sim.now == 0.0
 
     def test_timer_negative_delay_raises(self, sim):
         with pytest.raises(SimError):
             sim.timer(-1.0, lambda: None)
 
-    def test_call_at_tiny_past_tolerated(self, sim):
-        sim.call_after(1.0, lambda: None)
+    def test_timer_tiny_negative_delay_tolerated(self, sim):
+        sim.timer(1.0, lambda: None)
         sim.run()
         seen = []
-        sim.call_at(sim.now - 1e-13, lambda: seen.append(sim.now))
+        sim.timer(-1e-13, lambda: seen.append(sim.now))
+        sim.timer_token(-1e-13, Token(), lambda: seen.append(sim.now))
         sim.run()
-        assert seen == [1.0]
+        assert seen == [1.0, 1.0]
 
     def test_clock_only_advances_when_ready_queue_drained(self, sim):
         order = []
 
         def at_start():
             order.append(("soon", sim.now))
-            sim.call_soon(lambda: order.append(("soon2", sim.now)))
+            sim.timer(0.0, lambda: order.append(("soon2", sim.now)))
 
-        sim.call_soon(at_start)
-        sim.call_after(1.0, lambda: order.append(("timer", sim.now)))
+        sim.timer(0.0, at_start)
+        sim.timer(1.0, lambda: order.append(("timer", sim.now)))
         sim.run()
         assert order == [("soon", 0.0), ("soon2", 0.0), ("timer", 1.0)]
 
@@ -534,8 +525,8 @@ class TestAllOfLateCompletions:
     def test_late_success_after_failure_is_ignored(self, sim):
         futs = [sim.event() for _ in range(2)]
         gathered = all_of(sim, futs)
-        sim.call_after(1.0, futs[0].fail, RuntimeError("early"))
-        sim.call_after(2.0, futs[1].resolve, "late")
+        sim.timer(1.0, futs[0].fail, RuntimeError("early"))
+        sim.timer(2.0, futs[1].resolve, "late")
         with pytest.raises(RuntimeError):
             sim.run_until(gathered)
         sim.run()  # the late resolve must not double-resolve the gather
@@ -544,8 +535,8 @@ class TestAllOfLateCompletions:
     def test_late_failure_after_failure_is_ignored(self, sim):
         futs = [sim.event() for _ in range(2)]
         gathered = all_of(sim, futs)
-        sim.call_after(1.0, futs[0].fail, RuntimeError("first"))
-        sim.call_after(2.0, futs[1].fail, ValueError("second"))
+        sim.timer(1.0, futs[0].fail, RuntimeError("first"))
+        sim.timer(2.0, futs[1].fail, ValueError("second"))
         with pytest.raises(RuntimeError):
             sim.run_until(gathered)
         sim.run()

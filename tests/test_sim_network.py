@@ -1,7 +1,5 @@
 """Unit tests for the region-aware network latency model."""
 
-import random
-
 import pytest
 
 from repro.sim.core import Simulator
@@ -16,6 +14,10 @@ from repro.sim.network import (
 @pytest.fixture
 def sim():
     return Simulator(seed=3)
+
+
+def send(net, src_region, dst_region, fn, *args):
+    net.deliver_addr(src_region, dst_region, "a", "b", fn, *args)
 
 
 class TestLatencyModel:
@@ -40,18 +42,25 @@ class TestLatencyModel:
         model = LatencyModel(default_cross=0.2)
         assert model.base_one_way("mars", "venus") == 0.2
 
-    def test_jitter_bounds(self):
-        model = LatencyModel(jitter_frac=0.1)
-        rng = random.Random(0)
-        base = model.base_one_way("us-west", "asia-east")
+    def test_jitter_bounds(self, sim):
+        net = Network(sim, LatencyModel(jitter_frac=0.1))
+        base = net.latency.base_one_way("us-west", "asia-east")
+        arrivals = []
         for _ in range(200):
-            sample = model.one_way(rng, "us-west", "asia-east")
-            assert base <= sample <= base * 1.1
+            send(net, "us-west", "asia-east", lambda: arrivals.append(sim.now))
+        sim.run()
+        assert len(arrivals) == 200 and len(set(arrivals)) > 1
+        assert all(base <= t <= base * 1.1 for t in arrivals)
 
-    def test_zero_jitter_is_deterministic(self):
-        model = LatencyModel(jitter_frac=0.0)
-        rng = random.Random(0)
-        assert model.one_way(rng, "us-west", "us-west") == model.intra
+    def test_zero_jitter_is_deterministic(self, sim):
+        net = Network(sim, LatencyModel(jitter_frac=0.0))
+        arrivals = []
+        for _ in range(3):
+            send(net, "us-west", "asia-east", lambda: arrivals.append(sim.now))
+        state = sim.rng.getstate()
+        sim.run()
+        base = net.latency.base_one_way("us-west", "asia-east")
+        assert arrivals == [base] * 3 and sim.rng.getstate() == state
 
     def test_custom_matrix(self):
         model = LatencyModel(cross={frozenset(("a", "b")): 0.5})
@@ -62,28 +71,28 @@ class TestNetwork:
     def test_delivery_delayed_by_latency(self, sim):
         net = Network(sim, LatencyModel(jitter_frac=0.0))
         seen = []
-        net.deliver("us-west", "us-west", lambda: seen.append(sim.now))
+        send(net, "us-west", "us-west", lambda: seen.append(sim.now))
         sim.run()
         assert seen == [pytest.approx(INTRA_REGION_ONE_WAY)]
 
     def test_cross_region_delivery_slower(self, sim):
         net = Network(sim, LatencyModel(jitter_frac=0.0))
         times = {}
-        net.deliver("us-west", "us-west", lambda: times.setdefault("intra", sim.now))
-        net.deliver("us-west", "asia-east", lambda: times.setdefault("cross", sim.now))
+        send(net, "us-west", "us-west", lambda: times.setdefault("intra", sim.now))
+        send(net, "us-west", "asia-east", lambda: times.setdefault("cross", sim.now))
         sim.run()
         assert times["cross"] > times["intra"] * 100
 
     def test_messages_counted(self, sim):
         net = Network(sim)
         for _ in range(5):
-            net.deliver("us-west", "us-west", lambda: None)
+            send(net, "us-west", "us-west", lambda: None)
         sim.run()
         assert net.messages_sent == 5
 
     def test_delivery_passes_args(self, sim):
         net = Network(sim)
         seen = []
-        net.deliver("us-west", "us-west", lambda a, b: seen.append(a + b), 1, 2)
+        send(net, "us-west", "us-west", lambda a, b: seen.append(a + b), 1, 2)
         sim.run()
         assert seen == [3]

@@ -1,9 +1,9 @@
-"""Unit tests for CPU resources and async queues."""
+"""Unit tests for CPU resources."""
 
 import pytest
 
 from repro.sim.core import SimError, Simulator, Timeout
-from repro.sim.resources import CpuResource, Queue
+from repro.sim.resources import CpuResource
 
 
 @pytest.fixture
@@ -103,67 +103,3 @@ class TestCpuResource:
     def test_utilization_zero_elapsed(self, sim):
         cpu = CpuResource(sim, workers=1)
         assert cpu.utilization(0.0) == 0.0
-
-
-class TestQueue:
-    def test_put_then_get(self, sim):
-        q = Queue(sim)
-        q.put("x")
-        got = sim.run_until(q.get())
-        assert got == "x"
-
-    def test_get_blocks_until_put(self, sim):
-        q = Queue(sim)
-        got = []
-
-        def consumer():
-            item = yield q.get()
-            got.append((item, sim.now))
-
-        sim.spawn(consumer())
-        sim.call_after(2.0, q.put, "late")
-        sim.run()
-        assert got == [("late", 2.0)]
-
-    def test_fifo_order(self, sim):
-        q = Queue(sim)
-        for i in range(3):
-            q.put(i)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                got.append((yield q.get()))
-
-        sim.spawn(consumer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_multiple_waiters_fifo(self, sim):
-        q = Queue(sim)
-        got = []
-
-        def consumer(name):
-            item = yield q.get()
-            got.append((name, item))
-
-        sim.spawn(consumer("first"))
-        sim.spawn(consumer("second"))
-        sim.call_after(1.0, q.put, "a")
-        sim.call_after(2.0, q.put, "b")
-        sim.run()
-        assert got == [("first", "a"), ("second", "b")]
-
-    def test_drain(self, sim):
-        q = Queue(sim)
-        for i in range(4):
-            q.put(i)
-        assert q.drain() == [0, 1, 2, 3]
-        assert len(q) == 0
-
-    def test_len(self, sim):
-        q = Queue(sim)
-        assert len(q) == 0
-        q.put(1)
-        q.put(2)
-        assert len(q) == 2

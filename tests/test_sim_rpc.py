@@ -178,7 +178,7 @@ class TestCrashes:
 
         server.register("slow", slow)
         fut = client.call("server", "slow", timeout=5.0)
-        sim.call_after(1.0, lambda: setattr(server, "crashed", True))
+        sim.timer(1.0, lambda: setattr(server, "crashed", True))
         with pytest.raises(RpcTimeout):
             sim.run_until(fut)
 

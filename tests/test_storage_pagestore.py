@@ -122,7 +122,7 @@ class TestReplayService:
     def test_wait_for_future_lsn(self):
         fut = self.replay.wait_applied("glog", 3)
         for i in range(3):
-            self.sim.call_after(i * 0.1, self.log.append, f"t{i}", RecordKind.COMMIT_DATA, ())
+            self.sim.timer(i * 0.1, self.log.append, f"t{i}", RecordKind.COMMIT_DATA, ())
         self.sim.run_until(fut)
         assert self.ps.applied_lsn["glog"] == 3
 
