@@ -8,12 +8,6 @@ expensive sweeps.  See ANALYSIS.md for the rule catalogue and the historical
 bug each rule encodes; run ``python -m repro.analysis src/``.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    fingerprints,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.framework import (
     Finding,
     ModuleContext,
@@ -32,10 +26,6 @@ __all__ = [
     "all_rules",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
-    "fingerprints",
     "get_rule",
-    "load_baseline",
     "register",
-    "write_baseline",
 ]

@@ -4,11 +4,9 @@ Usage::
 
     python -m repro.analysis src/                 # lint, human output
     python -m repro.analysis src/ --json          # machine output
-    python -m repro.analysis src/ --baseline B    # suppress snapshotted findings
-    python -m repro.analysis src/ --write-baseline B
     python -m repro.analysis --list-rules
 
-Exit status: 0 when no unsuppressed, unwaived *error*-tier findings remain
+Exit status: 0 when no unwaived *error*-tier findings remain
 (advisories never gate); 1 otherwise; 2 on usage errors.
 """
 
@@ -19,7 +17,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.framework import (
     SEVERITY_ADVISORY,
     SEVERITY_ERROR,
@@ -47,16 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--json", action="store_true", help="emit a JSON report on stdout"
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings fingerprinted in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot current unwaived findings to FILE and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -97,8 +84,6 @@ def _select_rules(spec: Optional[str]):
 def _render_text(findings: List[Finding], args, out) -> None:
     shown = 0
     for f in findings:
-        if f.suppressed:
-            continue
         if f.waived and not args.show_waived:
             continue
         if f.severity == SEVERITY_ADVISORY and args.no_advisory:
@@ -113,15 +98,11 @@ def _render_text(findings: List[Finding], args, out) -> None:
         shown += 1
     errors = sum(1 for f in findings if f.gates)
     advisory = sum(
-        1
-        for f in findings
-        if f.severity == SEVERITY_ADVISORY and not f.waived and not f.suppressed
+        1 for f in findings if f.severity == SEVERITY_ADVISORY and not f.waived
     )
     waived = sum(1 for f in findings if f.waived)
-    suppressed = sum(1 for f in findings if f.suppressed)
     print(
-        f"detlint: {errors} error(s), {advisory} advisory, "
-        f"{waived} waived, {suppressed} baseline-suppressed",
+        f"detlint: {errors} error(s), {advisory} advisory, {waived} waived",
         file=out,
     )
 
@@ -144,22 +125,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         parser.error(str(exc))
 
-    if args.baseline:
-        try:
-            known = baseline_mod.load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot load baseline: {exc}")
-        baseline_mod.apply_baseline(findings, known)
-
-    if args.write_baseline:
-        baseline_mod.write_baseline(args.write_baseline, findings)
-        print(
-            f"detlint: wrote {args.write_baseline} "
-            f"({sum(1 for f in findings if not f.waived)} fingerprint(s))",
-            file=sys.stderr,
-        )
-        return 0
-
     if args.json:
         doc = {
             "version": 1,
@@ -168,12 +133,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "advisory": sum(
                     1
                     for f in findings
-                    if f.severity == SEVERITY_ADVISORY
-                    and not f.waived
-                    and not f.suppressed
+                    if f.severity == SEVERITY_ADVISORY and not f.waived
                 ),
                 "waived": sum(1 for f in findings if f.waived),
-                "suppressed": sum(1 for f in findings if f.suppressed),
             },
             "findings": [
                 f.to_dict()

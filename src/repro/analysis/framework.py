@@ -9,7 +9,7 @@ Severity tiers
 --------------
 ``error``
     Gates CI: ``python -m repro.analysis src/`` exits non-zero while any
-    unsuppressed, unwaived error finding exists.
+    unwaived error finding exists.
 ``advisory``
     Reported but never gates (e.g. the ``__slots__`` advice, DET105).
 
@@ -78,16 +78,11 @@ class Finding:
     line_text: str = ""
     waived: bool = False
     waiver_reason: str = ""
-    suppressed: bool = False  # matched a --baseline fingerprint
 
     @property
     def gates(self) -> bool:
         """True when this finding should fail the run."""
-        return (
-            self.severity == SEVERITY_ERROR
-            and not self.waived
-            and not self.suppressed
-        )
+        return self.severity == SEVERITY_ERROR and not self.waived
 
     def to_dict(self) -> dict:
         return {
@@ -100,7 +95,6 @@ class Finding:
             "line_text": self.line_text,
             "waived": self.waived,
             "waiver_reason": self.waiver_reason,
-            "suppressed": self.suppressed,
         }
 
 

@@ -87,7 +87,6 @@ class FdbService(ServiceSessionMixin):
         for method, handler in (
             ("fdb_get_read_version", self._h_grv),
             ("fdb_commit", self._h_commit),
-            ("fdb_read", self._h_read),
             ("fdb_scan", self._h_scan),
         ):
             self.endpoint.register(method, handler)
@@ -125,11 +124,6 @@ class FdbService(ServiceSessionMixin):
         self.read_version += 1
         self.commits_served += 1
         return self.read_version
-
-    def _h_read(self, key: str):
-        yield Timeout(self.config.read_service)
-        self.reads_served += 1
-        return self.data.get(key)
 
     def _h_scan(self, prefix: str):
         yield Timeout(self.config.read_service * 4)

@@ -6,15 +6,12 @@ orders it (single atomic-broadcast pipeline), replicates to a follower quorum
 are served by any server.  The leader's ordering pipeline is the scalability
 bottleneck the paper measures; S-ZK and L-ZK differ only in per-op service
 times and cluster cost, mirroring the D4s v3 / D8s v3 hardware split.
-
-The service also offers ZooKeeper-style watches: registered endpoints
-receive one-way ``zk_watch_event`` casts on matching path changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.coord.session import ServiceSessionMixin, seed_rows
 from repro.sim.core import Simulator, Timeout
@@ -68,7 +65,7 @@ class QuorumKvService:
     The cost model both the ZooKeeper and the lease backend run on: every
     write takes a slot in the leader's serialized ordering pipeline, then one
     follower round trip plus fsync; reads are served locally.  ``write`` /
-    ``delete`` / ``read`` / ``scan`` are registered as ``<rpc_prefix>_<verb>``;
+    ``delete`` / ``scan`` are registered as ``<rpc_prefix>_<verb>``;
     subclasses add their own verbs with :meth:`_register`.
     """
 
@@ -87,12 +84,10 @@ class QuorumKvService:
         #: The leader's serialized ordering/broadcast pipeline.
         self.pipeline = CpuResource(sim, 1, name=f"{address}-leader")
         self.data: Dict[str, object] = {}
-        self.version: Dict[str, int] = {}
         self.writes_served = 0
         self.reads_served = 0
         self._register(
-            write=self._h_write, delete=self._h_delete,
-            read=self._h_read, scan=self._h_scan,
+            write=self._h_write, delete=self._h_delete, scan=self._h_scan
         )
 
     def _register(self, **handlers) -> None:
@@ -112,36 +107,24 @@ class QuorumKvService:
         rtt = 2 * self.network.latency.intra
         return rtt + self.config.fsync
 
-    def _ordered_write(self, slots: int = 1):
-        """What every write pays before it applies: ``slots`` turns in the
-        leader's ordering pipeline, then one quorum round.  Expiry and CAS
-        outcomes are judged after it, in the authoritative order."""
-        yield from self.pipeline.run(self.config.write_service * slots)
+    def _ordered_write(self):
+        """What every write pays before it applies: one turn in the leader's
+        ordering pipeline, then one quorum round.  Expiry and CAS outcomes
+        are judged after it, in the authoritative order."""
+        yield from self.pipeline.run(self.config.write_service)
         yield Timeout(self._quorum_delay())
         self.writes_served += 1
-
-    def _notify(self, path: str, value) -> None:
-        """Hook: ``path`` changed to ``value`` (None: deleted).  A plain KV
-        store has nobody to tell."""
 
     def _h_write(self, path: str, value):
         yield from self._ordered_write()
         self.data[path] = value
-        self.version[path] = self.version.get(path, 0) + 1
-        self._notify(path, value)
-        return self.version[path]
+        return True
 
     def _h_delete(self, path: str):
         yield from self._ordered_write()
         existed = path in self.data
         self.data.pop(path, None)
-        self._notify(path, None)
         return existed
-
-    def _h_read(self, path: str):
-        yield Timeout(self.config.read_service)
-        self.reads_served += 1
-        return self.data.get(path)
 
     def _h_scan(self, prefix: str):
         yield Timeout(self.config.read_service * 4)
@@ -153,8 +136,7 @@ class QuorumKvService:
 
 
 class ZooKeeperService(QuorumKvService, ServiceSessionMixin):
-    """The ZooKeeper actor: the quorum KV store plus atomic multi-ops,
-    watches and session liveness."""
+    """The ZooKeeper actor: the quorum KV store plus session liveness."""
 
     rpc_prefix = "zk"
 
@@ -167,27 +149,4 @@ class ZooKeeperService(QuorumKvService, ServiceSessionMixin):
         region: str = "us-west",
     ):
         super().__init__(sim, network, config, address, region)
-        self._watchers: List[str] = []
-        self._register(watch=self._h_watch, multi=self._h_multi)
         self._init_sessions()
-
-    def _h_multi(self, ops: Tuple):
-        """Atomic multi-op (one ordering slot, one quorum round)."""
-        yield from self._ordered_write(max(1, len(ops)))
-        for kind, path, value in ops:
-            if kind == "set":
-                self.data[path] = value
-                self.version[path] = self.version.get(path, 0) + 1
-            elif kind == "delete":
-                self.data.pop(path, None)
-            self._notify(path, value if kind == "set" else None)
-        return True
-
-    def _h_watch(self, watcher_address: str):
-        if watcher_address not in self._watchers:
-            self._watchers.append(watcher_address)
-        return True
-
-    def _notify(self, path: str, value) -> None:
-        for address in self._watchers:
-            self.endpoint.cast(address, "zk_watch_event", path, value)

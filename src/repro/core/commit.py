@@ -301,9 +301,6 @@ def terminate_in_doubt(
     node: "ComputeNode",
     txn_id: str,
     participant_logs: Sequence[str],
-    grace: float = None,
-    poll: float = None,
-    max_polls: int = None,
 ) -> Generator:
     """Resolve an in-doubt 2PC transaction from its participant logs (Cornus).
 
@@ -314,18 +311,14 @@ def terminate_in_doubt(
        each silent log — if the claim lands before that participant's vote,
        the vote's CAS fails and the transaction aborts everywhere.
 
-    ``grace``/``poll``/``max_polls`` default to the node's calibration
-    (``NodeParams.term_grace`` / ``term_poll`` / ``term_max_polls``) so a
-    scenario can tune termination aggressiveness per node.
+    The grace period, poll interval and poll budget are the node's
+    calibration (``NodeParams.term_grace`` / ``term_poll`` /
+    ``term_max_polls``), so a scenario tunes termination per node.
 
     Returns True (committed) or False (aborted).
     """
-    if grace is None:
-        grace = node.params.term_grace
-    if poll is None:
-        poll = node.params.term_poll
-    if max_polls is None:
-        max_polls = node.params.term_max_polls
+    params = node.params
+    grace, poll, max_polls = params.term_grace, params.term_poll, params.term_max_polls
     tracer = node.tracer
     sid = 0
     if tracer is not None:

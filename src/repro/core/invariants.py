@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Optional
 
-from repro.storage.log import RecordKind
+from repro.storage.log import RecordKind, decisions
 
 __all__ = [
     "InvariantViolation",
@@ -84,19 +84,6 @@ def check_view_consistency(nodes: Iterable, num_granules: int) -> None:
             )
 
 
-def _first_decisions(log) -> Dict[str, bool]:
-    """First decision record per transaction in one log (log-once rule)."""
-    decisions: Dict[str, bool] = {}
-    for record in log.records:
-        if record.txn_id in decisions:
-            continue
-        if record.kind is RecordKind.DECISION_COMMIT:
-            decisions[record.txn_id] = True
-        elif record.kind is RecordKind.DECISION_ABORT:
-            decisions[record.txn_id] = False
-    return decisions
-
-
 def check_atomicity(logs: Dict[str, object]) -> None:
     """**Atomicity across granules**: no transaction may commit on one
     participant log and abort on another.
@@ -107,7 +94,7 @@ def check_atomicity(logs: Dict[str, object]) -> None:
     """
     outcome_by_txn: Dict[str, Dict[str, bool]] = defaultdict(dict)
     for log_name, log in logs.items():
-        for txn_id, committed in _first_decisions(log).items():
+        for txn_id, committed in decisions(log.records).items():
             outcome_by_txn[txn_id][log_name] = committed
     for txn_id, per_log in sorted(outcome_by_txn.items()):
         if len(set(per_log.values())) > 1:
@@ -134,12 +121,12 @@ def check_durability(logs: Dict[str, object], live_log_names: Iterable[str]) -> 
         log = logs.get(log_name)
         if log is None:
             continue
-        decisions = _first_decisions(log)
+        decided = decisions(log.records)
         voted = set()
         for record in log.records:
             if record.kind is RecordKind.VOTE_YES:
                 voted.add(record.txn_id)
-        stranded = sorted(voted - set(decisions))
+        stranded = sorted(voted - set(decided))
         if stranded:
             raise InvariantViolation(
                 f"durability violated: {log_name} holds undecided votes "

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Sequence, Tuple
 
 from repro.core.commit import terminate_in_doubt
 from repro.engine.participant import ParticipantFSM, TxnState
-from repro.storage.log import LogRecord, RecordKind
+from repro.storage.log import LogRecord, RecordKind, decisions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.node import ComputeNode
@@ -85,7 +85,7 @@ def analyze(records: Sequence[LogRecord], own_log: str) -> RecoveryPlan:
     voted: Dict[str, Tuple[str, ...]] = {}
     prepared: Dict[str, Tuple[str, ...]] = {}
     ended: Dict[str, bool] = {}
-    decided: Dict[str, bool] = {}
+    decided = decisions(records)
     for record in records:
         txn = record.txn_id
         if record.kind is RecordKind.TXN_BEGIN:
@@ -96,13 +96,6 @@ def analyze(records: Sequence[LogRecord], own_log: str) -> RecoveryPlan:
             prepared[txn] = tuple(record.participants) or (own_log,)
         elif record.kind is RecordKind.TXN_END:
             ended[txn] = True
-        elif record.kind in (
-            RecordKind.DECISION_COMMIT,
-            RecordKind.DECISION_ABORT,
-        ):
-            decided.setdefault(
-                txn, record.kind is RecordKind.DECISION_COMMIT
-            )
     plan = RecoveryPlan(records_scanned=len(records))
     for txn, participants in voted.items():
         if txn not in decided:

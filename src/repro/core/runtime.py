@@ -17,7 +17,7 @@ from repro.core.base import CoordinationRuntime
 from repro.core.commit import terminate_in_doubt
 from repro.engine.node import GTABLE, glog_name
 from repro.engine.txn import AbortReason, TxnAborted
-from repro.storage.log import RecordKind
+from repro.storage.log import RecordKind, decisions
 
 __all__ = ["MarlinRuntime"]
 
@@ -78,16 +78,16 @@ class MarlinRuntime(CoordinationRuntime):
         """Fold missed log records into the local views.
 
         Two-phase records are applied only once their outcome is known: from
-        a decision record in the same slice when available, otherwise through
-        the Cornus-style termination protocol.
+        a decision record in the same slice when available (first decision
+        wins, :func:`~repro.storage.log.decisions`), otherwise through the
+        Cornus-style termination protocol.  A vote's updates apply at the
+        vote's own position, not at its decision record as the page store's
+        :class:`~repro.storage.log.Redo` does: an undecided vote is resolved
+        inline right there, so the slice's termination waits stay in log
+        order and every later record folds over the vote's effect.
         """
         node = self.node
-        decided: Dict[str, bool] = {}
-        for record in records:
-            if record.kind is RecordKind.DECISION_COMMIT:
-                decided[record.txn_id] = True
-            elif record.kind is RecordKind.DECISION_ABORT:
-                decided[record.txn_id] = False
+        decided = decisions(records)
         for record in records:
             if record.kind is RecordKind.COMMIT_DATA:
                 node.apply_system_entries(record.entries)

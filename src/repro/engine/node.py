@@ -43,7 +43,7 @@ from repro.sim.core import Future, SimError, Simulator, Timeout, all_of
 from repro.sim.network import Network
 from repro.sim.resources import CpuResource, Mutex
 from repro.sim.rpc import RemoteError, RpcEndpoint, RpcTimeout
-from repro.storage.log import AppendResult, Delete, Increment, Put, RecordKind
+from repro.storage.log import AppendResult, Increment, Put, RecordKind, fold
 
 __all__ = [
     "ComputeNode",
@@ -240,7 +240,6 @@ class ComputeNode:
             ("vote_req", self._h_vote_req),
             ("decision", self._h_decision),
             ("heartbeat", self._h_heartbeat),
-            ("owned_granules", self._h_owned_granules),
             ("scan_gtable", self._h_scan_gtable),
         ):
             self.endpoint.register(method, handler)
@@ -398,17 +397,15 @@ class ComputeNode:
 
     def apply_system_entries(self, entries) -> None:
         """Fold committed GTable/MTable updates into this node's views."""
-        for entry in entries:
-            if isinstance(entry, Put):
-                if entry.table == GTABLE:
-                    self.gtable[entry.key] = entry.value
-                elif entry.table == MTABLE:
-                    self.mtable[entry.key] = entry.value
-            elif isinstance(entry, Delete):
-                if entry.table == GTABLE:
-                    self.gtable.pop(entry.key, None)
-                elif entry.table == MTABLE:
-                    self.mtable.pop(entry.key, None)
+        fold(entries, self._system_table)
+
+    def _system_table(self, name: str):
+        # Read per call, never cached: cluster bootstrap reassigns both views.
+        if name == GTABLE:
+            return self.gtable
+        if name == MTABLE:
+            return self.mtable
+        return None
 
     def apply_committed(self, ctx: TxnContext) -> None:
         """Fold a committed transaction's entries for our GLog into the
@@ -795,9 +792,6 @@ class ComputeNode:
 
     def _h_heartbeat(self, from_id: int):
         return self.node_id
-
-    def _h_owned_granules(self):
-        return self.owned_granules()
 
     def _h_scan_gtable(self):
         """This node's authoritative GTable partition (granule -> owner)."""

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.engine.node import GTABLE, glog_name
 from repro.sim.core import Timeout
 from repro.sim.rpc import RemoteError, RpcError, RpcTimeout
-from repro.storage.log import Delete, Put, RecordKind
+from repro.storage.log import RecordKind, Redo, fold
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -107,16 +107,18 @@ def record_bytes(kind: RecordKind, entries: tuple) -> int:
 class ReplicaTail:
     """One follower's received copy of one primary's WAL.
 
-    Applies shipped records exactly the way a catching-up node folds missed
-    log records (:meth:`MarlinRuntime._apply_records`): COMMIT_DATA folds
-    immediately, VOTE_YES is staged until its decision record arrives, and
-    only the GTable entries are materialised — user writes count toward
-    ``bytes_received`` (the RPO ledger) but need no follower-side state.
+    Reads shipped records by the WAL's one rule set (``storage/log.py``):
+    its :class:`~repro.storage.log.Redo` applies COMMIT_DATA at once and a
+    VOTE_YES's updates at its decision record, and only the GTable entries
+    are folded — user writes count toward ``bytes_received`` (the RPO
+    ledger) but need no follower-side state.  A catching-up node's
+    :meth:`MarlinRuntime._apply_records` differs in one place: it applies a
+    vote's updates at the vote itself, once it knows the outcome.
     """
 
     __slots__ = (
         "follower_id", "primary_id", "acked_lsn", "bytes_received",
-        "gtable", "pending", "applied_txns",
+        "gtable", "redo", "applied_txns",
     )
 
     def __init__(self, follower_id: int, primary_id: int):
@@ -130,7 +132,7 @@ class ReplicaTail:
         #: Follower's replica of the primary's GTable partition.
         self.gtable: Dict[int, int] = {}
         #: VOTE_YES entries staged until a decision record ships.
-        self.pending: Dict[str, tuple] = {}
+        self.redo = Redo()
         #: Txn ids whose COMMIT_DATA / commit decision reached this replica
         #: (the quorum-safety invariant is checked against this set).
         self.applied_txns: Set[str] = set()
@@ -147,29 +149,16 @@ class ReplicaTail:
             return self.acked_lsn
         for txn_id, kind, entries, nbytes in records:
             self.bytes_received += nbytes
-            if kind is RecordKind.COMMIT_DATA:
-                self._fold(entries)
+            committed, updates = self.redo.feed(txn_id, kind, entries)
+            if committed:
+                fold(updates, self._gtable_only)
                 self.applied_txns.add(txn_id)
-            elif kind is RecordKind.VOTE_YES:
-                self.pending[txn_id] = entries
-            elif kind is RecordKind.DECISION_COMMIT:
-                staged = self.pending.pop(txn_id, None)
-                if staged is not None:
-                    self._fold(staged)
-                self.applied_txns.add(txn_id)
-            elif kind is RecordKind.DECISION_ABORT:
-                self.pending.pop(txn_id, None)
         self.acked_lsn = lsn
         return self.acked_lsn
 
-    def _fold(self, entries: tuple) -> None:
-        for entry in entries:
-            if isinstance(entry, Put):
-                if entry.table == GTABLE:
-                    self.gtable[entry.key] = entry.value
-            elif isinstance(entry, Delete):
-                if entry.table == GTABLE:
-                    self.gtable.pop(entry.key, None)
+    def _gtable_only(self, name: str):
+        # Read per call, never cached: ``attach`` and ``reconcile`` reassign it.
+        return self.gtable if name == GTABLE else None
 
 
 def _placement_rank(seed: int, primary_id: int, candidate: int) -> str:
@@ -485,7 +474,7 @@ class ReplicaManager:
             tail.bytes_received = self.acked_bytes.get(
                 primary_id, tail.bytes_received
             )
-            tail.pending.clear()
+            tail.redo.pending.clear()
             self.reconciles += 1
 
     # -- reporting ----------------------------------------------------------------

@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.chaos.events import FaultSchedule
 from repro.cluster.cluster import STATS
 from repro.engine.node import NodeParams
+from repro.engine.participant import EDGE_NAMES
 from repro.engine.replication import ReplicationSpec
 from repro.experiments.harness import EXP_NODE_PARAMS
 from repro.experiments.result import PROBES
@@ -217,6 +218,10 @@ class PhaseSpec(_SpecBase):
     params: Dict[str, Any] = field(default_factory=dict)
 
 
+#: Every FSM edge a fault point may name, participant and coordinator alike.
+_FAULT_EDGES = frozenset(edge for role in EDGE_NAMES.values() for edge in role)
+
+
 @dataclass
 class FaultSpec(_SpecBase):
     """Chaos schedule + the detector configuration it runs against.
@@ -251,7 +256,7 @@ class FaultSpec(_SpecBase):
         self.fault_points = _jsonify(list(self.fault_points))
         for point in self.fault_points:
             edge = point.get("edge")
-            if edge not in ("begin", "vote", "decide", "prepare", "end"):
+            if edge not in _FAULT_EDGES:
                 raise ValueError(f"unknown fault-point edge {edge!r}")
             phase = point.get("phase")
             if phase not in ("before", "after"):

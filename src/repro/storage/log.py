@@ -27,13 +27,25 @@ Record kinds implement the commit protocol's log vocabulary:
 
 ``TXN_BEGIN``/``PREPARE``/``TXN_END`` carry no redo updates, so replay
 treats them as LSN-advancing no-ops.
+
+This module is also the one place a record's *meaning* is read.  Every
+reader — the page store, follower replica tails, node views, recovery and
+the invariant checkers — goes through the same three rules:
+
+* :func:`fold` — how ``Put`` / ``Delete`` / ``Increment`` change a table;
+* :class:`Redo` — when a record's updates apply: ``COMMIT_DATA`` at once,
+  ``VOTE_YES`` buffered until its txn's decision commits (or drops) them;
+* :func:`decisions` — the log-once rule: a txn's *first* decision record is
+  its outcome in that log, whatever racing resolvers appended later.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 __all__ = [
     "AppendResult",
@@ -42,7 +54,10 @@ __all__ = [
     "LogRecord",
     "Put",
     "RecordKind",
+    "Redo",
     "SharedLog",
+    "decisions",
+    "fold",
 ]
 
 
@@ -208,26 +223,92 @@ class SharedLog:
         """The record whose LSN is ``lsn`` (1-based)."""
         return self.records[lsn - 1]
 
-    def txn_outcome(self, txn_id: str) -> Optional[bool]:
-        """Scan for a decision record: True committed, False aborted, None open.
+    def txn_outcome(self, txn_id: str) -> Tuple[Optional[bool], bool]:
+        """``(outcome, voted)`` for ``txn_id``, from one scan of the log.
 
-        Used by the Cornus-style termination protocol for in-doubt 2PC
-        transactions: the logs, not the coordinator, are the source of truth.
-        The *first* decision record wins (log-once semantics): racing
-        resolvers may append conflicting decisions, but every reader agrees
-        on the earliest one.
+        ``outcome`` is True committed, False aborted, None open, by the
+        log-once rule (:func:`decisions`); ``voted`` says whether a
+        ``VOTE_YES`` landed.  Used by the Cornus-style termination protocol
+        for in-doubt 2PC transactions: the logs, not the coordinator, are
+        the source of truth.
         """
-        for record in self.records:
-            if record.txn_id != txn_id:
-                continue
-            if record.kind is RecordKind.DECISION_COMMIT:
-                return True
-            if record.kind is RecordKind.DECISION_ABORT:
-                return False
-        return None
+        mine = [record for record in self.records if record.txn_id == txn_id]
+        voted = any(record.kind is RecordKind.VOTE_YES for record in mine)
+        return decisions(mine).get(txn_id), voted
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SharedLog({self.name!r}, end_lsn={self.end_lsn})"
+
+
+def fold(entries: Iterable[Entry], table_of: Callable[[str], Optional[dict]]):
+    """Apply committed ``entries`` in order.
+
+    ``table_of(name)`` returns the dict holding table ``name``, or None for
+    a table the caller does not keep.  It is asked once per entry, so a
+    caller whose table dicts get reassigned never folds into a stale one.
+    """
+    for entry in entries:
+        table = table_of(entry.table)
+        if table is None:
+            continue
+        if isinstance(entry, Put):
+            table[entry.key] = entry.value
+        elif isinstance(entry, Delete):
+            table.pop(entry.key, None)
+        elif isinstance(entry, Increment):
+            current = table.get(entry.key, 0)
+            if not isinstance(current, (int, float)):
+                current = 0  # counter-column semantics over stale blobs
+            table[entry.key] = current + entry.delta
+        else:
+            raise TypeError(f"unknown log entry {entry!r}")
+
+
+class Redo:
+    """When one log's records take effect: the two-phase redo rule.
+
+    :meth:`feed` each record in LSN order; it returns ``(committed,
+    updates)``.  ``COMMIT_DATA`` commits its updates at once; ``VOTE_YES``
+    buffers them under its txn; ``DECISION_COMMIT`` commits what its txn
+    buffered and ``DECISION_ABORT`` drops it.  Under the log-once rule the
+    first decision empties the buffer, so a later conflicting one changes
+    nothing.
+    """
+
+    __slots__ = ("pending",)
+
+    def __init__(self):
+        #: txn id -> updates from its VOTE_YES records, awaiting a decision.
+        self.pending: Dict[str, List[Entry]] = {}
+
+    def feed(
+        self, txn_id: str, kind: RecordKind, entries: Sequence[Entry]
+    ) -> Tuple[bool, Sequence[Entry]]:
+        if kind is RecordKind.COMMIT_DATA:
+            return True, entries
+        if kind is RecordKind.VOTE_YES:
+            self.pending.setdefault(txn_id, []).extend(entries)
+        elif kind is RecordKind.DECISION_COMMIT:
+            return True, self.pending.pop(txn_id, ())
+        elif kind is RecordKind.DECISION_ABORT:
+            self.pending.pop(txn_id, None)
+        return False, ()
+
+
+def decisions(records: Iterable[LogRecord]) -> Dict[str, bool]:
+    """``{txn_id: committed}`` from the first decision record per txn.
+
+    The log-once rule: racing resolvers may append conflicting decisions,
+    but every reader agrees on the earliest one.
+    """
+    decided: Dict[str, bool] = {}
+    for record in records:
+        kind = record.kind
+        if kind is RecordKind.DECISION_COMMIT:
+            decided.setdefault(record.txn_id, True)
+        elif kind is RecordKind.DECISION_ABORT:
+            decided.setdefault(record.txn_id, False)
+    return decided

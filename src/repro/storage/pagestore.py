@@ -3,16 +3,19 @@
 The page store holds the authoritative, replayed image of every table.  It
 tracks, per log, the highest LSN whose effects are visible (``applied_lsn``);
 ``GetPage@LSN`` readers wait until replay catches up to their requested
-version.  Two-phase records are buffered per transaction and applied or
-discarded when the decision record arrives.
+version.  What each record does is read from ``storage/log.py``: one
+:class:`~repro.storage.log.Redo` per log decides when updates apply
+(two-phase votes wait for their decision record, per log, so an abort
+discards only that log's share) and :func:`~repro.storage.log.fold`
+applies them to every table.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.storage.log import Delete, Increment, LogRecord, Put, RecordKind
+from repro.storage.log import LogRecord, Redo, fold
 
 __all__ = ["PageStore"]
 
@@ -22,10 +25,9 @@ class PageStore:
 
     def __init__(self):
         self._tables: Dict[str, Dict[object, object]] = defaultdict(dict)
+        self._table_of = self._tables.__getitem__
         self.applied_lsn: Dict[str, int] = defaultdict(int)
-        # txn_id -> list of provisional entries seen in VOTE_YES records,
-        # keyed per log so an abort discards only that log's share.
-        self._pending: Dict[Tuple[str, str], List] = defaultdict(list)
+        self._redo: Dict[str, Redo] = defaultdict(Redo)
         self.records_applied = 0
 
     # -- replay side ---------------------------------------------------------
@@ -38,31 +40,13 @@ class PageStore:
                 f"out-of-order replay on {log_name}: got lsn {record.lsn}, "
                 f"expected {expected}"
             )
-        if record.kind is RecordKind.COMMIT_DATA:
-            self._apply_entries(record.entries)
-        elif record.kind is RecordKind.VOTE_YES:
-            self._pending[(log_name, record.txn_id)].extend(record.entries)
-        elif record.kind is RecordKind.DECISION_COMMIT:
-            entries = self._pending.pop((log_name, record.txn_id), [])
-            self._apply_entries(entries)
-        elif record.kind is RecordKind.DECISION_ABORT:
-            self._pending.pop((log_name, record.txn_id), None)
+        _, updates = self._redo[log_name].feed(
+            record.txn_id, record.kind, record.entries
+        )
+        if updates:
+            fold(updates, self._table_of)
         self.applied_lsn[log_name] = record.lsn
         self.records_applied += 1
-
-    def _apply_entries(self, entries) -> None:
-        for entry in entries:
-            if isinstance(entry, Put):
-                self._tables[entry.table][entry.key] = entry.value
-            elif isinstance(entry, Delete):
-                self._tables[entry.table].pop(entry.key, None)
-            elif isinstance(entry, Increment):
-                current = self._tables[entry.table].get(entry.key, 0)
-                if not isinstance(current, (int, float)):
-                    current = 0  # counter-column semantics over stale blobs
-                self._tables[entry.table][entry.key] = current + entry.delta
-            else:
-                raise TypeError(f"unknown log entry {entry!r}")
 
     # -- read side -----------------------------------------------------------
 
@@ -81,4 +65,4 @@ class PageStore:
 
     def pending_txns(self, log_name: str) -> List[str]:
         """Transaction ids with buffered-but-undecided updates on ``log_name``."""
-        return [txn for (log, txn) in self._pending if log == log_name]
+        return list(self._redo[log_name].pending)

@@ -67,7 +67,6 @@ class StorageService:
         for method in (
             "append",
             "append_batch",
-            "create_log",
             "read_log",
             "log_end_lsn",
             "check_lsn",
@@ -130,11 +129,6 @@ class StorageService:
         self.appends_served += 1
         return self.logs[log_name].append_batch(bodies, expected_lsn)
 
-    def _h_create_log(self, log_name: str):
-        yield Timeout(self._service_delay(self.append_latency))
-        self.create_log(log_name)
-        return True
-
     def _h_read_log(self, log_name: str, from_lsn: int):
         yield Timeout(self._service_delay(self.read_latency))
         self.reads_served += 1
@@ -167,9 +161,4 @@ class StorageService:
     def _h_txn_outcome(self, log_name: str, txn_id: str):
         """Termination-protocol probe: (outcome, voted) for ``txn_id``."""
         yield Timeout(self._service_delay(self.read_latency))
-        log = self.logs[log_name]
-        outcome = log.txn_outcome(txn_id)
-        voted = any(
-            r.txn_id == txn_id and r.kind is RecordKind.VOTE_YES for r in log.records
-        )
-        return (outcome, voted)
+        return self.logs[log_name].txn_outcome(txn_id)

@@ -1,4 +1,4 @@
-"""detlint test suite: per-rule fixtures, waivers, CLI, baseline, meta.
+"""detlint test suite: per-rule fixtures, waivers, CLI, meta.
 
 Fixture snippets live in ``tests/analysis_fixtures/`` — deliberately buggy
 code that must never be imported or collected (see the decoy test there and
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.cli import main as cli_main
 from repro.analysis.config import repo_relative, tags_for_path
 from repro.analysis.framework import all_rules, analyze_paths, analyze_source
@@ -327,53 +326,11 @@ def test_cli_missing_path_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_cli_baseline_round_trip(tmp_path, capsys):
-    snippet = tmp_path / "mod.py"
-    snippet.write_text(
-        "# detlint: scope=sim\nimport time\nT0 = time.time()\n",
-        encoding="utf-8",
-    )
-    baseline = tmp_path / "detlint-baseline.json"
-
-    assert cli_main([str(snippet)]) == 1
-    assert cli_main([str(snippet), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-    # Snapshot suppresses the finding and reports it as such.
-    rc = cli_main([str(snippet), "--baseline", str(baseline), "--json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert doc["counts"]["error"] == 0
-    assert doc["counts"]["suppressed"] >= 1
-
-    # Editing the flagged line invalidates its fingerprint: re-triage.
-    snippet.write_text(
-        "# detlint: scope=sim\nimport time\nT0 = time.time()  # tweaked\n",
-        encoding="utf-8",
-    )
-    assert cli_main([str(snippet), "--baseline", str(baseline)]) == 1
-    capsys.readouterr()
-
-
-def test_baseline_fingerprints_survive_line_shifts(tmp_path):
-    body = "import time\nT0 = time.time()\n"
-    a = analyze_source("# detlint: scope=sim\n" + body, path="m.py")
-    b = analyze_source("# detlint: scope=sim\n\n\n\n" + body, path="m.py")
-    assert baseline_mod.fingerprints(a) == baseline_mod.fingerprints(b)
-
-
-def test_baseline_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "b.json"
-    bad.write_text('{"version": 99, "fingerprints": []}', encoding="utf-8")
-    with pytest.raises(ValueError, match="version"):
-        baseline_mod.load_baseline(bad)
-
-
 # -- meta: the repo itself ------------------------------------------------------
 
 
 def test_src_lints_clean():
-    """CI-parity gate: zero unsuppressed error findings across src/."""
+    """CI-parity gate: zero unwaived error findings across src/."""
     findings = analyze_paths([str(SRC)])
     gating = [f for f in findings if f.gates]
     assert not gating, "\n".join(

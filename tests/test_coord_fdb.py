@@ -30,9 +30,9 @@ def commit(sim, client, writes):
 
 class TestTransactions:
     def test_commit_and_read(self, env):
-        sim, _net, _fdb, client = env
+        sim, _net, fdb, client = env
         commit(sim, client, [("/a", 1)])
-        assert sim.run_until(client.call("fdb", "fdb_read", "/a")) == 1
+        assert fdb.data["/a"] == 1
 
     def test_read_version_advances(self, env):
         sim, _net, _fdb, client = env
@@ -41,10 +41,10 @@ class TestTransactions:
         assert v2 == v1 + 1
 
     def test_delete_via_none(self, env):
-        sim, _net, _fdb, client = env
+        sim, _net, fdb, client = env
         commit(sim, client, [("/a", 1)])
         commit(sim, client, [("/a", None)])
-        assert sim.run_until(client.call("fdb", "fdb_read", "/a")) is None
+        assert "/a" not in fdb.data
 
     def test_scan(self, env):
         sim, _net, _fdb, client = env

@@ -19,21 +19,15 @@ def env():
 
 class TestKvOperations:
     def test_write_read(self, env):
-        sim, _net, _zk, client = env
+        sim, _net, zk, client = env
         sim.run_until(client.call("zk", "zk_write", "/a", 1))
-        assert sim.run_until(client.call("zk", "zk_read", "/a")) == 1
-
-    def test_write_returns_version(self, env):
-        sim, _net, _zk, client = env
-        v1 = sim.run_until(client.call("zk", "zk_write", "/a", 1))
-        v2 = sim.run_until(client.call("zk", "zk_write", "/a", 2))
-        assert v2 == v1 + 1
+        assert zk.data["/a"] == 1
 
     def test_delete(self, env):
-        sim, _net, _zk, client = env
+        sim, _net, zk, client = env
         sim.run_until(client.call("zk", "zk_write", "/a", 1))
         assert sim.run_until(client.call("zk", "zk_delete", "/a")) is True
-        assert sim.run_until(client.call("zk", "zk_read", "/a")) is None
+        assert "/a" not in zk.data
 
     def test_delete_missing(self, env):
         sim, _net, _zk, client = env
@@ -46,12 +40,6 @@ class TestKvOperations:
         sim.run_until(client.call("zk", "zk_write", "/members/0", "n0"))
         scan = sim.run_until(client.call("zk", "zk_scan", "/granules/"))
         assert scan == {"/granules/0": 0, "/granules/1": 1, "/granules/2": 2}
-
-    def test_multi_atomic(self, env):
-        sim, _net, _zk, client = env
-        ops = (("set", "/a", 1), ("set", "/b", 2), ("delete", "/c", None))
-        assert sim.run_until(client.call("zk", "zk_multi", ops)) is True
-        assert sim.run_until(client.call("zk", "zk_read", "/b")) == 2
 
 
 class TestLeaderBottleneck:
@@ -80,33 +68,12 @@ class TestLeaderBottleneck:
         sim, _net, zk, client = env
         sim.run_until(client.call("zk", "zk_write", "/a", 1))
         t0 = sim.now
-        futs = [client.call("zk", "zk_read", "/a") for _ in range(50)]
+        futs = [client.call("zk", "zk_scan", "/a") for _ in range(50)]
         sim.run_until(all_of(sim, futs))
         assert sim.now - t0 < 50 * zk.config.write_service
 
 
-class TestWatches:
-    def test_watch_event_on_write(self, env):
-        sim, net, _zk, client = env
-        events = []
-        watcher = RpcEndpoint(sim, net, "watcher", "us-west")
-        watcher.register("zk_watch_event", lambda p, v: events.append((p, v)))
-        sim.run_until(client.call("zk", "zk_watch", "watcher"))
-        sim.run_until(client.call("zk", "zk_write", "/a", 42))
-        sim.run(until=sim.now + 0.01)
-        assert ("/a", 42) in events
-
-    def test_watch_event_on_delete(self, env):
-        sim, net, _zk, client = env
-        events = []
-        watcher = RpcEndpoint(sim, net, "watcher", "us-west")
-        watcher.register("zk_watch_event", lambda p, v: events.append((p, v)))
-        sim.run_until(client.call("zk", "zk_watch", "watcher"))
-        sim.run_until(client.call("zk", "zk_write", "/a", 1))
-        sim.run_until(client.call("zk", "zk_delete", "/a"))
-        sim.run(until=sim.now + 0.01)
-        assert ("/a", None) in events
-
+class TestConfig:
     def test_costs(self):
         assert ZK_SMALL.hourly_cost == pytest.approx(0.597)
         assert ZK_LARGE.hourly_cost == pytest.approx(1.173)

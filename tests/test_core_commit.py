@@ -1,5 +1,7 @@
 """Tests for MarlinCommit: 1PC/2PC, log participants, termination protocol."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.commit import (
@@ -233,7 +235,7 @@ class TestTermination:
         pair.settle()
         # Finalization appended commit decisions so replay can apply.
         for nid in (0, 1):
-            assert glog_of(pair, nid).txn_outcome("txn-x") is True
+            assert glog_of(pair, nid).txn_outcome("txn-x") == (True, True)
 
     def test_silent_participant_claimed_aborted(self, pair):
         """A log with no vote gets an abort claimed into it."""
@@ -243,14 +245,13 @@ class TestTermination:
             "txn-x", RecordKind.VOTE_YES, (), participants=tuple(logs)
         )
         # glog-1 never votes.
+        node.params = replace(
+            node.params, term_grace=0.001, term_poll=0.001, term_max_polls=2
+        )
         outcome = run_gen(
-            pair,
-            terminate_in_doubt(
-                node, "txn-x", logs, grace=0.001, poll=0.001, max_polls=2
-            ),
-            limit=30.0,
+            pair, terminate_in_doubt(node, "txn-x", logs), limit=30.0
         )
         assert outcome is False
         pair.settle()
-        assert glog_of(pair, 1).txn_outcome("txn-x") is False
-        assert glog_of(pair, 0).txn_outcome("txn-x") is False
+        assert glog_of(pair, 1).txn_outcome("txn-x") == (False, False)
+        assert glog_of(pair, 0).txn_outcome("txn-x") == (False, True)

@@ -276,11 +276,6 @@ class TestScanHandlers:
         assert partition
         assert set(partition.values()) == {1}
 
-    def test_owned_granules_handler(self, pair):
-        fut = pair.admin.call("node-0", "owned_granules", timeout=1.0)
-        owned = pair.sim.run_until(fut)
-        assert owned == pair.nodes[0].owned_granules()
-
 
 class TestRunMigrationsHandler:
     def test_empty_moves(self, pair):

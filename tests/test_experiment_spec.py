@@ -7,6 +7,7 @@ bit-identically — same event order, same RNG draws, same metrics.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.chaos import rolling_partition
 from repro.engine.node import NodeParams
+from repro.engine.participant import EDGE_NAMES
 from repro.experiments import family, fig14, fig15
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.goldens import SPEC_PARITY_GOLDENS
@@ -84,6 +86,29 @@ class TestSpecRoundTrip:
         rebuilt = roundtrip(FaultSpec, spec)
         # The embedded schedule survives too (same declarative entries).
         assert rebuilt.to_schedule().to_spec() == schedule.to_spec()
+
+    @pytest.mark.parametrize(
+        "edge", sorted({edge for role in EDGE_NAMES.values() for edge in role})
+    )
+    def test_fault_point_accepts_every_fsm_edge(self, edge):
+        points = [
+            {"node": 1, "edge": edge, "phase": phase, "at": 1.0}
+            for phase in ("before", "after")
+        ]
+        rebuilt = roundtrip(FaultSpec, FaultSpec(fault_points=points))
+        assert rebuilt.fault_points == points
+
+    @pytest.mark.parametrize(
+        "point, named",
+        [
+            ({"node": 1, "edge": "voet", "phase": "before"}, "'voet'"),
+            ({"node": 1, "edge": "vote", "phase": "during"}, "'during'"),
+            ({"edge": "vote", "phase": "after"}, "'node'"),
+        ],
+    )
+    def test_fault_point_rejects_bad_entries(self, point, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            FaultSpec(fault_points=[point])
 
     def test_probe(self):
         roundtrip(

@@ -11,17 +11,31 @@ which imports nothing of the system it lints — checked here too).
 This generalises ``tests/test_failure_pipeline.py``'s ``core/failure.py``
 check to the whole tree.  The bottom layer also carries nothing only tests
 call: every name ``repro.sim`` exports, and every public ``Simulator``
-method, has a reader in ``src/repro`` outside the module defining it.
+method, has a reader in ``src/repro`` outside the module defining it; and
+every RPC actor registers exactly the verbs the program calls.  The WAL is
+read one way: only ``storage/log.py`` tells decision records or update
+kinds apart.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import repro
 import repro.sim
+from repro.coord.fdb import FdbService
+from repro.coord.lease import LeaseService
+from repro.coord.zookeeper import ZooKeeperService
+from repro.core import invariants
 from repro.core.base import CoordinationRuntime
+from repro.core.runtime import MarlinRuntime
 from repro.engine.node import ComputeNode
+from repro.engine.replication import ReplicaTail
+from repro.sim.core import Simulator
+from repro.sim.network import LatencyModel, Network
+from repro.storage.pagestore import PageStore
+from repro.storage.service import StorageService
 from tests.conftest import make_cluster
 
 SRC = Path(repro.__file__).resolve().parent
@@ -36,7 +50,7 @@ RANK = {pkg: rank for rank, layer in enumerate(ORDER) for pkg in layer}
 #: Everything ``ComputeNode`` registers on its own endpoint.
 DATA_PLANE = {
     "user_txn", "user_branch", "branch_fast", "branch_abort", "vote_req",
-    "decision", "heartbeat", "owned_granules", "scan_gtable",
+    "decision", "heartbeat", "scan_gtable",
 }
 RECONFIG_VERBS = {"migr_prepare", "run_migrations", "warmup_pull"}
 
@@ -129,6 +143,77 @@ def test_reconfiguration_verbs_arrive_through_the_runtime():
     assert set(bare.endpoint._handlers) == DATA_PLANE
     assert RECONFIG_VERBS <= set(real.endpoint._handlers) - DATA_PLANE
     assert CoordinationRuntime.attach.__module__ == "repro.core.base"
+
+
+#: Every verb each service actor registers; each one has a program caller.
+SERVICE_VERBS = {
+    StorageService: {
+        "append", "append_batch", "check_lsn", "get_page", "log_end_lsn",
+        "read_log", "scan_table", "txn_outcome",
+    },
+    ZooKeeperService: {
+        "zk_write", "zk_delete", "zk_scan", "sess_ping", "sess_check",
+    },
+    FdbService: {
+        "fdb_get_read_version", "fdb_commit", "fdb_scan", "sess_ping",
+        "sess_check",
+    },
+    LeaseService: {
+        "lease_write", "lease_delete", "lease_scan", "lease_acquire",
+        "lease_renew", "lease_release", "lease_table",
+    },
+}
+
+
+def test_service_actors_register_only_called_verbs():
+    sim = Simulator(seed=1)
+    network = Network(sim, LatencyModel())
+    for service, verbs in SERVICE_VERBS.items():
+        registered = set(service(sim, network).endpoint._handlers)
+        assert registered == verbs, service.__name__
+
+
+#: The one module that reads what a WAL record means.
+WAL_READER = SRC / "storage" / "log.py"
+
+
+def _wal_readings(tree: ast.AST):
+    """Places a module tells decision records or update kinds apart: a
+    comparison against ``RecordKind.DECISION_*`` or an ``isinstance`` test
+    for ``Delete`` / ``Increment``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in ast.walk(node):
+                if isinstance(operand, ast.Attribute) and operand.attr in (
+                    "DECISION_COMMIT", "DECISION_ABORT",
+                ):
+                    yield node.lineno, f"compares with {operand.attr}"
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+        ):
+            for cls in ast.walk(node.args[1]):
+                if getattr(cls, "id", None) in ("Delete", "Increment"):
+                    yield node.lineno, f"isinstance(_, {cls.id})"
+
+
+def test_the_wal_is_read_one_way():
+    readings = {
+        path: list(_wal_readings(ast.parse(path.read_text())))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert readings.pop(WAL_READER), "log.py reads nothing: vacuous walk"
+    stray = [
+        f"{path.relative_to(SRC)}:{lineno} {what}"
+        for path, found in readings.items()
+        for lineno, what in found
+    ]
+    assert not stray, "\n".join(stray)
+    assert not hasattr(PageStore, "_apply_entries")
+    assert not hasattr(ReplicaTail, "_fold")
+    assert not hasattr(invariants, "_first_decisions")
+    assert "decisions(records)" in inspect.getsource(MarlinRuntime._apply_records)
 
 
 #: Public ``Simulator`` methods kept without a reader in ``src/repro``.

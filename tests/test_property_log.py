@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.recovery import analyze
 from repro.engine.node import GTABLE
 from repro.engine.replication import ReplicaTail, record_bytes
-from repro.storage.log import Delete, LogRecord, Put, RecordKind, SharedLog
+from repro.storage.log import Delete, Put, RecordKind, SharedLog
 from repro.storage.pagestore import PageStore
 from tests.conftest import make_cluster
 
@@ -141,9 +141,10 @@ def _wal(draw):
     return log
 
 
-_view_node = functools.lru_cache(maxsize=None)(
-    lambda: make_cluster("marlin", num_nodes=1).nodes[0]
-)
+@functools.cache
+def _view_node():
+    """One node whose GTable/MTable views each example resets."""
+    return make_cluster("marlin", num_nodes=1).nodes[0]
 
 
 @settings(
@@ -205,5 +206,5 @@ def test_wal_readers_agree(log, cuts):
     assert store.snapshot(GTABLE) == tail.gtable == node.gtable == expected[GTABLE]
     assert store.snapshot(USER) == expected[USER]
     for txn in {r.txn_id for r in log.records}:
-        assert log.txn_outcome(txn) == first.get(txn)
+        assert log.txn_outcome(txn) == (first.get(txn), txn in voted)
     assert set(analyze(log.records, log.name).in_doubt) == voted - set(first)

@@ -375,9 +375,10 @@ class TestTerminationCalibration:
         elapsed = cluster.sim.now - start
         assert outcome is False
         assert elapsed >= 0.05 + 3 * 0.02
-        assert glog_of(cluster, 1).txn_outcome("txn-x") is False
+        assert glog_of(cluster, 1).txn_outcome("txn-x") == (False, False)
 
     def test_explicit_args_override_params(self):
+        """One node's own params override the cluster-wide calibration."""
         cluster = make_cluster(
             "marlin", num_nodes=2,
             node_params=NodeParams(
@@ -386,13 +387,12 @@ class TestTerminationCalibration:
         )
         cluster.run(until=0.05)
         node = cluster.nodes[0]
+        node.params = replace(
+            node.params, term_grace=0.001, term_poll=0.001, term_max_polls=2
+        )
         start = cluster.sim.now
         outcome = run_gen(
-            cluster,
-            terminate_in_doubt(
-                node, "txn-x", [glog_name(1)],
-                grace=0.001, poll=0.001, max_polls=2,
-            ),
+            cluster, terminate_in_doubt(node, "txn-x", [glog_name(1)])
         )
         assert outcome is False
         assert cluster.sim.now - start < 1.0

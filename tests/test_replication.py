@@ -260,7 +260,7 @@ class TestQuorumSafety:
         for fid in manager.followers[1]:
             tail = manager.tails[(fid, 1)]
             surviving |= tail.applied_txns
-            surviving |= set(tail.pending)
+            surviving |= set(tail.redo.pending)
         missing = acked_txns - surviving
         assert not missing, (
             f"acked writes lost from every surviving replica: {missing}"

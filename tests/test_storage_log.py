@@ -113,21 +113,21 @@ class TestSubscription:
 class TestTxnOutcome:
     def test_no_decision_is_none(self, log):
         log.append("t1", RecordKind.VOTE_YES, ())
-        assert log.txn_outcome("t1") is None
+        assert log.txn_outcome("t1") == (None, True)
 
     def test_commit_decision(self, log):
         log.append("t1", RecordKind.VOTE_YES, ())
         log.append("t1", RecordKind.DECISION_COMMIT, ())
-        assert log.txn_outcome("t1") is True
+        assert log.txn_outcome("t1") == (True, True)
 
     def test_abort_decision(self, log):
         log.append("t1", RecordKind.VOTE_YES, ())
         log.append("t1", RecordKind.DECISION_ABORT, ())
-        assert log.txn_outcome("t1") is False
+        assert log.txn_outcome("t1") == (False, True)
 
     def test_unrelated_txn_ignored(self, log):
         log.append("t2", RecordKind.DECISION_COMMIT, ())
-        assert log.txn_outcome("t1") is None
+        assert log.txn_outcome("t1") == (None, False)
 
 
 class TestEntries:

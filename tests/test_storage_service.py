@@ -120,11 +120,11 @@ class TestReads:
 
 class TestAdmin:
     def test_create_log_idempotent(self, env):
-        sim, _net, storage, client = env
-        sim.run_until(client.call("storage", "create_log", "glog-9"))
-        storage.log("glog-9").append("t", RecordKind.COMMIT_DATA, ())
-        sim.run_until(client.call("storage", "create_log", "glog-9"))
-        assert storage.log("glog-9").end_lsn == 1  # not recreated
+        _sim, _net, storage, _client = env
+        log = storage.create_log("glog-9")
+        log.append("t", RecordKind.COMMIT_DATA, ())
+        assert storage.create_log("glog-9") is log  # not recreated
+        assert storage.log("glog-9").end_lsn == 1
 
     def test_counters(self, env):
         sim, _net, storage, client = env
