@@ -8,7 +8,7 @@ ground truth and nothing is written back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 __all__ = ["CacheManager", "MISS"]
 
@@ -22,29 +22,36 @@ class _Miss:
 MISS = _Miss()
 
 
-class _Frame:
-    __slots__ = ("key", "value", "ref", "pinned")
+class _Hole:
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "<HOLE>"
 
-    def __init__(self, key, value):
-        self.key = key
-        self.value = value
-        self.ref = True
-        self.pinned = False
+
+#: The key of an invalidated frame: clock treats it as immediately reusable.
+_HOLE = _Hole()
 
 
 class CacheManager:
-    """A fixed-capacity page cache using the clock algorithm."""
+    """A fixed-capacity page cache using the clock algorithm.
+
+    Frame ``i`` is four parallel entries: ``_keys[i]``, ``_values[i]`` and
+    its clock bits ``_ref[i]`` and ``_pinned[i]`` (0 or 1, in bytearrays) —
+    no object per cached page for the cyclic collector to walk.
+    """
 
     __slots__ = (
-        "capacity", "_frames", "_index", "_hand", "hits", "misses",
-        "evictions",
+        "capacity", "_keys", "_values", "_ref", "_pinned", "_index", "_hand",
+        "hits", "misses", "evictions",
     )
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._frames: List[Optional[_Frame]] = []
+        self._keys: list = []
+        self._values: list = []
+        self._ref = bytearray()
+        self._pinned = bytearray()
         self._index: Dict[object, int] = {}
         self._hand = 0
         self.hits = 0
@@ -63,23 +70,22 @@ class CacheManager:
         if slot is None:
             self.misses += 1
             return MISS
-        frame = self._frames[slot]
-        frame.ref = True
+        self._ref[slot] = 1
         self.hits += 1
-        return frame.value
+        return self._values[slot]
 
     def probe(self, keys: Sequence) -> list:
         """Bulk :meth:`get` that keeps only the verdicts: each cached key has
         its ref bit set and counts a hit; each uncached key counts a miss and
         is returned — in order, repeats included."""
-        index, frames = self._index, self._frames
+        index, ref = self._index, self._ref
         missing = []
         for key in keys:
             slot = index.get(key)
             if slot is None:
                 missing.append(key)
             else:
-                frames[slot].ref = True
+                ref[slot] = 1
         self.misses += len(missing)
         self.hits += len(keys) - len(missing)
         return missing
@@ -88,14 +94,13 @@ class CacheManager:
         """Bulk "``put`` if cached": each cached key takes ``value`` and a
         set ref bit and counts a hit; an uncached key counts a miss and stays
         out (nothing is inserted, so nothing is evicted)."""
-        index, frames = self._index, self._frames
+        index, values, ref = self._index, self._values, self._ref
         hits = 0
         for key in keys:
             slot = index.get(key)
             if slot is not None:
-                frame = frames[slot]
-                frame.value = value
-                frame.ref = True
+                values[slot] = value
+                ref[slot] = 1
                 hits += 1
         self.hits += hits
         self.misses += len(keys) - hits
@@ -104,33 +109,39 @@ class CacheManager:
         """Insert or update; may evict one unpinned page (dropped, no writeback)."""
         slot = self._index.get(key)
         if slot is not None:
-            frame = self._frames[slot]
-            frame.value = value
-            frame.ref = True
+            self._values[slot] = value
+            self._ref[slot] = 1
             return
-        if len(self._frames) < self.capacity:
-            self._index[key] = len(self._frames)
-            self._frames.append(_Frame(key, value))
+        keys = self._keys
+        if len(keys) < self.capacity:
+            self._index[key] = len(keys)
+            keys.append(key)
+            self._values.append(value)
+            self._ref.append(1)
+            self._pinned.append(0)
             return
         slot = self._find_victim()
-        victim = self._frames[slot]
-        if victim.key is not _HOLE:
-            del self._index[victim.key]
+        victim = keys[slot]
+        if victim is not _HOLE:
+            del self._index[victim]
             self.evictions += 1
-        self._frames[slot] = _Frame(key, value)
+        keys[slot] = key
+        self._values[slot] = value
+        self._ref[slot] = 1
+        self._pinned[slot] = 0
         self._index[key] = slot
 
     def _find_victim(self) -> int:
+        ref, pinned = self._ref, self._pinned
         spins = 0
         limit = 2 * self.capacity + 1
         while True:
-            frame = self._frames[self._hand]
             slot = self._hand
-            self._hand = (self._hand + 1) % self.capacity
-            if frame.pinned:
+            self._hand = (slot + 1) % self.capacity
+            if pinned[slot]:
                 spins += 1
-            elif frame.ref:
-                frame.ref = False
+            elif ref[slot]:
+                ref[slot] = 0
                 spins += 1
             else:
                 return slot
@@ -140,12 +151,12 @@ class CacheManager:
     def pin(self, key) -> None:
         slot = self._index.get(key)
         if slot is not None:
-            self._frames[slot].pinned = True
+            self._pinned[slot] = 1
 
     def unpin(self, key) -> None:
         slot = self._index.get(key)
         if slot is not None:
-            self._frames[slot].pinned = False
+            self._pinned[slot] = 0
 
     def invalidate(self, key) -> bool:
         """Drop one page (e.g. granule handed off); True if it was cached."""
@@ -153,14 +164,19 @@ class CacheManager:
         if slot is None:
             return False
         # Leave a hole that clock treats as immediately reusable.
-        self._frames[slot] = _Frame(_HOLE, None)
-        self._frames[slot].ref = False
+        self._keys[slot] = _HOLE
+        self._values[slot] = None
+        self._ref[slot] = 0
+        self._pinned[slot] = 0
         self.evictions += 1
         return True
 
     def clear(self) -> None:
         """Drop everything (node crash: caches are volatile)."""
-        self._frames.clear()
+        self._keys.clear()
+        self._values.clear()
+        self._ref.clear()
+        self._pinned.clear()
         self._index.clear()
         self._hand = 0
 
@@ -168,11 +184,3 @@ class CacheManager:
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class _Hole:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<HOLE>"
-
-
-_HOLE = _Hole()

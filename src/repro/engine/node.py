@@ -554,19 +554,21 @@ class ComputeNode:
     def _send_branches(self, ctx, remote: Dict[int, List[TxnOp]]):
         """Ship remote branches of a distributed transaction to their owners."""
         ctx.remote_participants = sorted(remote)
-        futs = [
-            self.peer_call(
-                owner,
-                "user_branch",
-                ctx.txn_id,
-                self.node_id,
-                tuple(ops),
-                timeout=self.params.vote_timeout,
-            )
-            for owner, ops in sorted(remote.items())
-        ]
+        # No local holds the branch futures (or their gathering future): a
+        # failure's traceback holds this frame, so a frame that held them
+        # would hold the failure itself — a reference cycle.
         try:
-            yield all_of(self.sim, futs)
+            yield all_of(self.sim, [
+                self.peer_call(
+                    owner,
+                    "user_branch",
+                    ctx.txn_id,
+                    self.node_id,
+                    tuple(ops),
+                    timeout=self.params.vote_timeout,
+                )
+                for owner, ops in sorted(remote.items())
+            ])
         except (RemoteError, RpcTimeout) as err:
             raise abort_from_rpc(err, AbortReason.VALIDATION) from err
 

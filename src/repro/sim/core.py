@@ -279,10 +279,10 @@ class Process:
             self._finish(stop.value, None)
             return
         except ProcessKilled as killed:
-            self._finish(None, killed)
+            self._finish(None, killed.with_traceback(killed.__traceback__.tb_next))
             return
         except BaseException as err:  # detlint: ok(DET108) — the kernel's own crash trap: records the failure on result and reports non-daemon crashes; this is the dispatcher below the coroutines, not a coroutine
-            self._finish(None, err)
+            self._finish(None, err.with_traceback(err.__traceback__.tb_next))
             if not self.daemon:
                 self.sim._report_crash(self, err)
             return
@@ -300,6 +300,12 @@ class Process:
         more ready-queue entry per process, which moves ``events_executed``.
         The owner may have dropped the process already (a group kill clears
         its registry before the kills are delivered), hence the tolerant pop.
+
+        A failure arrives with :meth:`_step`'s own traceback entry dropped:
+        that frame holds this process, whose ``result`` is about to hold the
+        exception, so keeping it would make every failed or killed process a
+        reference cycle only the cyclic collector could free.  The
+        coroutine's frames stay on the traceback.
         """
         self._finished = True
         del self.sim._spawned[self]

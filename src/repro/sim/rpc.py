@@ -92,6 +92,12 @@ class _PendingCall:
     record also doubles as its own timeout-cancellation token
     (:meth:`Simulator.timer_token`): ``respond`` flips ``cancelled`` so the
     armed timeout entry is lazily discarded, with no separate cancel call.
+
+    That entry stays in the cancellable heap until its deadline, so it holds
+    this record and nothing else; whichever of ``respond`` and
+    :func:`_pending_expired` settles the future first clears ``fut``, so an
+    answered call's entry pins neither the future nor its reply (or its
+    failure's traceback), and ``fut is None`` marks a settled call.
     """
 
     __slots__ = (
@@ -131,8 +137,9 @@ class _PendingCall:
 
     def respond(self, value: Any, exc: Optional[BaseException]) -> None:
         fut = self.fut
-        if fut._done:  # timed out already; late response discarded
+        if fut is None:  # timed out already; late response discarded
             return
+        self.fut = None
         self.cancelled = True  # lazily discards the armed timeout entry
         sp = self.span
         if sp is not None:
@@ -269,7 +276,7 @@ class RpcEndpoint:
             # itself is only materialised if the timer actually fires (the
             # common case is a reply in time, where building the exception +
             # message string would be waste).
-            sim.timer_token(timeout, pending, _timeout_expired, fut, address, method)
+            sim.timer_token(timeout, pending, _pending_expired, pending, method)
 
         network.deliver_addr(
             self.region, target.region, self.address, address,
@@ -358,3 +365,9 @@ class RpcEndpoint:
 def _timeout_expired(fut: Future, address: str, method: str) -> None:
     if not fut._done:
         fut.fail(RpcTimeout(f"{address}.{method}"))
+
+
+def _pending_expired(pending: _PendingCall, method: str) -> None:
+    """The armed timeout of a call still unanswered (else it was cancelled)."""
+    fut, pending.fut = pending.fut, None
+    _timeout_expired(fut, pending.callee_addr, method)

@@ -207,9 +207,183 @@ class TestBulkOps:
                 loop.put(key, "fresh")
         # Not via get(): comparing values must not touch the ref bits.
         values = [
-            [cache._frames[cache._index[key]].value for key in self.UNIVERSE if key in cache]
+            [cache._values[cache._index[key]] for key in self.UNIVERSE if key in cache]
             for cache in (bulk, loop)
         ]
         assert values[0] == values[1]
         assert len(bulk) == len(loop) <= 5  # refresh inserted nothing
         self._assert_same_state(bulk, loop)
+
+
+# -- reference model -----------------------------------------------------------
+
+
+class _Frame:
+    __slots__ = ("key", "value", "ref", "pinned")
+
+    def __init__(self, key, value):
+        self.key = key
+        self.value = value
+        self.ref = True
+        self.pinned = False
+
+
+_REF_HOLE = object()
+
+
+class FrameClock:
+    """The clock cache as it was written with one ``_Frame`` object per
+    cached page — the reference the parallel-array ``CacheManager`` must
+    match operation for operation."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._frames = []
+        self._index = {}
+        self._hand = 0
+        self.hits = self.misses = self.evictions = 0
+
+    def __contains__(self, key):
+        return key in self._index
+
+    def get(self, key):
+        slot = self._index.get(key)
+        if slot is None:
+            self.misses += 1
+            return MISS
+        frame = self._frames[slot]
+        frame.ref = True
+        self.hits += 1
+        return frame.value
+
+    def probe(self, keys):
+        missing = []
+        for key in keys:
+            slot = self._index.get(key)
+            if slot is None:
+                missing.append(key)
+            else:
+                self._frames[slot].ref = True
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        return missing
+
+    def refresh(self, keys, value):
+        hits = 0
+        for key in keys:
+            slot = self._index.get(key)
+            if slot is not None:
+                frame = self._frames[slot]
+                frame.value = value
+                frame.ref = True
+                hits += 1
+        self.hits += hits
+        self.misses += len(keys) - hits
+
+    def put(self, key, value):
+        slot = self._index.get(key)
+        if slot is not None:
+            frame = self._frames[slot]
+            frame.value = value
+            frame.ref = True
+            return
+        if len(self._frames) < self.capacity:
+            self._index[key] = len(self._frames)
+            self._frames.append(_Frame(key, value))
+            return
+        slot = self._find_victim()
+        victim = self._frames[slot]
+        if victim.key is not _REF_HOLE:
+            del self._index[victim.key]
+            self.evictions += 1
+        self._frames[slot] = _Frame(key, value)
+        self._index[key] = slot
+
+    def _find_victim(self):
+        spins = 0
+        limit = 2 * self.capacity + 1
+        while True:
+            frame = self._frames[self._hand]
+            slot = self._hand
+            self._hand = (self._hand + 1) % self.capacity
+            if frame.pinned:
+                spins += 1
+            elif frame.ref:
+                frame.ref = False
+                spins += 1
+            else:
+                return slot
+            if spins > limit:
+                raise RuntimeError("cache: all pages pinned, cannot evict")
+
+    def pin(self, key):
+        slot = self._index.get(key)
+        if slot is not None:
+            self._frames[slot].pinned = True
+
+    def unpin(self, key):
+        slot = self._index.get(key)
+        if slot is not None:
+            self._frames[slot].pinned = False
+
+    def invalidate(self, key):
+        slot = self._index.pop(key, None)
+        if slot is None:
+            return False
+        self._frames[slot] = _Frame(_REF_HOLE, None)
+        self._frames[slot].ref = False
+        self.evictions += 1
+        return True
+
+    def clear(self):
+        self._frames.clear()
+        self._index.clear()
+        self._hand = 0
+
+
+class TestAgainstFrameClock:
+    """Seeded random histories of every operation at small capacities: the
+    same verdicts, values, counters, cached key set after every step (so the
+    same victims, in the same order) and the same clock hand."""
+
+    UNIVERSE = [("t", page) for page in range(10)]
+
+    @staticmethod
+    def _apply(cache, op, args):
+        try:
+            return getattr(cache, op)(*args)
+        except RuntimeError as err:  # every page pinned: both must refuse
+            return ("refused", str(err))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_history(self, seed):
+        rng = random.Random(seed)
+        capacity = rng.randint(1, 6)
+        cache, model = CacheManager(capacity), FrameClock(capacity)
+        for step in range(rng.randrange(20, 200)):
+            key = rng.choice(self.UNIVERSE)
+            op = rng.choices(
+                ("get", "probe", "refresh", "put", "pin", "unpin", "invalidate",
+                 "clear"),
+                weights=(20, 10, 8, 35, 8, 8, 8, 1),
+            )[0]
+            if op in ("probe", "refresh"):
+                keys = [rng.choice(self.UNIVERSE) for _ in range(rng.randrange(6))]
+                args = (keys,) if op == "probe" else (keys, step)
+            elif op == "put":
+                args = (key, step)
+            elif op == "clear":
+                args = ()
+            else:
+                args = (key,)
+            assert self._apply(cache, op, args) == self._apply(model, op, args), (
+                step, op, args,
+            )
+            assert (cache.hits, cache.misses, cache.evictions) == (
+                model.hits, model.misses, model.evictions
+            )
+            assert [k for k in self.UNIVERSE if k in cache] == [
+                k for k in self.UNIVERSE if k in model
+            ]
+            assert cache._hand == model._hand
+        assert len(cache) == len(model._index)

@@ -14,7 +14,9 @@ call: every name ``repro.sim`` exports, and every public ``Simulator``
 method, has a reader in ``src/repro`` outside the module defining it; and
 every RPC actor registers exactly the verbs the program calls.  The WAL is
 read one way: only ``storage/log.py`` tells decision records or update
-kinds apart.
+kinds apart.  And no module imports ``gc``: what the cyclic collector costs
+is kept down by the heap's shape (``tests/test_no_cyclic_garbage.py``),
+never by collector settings.
 """
 
 import ast
@@ -117,6 +119,28 @@ def test_no_import_is_parked_at_the_bottom_of_a_file():
         if "noqa: E402" in line
     ]
     assert not parked, parked
+
+
+def _imports_gc(tree: ast.AST):
+    """Lines that import ``gc`` (or a name from it)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "gc" for name in names):
+            yield node.lineno
+
+
+def test_no_module_imports_gc():
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno in _imports_gc(ast.parse(path.read_text()))
+    ]
+    assert not found, f"gc imported under src/repro: {found}"
 
 
 def test_moved_modules_left_no_stub_behind():
