@@ -279,7 +279,7 @@ class Process:
             self._finish(stop.value, None)
             return
         except ProcessKilled as killed:
-            self._finish(None, killed.with_traceback(killed.__traceback__.tb_next))
+            self._finish(None, killed.with_traceback(None))
             return
         except BaseException as err:  # detlint: ok(DET108) — the kernel's own crash trap: records the failure on result and reports non-daemon crashes; this is the dispatcher below the coroutines, not a coroutine
             self._finish(None, err.with_traceback(err.__traceback__.tb_next))
@@ -303,9 +303,12 @@ class Process:
 
         A failure arrives with :meth:`_step`'s own traceback entry dropped:
         that frame holds this process, whose ``result`` is about to hold the
-        exception, so keeping it would make every failed or killed process a
-        reference cycle only the cyclic collector could free.  The
-        coroutine's frames stay on the traceback.
+        exception, so keeping it would make every failed process a reference
+        cycle only the cyclic collector could free.  The coroutine's frames
+        stay on the traceback.  A kill arrives with no traceback at all: the
+        process was suspended, not failing, and the frames it was suspended
+        in may hold the future it waited on, whose never-run resume callback
+        holds this process.
         """
         self._finished = True
         del self.sim._spawned[self]

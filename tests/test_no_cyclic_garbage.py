@@ -59,8 +59,8 @@ def _raising():
     raise ValueError("boom")
 
 
-def _sleeping():
-    yield Timeout(10.0)
+def _waiting(fut):
+    yield fut  # never resolved: the kill leaves our resume callback on it
 
 
 def test_a_failed_daemon_process_leaves_no_cycle():
@@ -77,7 +77,7 @@ def test_a_failed_daemon_process_leaves_no_cycle():
 def test_a_killed_process_leaves_no_cycle():
     def run():
         sim = Simulator()
-        proc = sim.spawn(_sleeping())
+        proc = sim.spawn(_waiting(sim.event()))
         sim.timer(1.0, proc.kill)
         sim.run()
         assert proc.result.exception is not None
