@@ -9,8 +9,9 @@ and then asks it how many unreachable objects it finds: the answer must be 0.
 
 The usual way to break this is an exception stored where the frames on its
 traceback can reach it: a process's failure on its own ``result`` future
-(the kernel's ``_step`` frame holds the process), or a coroutine frame that
-still holds the futures whose failure it re-raised.
+(the kernel's ``_step`` frame holds the process; a killed process's frames
+may hold the future its never-run resume callback sits on), or a coroutine
+frame that still holds the futures whose failure it re-raised.
 """
 
 import gc
