@@ -28,7 +28,7 @@ from repro.experiments.spec import (
     WorkloadSpec,
     scale_out_spec,
 )
-from repro.sim.core import Simulator, Timeout
+from repro.sim.core import ProcessKilled, Simulator, Timeout
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rpc import RpcEndpoint
 from tests.test_data_plane_pins import small_cell
@@ -81,7 +81,7 @@ def test_a_killed_process_leaves_no_cycle():
         proc = sim.spawn(_waiting(sim.event()))
         sim.timer(1.0, proc.kill)
         sim.run()
-        assert proc.result.exception is not None
+        assert isinstance(proc.result.exception, ProcessKilled)
 
     _, found, kinds = cyclic_garbage(run)
     assert found == 0, kinds
