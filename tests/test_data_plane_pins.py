@@ -6,6 +6,9 @@ records.  That is an optimisation, so nothing a run *counts* may move: the
 cells below assert the exact lock, cache and event counts captured at the
 commit before it (a2d109d), and the value types keep the record contract
 (immutable, keyword-constructible, hashable, picklable) other code relies on.
+The third cell runs a 16-page cache, so most misses evict: it pins the clock's
+victim order (captured at 8f97070, before the clock lost its pin and hole
+paths).
 """
 
 import pickle
@@ -17,10 +20,14 @@ from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 
 
-def small_cell(kind, **load):
+def small_cell(kind, node_param_overrides=None, **load):
     return ScenarioSpec(
         name=f"pin-{kind}",
-        topology=TopologySpec(nodes=2, coordination="marlin"),
+        topology=TopologySpec(
+            nodes=2,
+            coordination="marlin",
+            node_param_overrides=node_param_overrides or {},
+        ),
         workload=WorkloadSpec(
             kind=kind, clients=6, granules=24, keys_per_granule=64, **load
         ),
@@ -37,6 +44,7 @@ def work_counts(cluster):
         "locks.conflicts": sum(n.locks.conflicts for n in nodes),
         "cache.hits": sum(n.cache.hits for n in nodes),
         "cache.misses": sum(n.cache.misses for n in nodes),
+        "cache.evictions": sum(n.cache.evictions for n in nodes),
         "committed": sum(n.stats["committed"] for n in nodes),
     }
 
@@ -52,6 +60,7 @@ def work_counts(cluster):
                 "locks.conflicts": 107,
                 "cache.hits": 3468,
                 "cache.misses": 428,
+                "cache.evictions": 0,
                 "committed": 162,
             },
         ),
@@ -63,11 +72,24 @@ def work_counts(cluster):
                 "locks.conflicts": 82,
                 "cache.hits": 3155,
                 "cache.misses": 1260,
+                "cache.evictions": 0,
                 "committed": 130,
             },
         ),
+        (
+            small_cell("ycsb", node_param_overrides={"cache_pages": 16}),
+            {
+                "sim.events_executed": 17460,
+                "locks.acquisitions": 3214,
+                "locks.conflicts": 106,
+                "cache.hits": 1720,
+                "cache.misses": 2174,
+                "cache.evictions": 841,
+                "committed": 162,
+            },
+        ),
     ],
-    ids=["ycsb", "tpcc"],
+    ids=["ycsb", "tpcc", "ycsb-evicting"],
 )
 def test_work_counts_equal_the_per_op_data_plane(spec, expected):
     assert work_counts(run_spec(spec).cluster) == expected
