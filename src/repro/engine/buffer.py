@@ -22,25 +22,16 @@ class _Miss:
 MISS = _Miss()
 
 
-class _Hole:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<HOLE>"
-
-
-#: The key of an invalidated frame: clock treats it as immediately reusable.
-_HOLE = _Hole()
-
-
 class CacheManager:
     """A fixed-capacity page cache using the clock algorithm.
 
-    Frame ``i`` is four parallel entries: ``_keys[i]``, ``_values[i]`` and
-    its clock bits ``_ref[i]`` and ``_pinned[i]`` (0 or 1, in bytearrays) —
-    no object per cached page for the cyclic collector to walk.
+    Frame ``i`` is three parallel entries: ``_keys[i]``, ``_values[i]`` and
+    its reference bit ``_ref[i]`` (0 or 1, in a bytearray) — no object per
+    cached page for the cyclic collector to walk.
     """
 
     __slots__ = (
-        "capacity", "_keys", "_values", "_ref", "_pinned", "_index", "_hand",
+        "capacity", "_keys", "_values", "_ref", "_index", "_hand",
         "hits", "misses", "evictions",
     )
 
@@ -51,7 +42,6 @@ class CacheManager:
         self._keys: list = []
         self._values: list = []
         self._ref = bytearray()
-        self._pinned = bytearray()
         self._index: Dict[object, int] = {}
         self._hand = 0
         self.hits = 0
@@ -106,7 +96,7 @@ class CacheManager:
         self.misses += len(keys) - hits
 
     def put(self, key, value) -> None:
-        """Insert or update; may evict one unpinned page (dropped, no writeback)."""
+        """Insert or update; may evict one page (dropped, no writeback)."""
         slot = self._index.get(key)
         if slot is not None:
             self._values[slot] = value
@@ -118,69 +108,23 @@ class CacheManager:
             keys.append(key)
             self._values.append(value)
             self._ref.append(1)
-            self._pinned.append(0)
             return
         slot = self._find_victim()
-        victim = keys[slot]
-        if victim is not _HOLE:
-            del self._index[victim]
-            self.evictions += 1
+        del self._index[keys[slot]]
+        self.evictions += 1
         keys[slot] = key
         self._values[slot] = value
         self._ref[slot] = 1
-        self._pinned[slot] = 0
         self._index[key] = slot
 
     def _find_victim(self) -> int:
-        ref, pinned = self._ref, self._pinned
-        spins = 0
-        limit = 2 * self.capacity + 1
+        """Advance the hand past referenced frames (clearing their bit) to
+        the first unreferenced one; at most one lap, since a full lap
+        clears every bit."""
+        ref = self._ref
         while True:
             slot = self._hand
             self._hand = (slot + 1) % self.capacity
-            if pinned[slot]:
-                spins += 1
-            elif ref[slot]:
-                ref[slot] = 0
-                spins += 1
-            else:
+            if not ref[slot]:
                 return slot
-            if spins > limit:
-                raise RuntimeError("cache: all pages pinned, cannot evict")
-
-    def pin(self, key) -> None:
-        slot = self._index.get(key)
-        if slot is not None:
-            self._pinned[slot] = 1
-
-    def unpin(self, key) -> None:
-        slot = self._index.get(key)
-        if slot is not None:
-            self._pinned[slot] = 0
-
-    def invalidate(self, key) -> bool:
-        """Drop one page (e.g. granule handed off); True if it was cached."""
-        slot = self._index.pop(key, None)
-        if slot is None:
-            return False
-        # Leave a hole that clock treats as immediately reusable.
-        self._keys[slot] = _HOLE
-        self._values[slot] = None
-        self._ref[slot] = 0
-        self._pinned[slot] = 0
-        self.evictions += 1
-        return True
-
-    def clear(self) -> None:
-        """Drop everything (node crash: caches are volatile)."""
-        self._keys.clear()
-        self._values.clear()
-        self._ref.clear()
-        self._pinned.clear()
-        self._index.clear()
-        self._hand = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+            ref[slot] = 0

@@ -37,13 +37,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             CacheManager(0)
 
-    def test_hit_ratio(self):
-        cache = CacheManager(4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
-        assert cache.hit_ratio == pytest.approx(0.5)
-
 
 class TestClockEviction:
     def test_evicts_when_full(self):
@@ -89,60 +82,12 @@ class TestClockEviction:
         cache.put("e", 5)
         assert "d" in cache and "e" in cache
 
-    def test_pinned_pages_never_evicted(self):
-        cache = CacheManager(2)
-        cache.put("a", 1)
-        cache.pin("a")
-        cache.put("b", 2)
-        cache.put("c", 3)
-        cache.put("d", 4)
-        assert cache.get("a") == 1
-        cache.unpin("a")
-
-    def test_all_pinned_raises(self):
-        cache = CacheManager(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.pin("a")
-        cache.pin("b")
-        with pytest.raises(RuntimeError):
-            cache.put("c", 3)
-
     def test_heavy_churn_respects_capacity(self):
         cache = CacheManager(16)
         for i in range(1000):
             cache.put(i, i)
         assert len(cache) == 16
         assert cache.evictions == 1000 - 16
-
-
-class TestInvalidate:
-    def test_invalidate_cached(self):
-        cache = CacheManager(4)
-        cache.put("a", 1)
-        assert cache.invalidate("a") is True
-        assert cache.get("a") is MISS
-
-    def test_invalidate_missing(self):
-        cache = CacheManager(4)
-        assert cache.invalidate("nope") is False
-
-    def test_hole_is_reused(self):
-        cache = CacheManager(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.invalidate("a")
-        cache.put("c", 3)
-        assert "b" in cache and "c" in cache
-
-    def test_clear(self):
-        cache = CacheManager(4)
-        cache.put("a", 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is MISS
-        cache.put("b", 2)  # usable after clear
-        assert cache.get("b") == 2
 
 
 class TestBulkOps:
@@ -152,25 +97,16 @@ class TestBulkOps:
     UNIVERSE = [("t", page) for page in range(12)]
 
     def _pair(self, rng):
-        """Two caches with one random history: fills, evictions, holes and
-        (at most one at a time, so eviction always finds a victim) a pin."""
+        """Two caches with one random history of fills, hits and evictions."""
         caches = CacheManager(5), CacheManager(5)
-        pinned = None
         for _ in range(rng.randrange(4, 30)):
             key = rng.choice(self.UNIVERSE)
-            roll = rng.random()
+            put = rng.random() < 0.75
             for cache in caches:
-                if roll < 0.6:
+                if put:
                     cache.put(key, "old")
-                elif roll < 0.8:
-                    cache.get(key)
-                elif roll < 0.9:
-                    cache.invalidate(key)
                 else:
-                    cache.unpin(pinned)
-                    cache.pin(key)
-            if roll >= 0.9:
-                pinned = key
+                    cache.get(key)
         return caches
 
     def _assert_same_state(self, bulk, loop):
@@ -219,16 +155,12 @@ class TestBulkOps:
 
 
 class _Frame:
-    __slots__ = ("key", "value", "ref", "pinned")
+    __slots__ = ("key", "value", "ref")
 
     def __init__(self, key, value):
         self.key = key
         self.value = value
         self.ref = True
-        self.pinned = False
-
-
-_REF_HOLE = object()
 
 
 class FrameClock:
@@ -292,53 +224,19 @@ class FrameClock:
             self._frames.append(_Frame(key, value))
             return
         slot = self._find_victim()
-        victim = self._frames[slot]
-        if victim.key is not _REF_HOLE:
-            del self._index[victim.key]
-            self.evictions += 1
+        del self._index[self._frames[slot].key]
+        self.evictions += 1
         self._frames[slot] = _Frame(key, value)
         self._index[key] = slot
 
     def _find_victim(self):
-        spins = 0
-        limit = 2 * self.capacity + 1
         while True:
             frame = self._frames[self._hand]
             slot = self._hand
             self._hand = (self._hand + 1) % self.capacity
-            if frame.pinned:
-                spins += 1
-            elif frame.ref:
-                frame.ref = False
-                spins += 1
-            else:
+            if not frame.ref:
                 return slot
-            if spins > limit:
-                raise RuntimeError("cache: all pages pinned, cannot evict")
-
-    def pin(self, key):
-        slot = self._index.get(key)
-        if slot is not None:
-            self._frames[slot].pinned = True
-
-    def unpin(self, key):
-        slot = self._index.get(key)
-        if slot is not None:
-            self._frames[slot].pinned = False
-
-    def invalidate(self, key):
-        slot = self._index.pop(key, None)
-        if slot is None:
-            return False
-        self._frames[slot] = _Frame(_REF_HOLE, None)
-        self._frames[slot].ref = False
-        self.evictions += 1
-        return True
-
-    def clear(self):
-        self._frames.clear()
-        self._index.clear()
-        self._hand = 0
+            frame.ref = False
 
 
 class TestAgainstFrameClock:
@@ -348,13 +246,6 @@ class TestAgainstFrameClock:
 
     UNIVERSE = [("t", page) for page in range(10)]
 
-    @staticmethod
-    def _apply(cache, op, args):
-        try:
-            return getattr(cache, op)(*args)
-        except RuntimeError as err:  # every page pinned: both must refuse
-            return ("refused", str(err))
-
     @pytest.mark.parametrize("seed", range(60))
     def test_same_history(self, seed):
         rng = random.Random(seed)
@@ -363,20 +254,16 @@ class TestAgainstFrameClock:
         for step in range(rng.randrange(20, 200)):
             key = rng.choice(self.UNIVERSE)
             op = rng.choices(
-                ("get", "probe", "refresh", "put", "pin", "unpin", "invalidate",
-                 "clear"),
-                weights=(20, 10, 8, 35, 8, 8, 8, 1),
+                ("get", "probe", "refresh", "put"), weights=(20, 10, 8, 35)
             )[0]
             if op in ("probe", "refresh"):
                 keys = [rng.choice(self.UNIVERSE) for _ in range(rng.randrange(6))]
                 args = (keys,) if op == "probe" else (keys, step)
             elif op == "put":
                 args = (key, step)
-            elif op == "clear":
-                args = ()
             else:
                 args = (key,)
-            assert self._apply(cache, op, args) == self._apply(model, op, args), (
+            assert getattr(cache, op)(*args) == getattr(model, op)(*args), (
                 step, op, args,
             )
             assert (cache.hits, cache.misses, cache.evictions) == (
