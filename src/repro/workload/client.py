@@ -13,7 +13,7 @@ with exponential backoff bounded at 100 ms (§6.1.4).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.engine.granule import GranuleMap
 from repro.engine.node import node_address
@@ -28,18 +28,12 @@ BACKOFF_CAP = 0.1  # the paper's 100 ms bound
 
 
 class Router:
-    """Shared granule->node cache with WrongNode-hint learning.
-
-    ``any_node`` is on every misroute/timeout retry path, so the sorted node
-    list is cached as a tuple and invalidated only when membership changes
-    (``update``/``sync``/``drop_node``) instead of re-sorting per call.
-    """
+    """Shared granule->node cache with WrongNode-hint learning."""
 
     def __init__(self, assignment: Dict[int, int]):
         self.map: Dict[int, int] = dict(assignment)
         self.known_nodes = set(assignment.values())
         self.redirects = 0
-        self._sorted_nodes: Optional[tuple] = None
 
     def route(self, granule: int) -> int:
         return self.map[granule]
@@ -48,30 +42,19 @@ class Router:
         self.map[granule] = owner
         if owner not in self.known_nodes:
             self.known_nodes.add(owner)
-            self._sorted_nodes = None
         self.redirects += 1
 
     def sync(self, assignment: Dict[int, int]) -> None:
         """Bulk refresh (periodic GTable broadcast / ScanGTableTxn result)."""
         self.map.update(assignment)
         self.known_nodes = set(self.map.values())
-        self._sorted_nodes = None
-
-    def drop_node(self, node_id: int) -> None:
-        if node_id in self.known_nodes:
-            self.known_nodes.discard(node_id)
-            self._sorted_nodes = None
 
     def any_node(self, rng: random.Random, exclude: Optional[int] = None) -> int:
-        nodes = self._sorted_nodes
-        if nodes is None:
-            nodes = self._sorted_nodes = tuple(sorted(self.known_nodes))
-        if exclude is not None and exclude in self.known_nodes:
-            # Drop the excluded node without re-sorting; fall back to the full
-            # list when it was the only one (same semantics as before).
-            filtered = tuple(n for n in nodes if n != exclude)
-            if filtered:
-                nodes = filtered
+        """A uniformly drawn known node other than ``exclude`` (the full set
+        when ``exclude`` is the only one)."""
+        nodes = sorted(self.known_nodes)
+        if exclude in self.known_nodes and len(nodes) > 1:
+            nodes.remove(exclude)
         return nodes[rng.randrange(len(nodes))]
 
 
