@@ -9,7 +9,7 @@ retry — the paper's "retries the transaction by fetching the newest data".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Generator, List, Sequence, Tuple
 
 from repro.core.commit import (
     LogParticipant,
@@ -47,6 +47,14 @@ __all__ = [
     "warmup_granule",
     "warmup_pull",
 ]
+
+#: A scan retries this many times while membership keeps changing under it.
+_SCAN_ATTEMPTS = 10
+#: ``run_with_retries`` makes this many attempts, backing off (jittered) from
+#: the first delay, doubling after each CAS conflict up to the cap.
+_RETRY_ATTEMPTS = 64
+_RETRY_FIRST_BACKOFF = 0.002
+_RETRY_BACKOFF_CAP = 0.1
 
 
 class NodeAlreadyExistsError(Exception):
@@ -181,9 +189,8 @@ def recovery_migr_txn(
     # Line 28: read the authoritative ownership of the granules.  We use the
     # replayed page store keyed at the source log's current end; the CAS at
     # commit time serializes against any concurrent source-side activity.
-    end = yield node.storage_call("log_end_lsn", src_log, log=src_log)
-    snapshot = yield node.storage_call("scan_table", GTABLE, src_log, end, log=src_log)
-    take: List[int] = [g for g in granules if snapshot.get(g) == src_id]
+    end, partition = yield from node.glog_partition(src_id)
+    take: List[int] = [g for g in granules if g in partition]
     if not take:
         return (True, [])
     ctx = TxnContext(
@@ -222,7 +229,7 @@ def recovery_migr_txn(
         node.txns.pop(ctx.txn_id, None)
 
 
-def scan_gtable_txn(runtime: "MarlinRuntime", max_attempts: int = 10) -> Generator:
+def scan_gtable_txn(runtime: "MarlinRuntime") -> Generator:
     """ScanGTableTxn (lines 32-38): read-only full ownership scan.
 
     Distributed read across all members, validated against SysLog: if the
@@ -232,7 +239,7 @@ def scan_gtable_txn(runtime: "MarlinRuntime", max_attempts: int = 10) -> Generat
     invalidate every node's MTable cache).
     """
     node = runtime.node
-    for _attempt in range(max_attempts):
+    for _attempt in range(_SCAN_ATTEMPTS):
         yield from runtime.ensure_view(SYSLOG)
         start_lsn = node.view_cursor.get(SYSLOG, 0)
         merged = {g: node.node_id for g in node.owned_granules()}
@@ -333,23 +340,17 @@ def run_migrations(
     return dict(done)
 
 
-def run_with_retries(
-    node,
-    attempt_factory,
-    max_attempts: int = 64,
-    base_backoff: float = 0.002,
-    max_backoff: float = 0.1,
-) -> Generator:
+def run_with_retries(node, attempt_factory) -> Generator:
     """Retry a reconfiguration transaction through CAS conflicts.
 
     ``attempt_factory()`` must return a fresh transaction generator whose
     value is truthy once committed.  Validation errors propagate immediately.
     """
-    backoff = base_backoff
-    for _attempt in range(max_attempts):
+    backoff = _RETRY_FIRST_BACKOFF
+    for _attempt in range(_RETRY_ATTEMPTS):
         result = yield from attempt_factory()
         if result:
             return result
         yield Timeout(backoff * (0.5 + node.sim.rng.random()))
-        backoff = min(backoff * 2, max_backoff)
+        backoff = min(backoff * 2, _RETRY_BACKOFF_CAP)
     return False

@@ -15,7 +15,6 @@ from typing import Dict, Generator, Iterable
 from repro.core import reconfig
 from repro.core.base import CoordinationRuntime
 from repro.core.commit import terminate_in_doubt
-from repro.engine.node import GTABLE, glog_name
 from repro.engine.txn import AbortReason, TxnAborted
 from repro.storage.log import RecordKind, decisions
 
@@ -146,12 +145,8 @@ class MarlinRuntime(CoordinationRuntime):
         node = self.node
         if dead_id not in node.mtable:
             return None
-        dead_glog = glog_name(dead_id)
-        end = yield node.storage_call("log_end_lsn", dead_glog, log=dead_glog)
-        snapshot = yield node.storage_call(
-            "scan_table", GTABLE, dead_glog, end, log=dead_glog
-        )
-        return sorted(g for g, owner in snapshot.items() if owner == dead_id)
+        _end, partition = yield from node.glog_partition(dead_id)
+        return sorted(partition)
 
     def scan_ownership(self) -> Generator:
         return (yield from reconfig.scan_gtable_txn(self))

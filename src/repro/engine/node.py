@@ -317,6 +317,16 @@ class ComputeNode:
             address = self.log_directory.get(log, self.storage_address)
         return self.endpoint.call(address, method, *args)
 
+    def glog_partition(self, owner: int) -> Generator:
+        """Node ``owner``'s ownership partition as storage has it: its GLog's
+        end LSN and the GTable rows replayed up to there that name it —
+        ``(end, {granule: owner})``.  Recovery, failover and replica
+        reconciliation all read a partition this way."""
+        glog = glog_name(owner)
+        end = yield self.storage_call("log_end_lsn", glog, log=glog)
+        table = yield self.storage_call("scan_table", GTABLE, glog, end, log=glog)
+        return end, {g: o for g, o in table.items() if o == owner}
+
     def peer_call(self, peer_id: int, method: str, *args, timeout=None) -> Future:
         return self.endpoint.call(
             node_address(peer_id), method, *args, timeout=timeout

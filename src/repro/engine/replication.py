@@ -32,7 +32,7 @@ import hashlib
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.engine.node import GTABLE, glog_name
+from repro.engine.node import GTABLE
 from repro.sim.core import Timeout
 from repro.sim.rpc import RemoteError, RpcError, RpcTimeout
 from repro.storage.log import RecordKind, Redo, fold
@@ -455,20 +455,13 @@ class ReplicaManager:
             tail = self.tails.get((node.node_id, primary_id))
             if tail is None:
                 continue
-            glog = glog_name(primary_id)
             try:
                 snapshot = yield node.peer_call(
                     primary_id, "scan_gtable",
                     timeout=node.params.rpc_timeout,
                 )
             except (RpcTimeout, RpcError, RemoteError):
-                end = yield node.storage_call("log_end_lsn", glog, log=glog)
-                replayed = yield node.storage_call(
-                    "scan_table", GTABLE, glog, end, log=glog
-                )
-                snapshot = {
-                    g: o for g, o in replayed.items() if o == primary_id
-                }
+                _end, snapshot = yield from node.glog_partition(primary_id)
             tail.gtable = dict(snapshot)
             tail.acked_lsn = self.acked_lsn.get(primary_id, tail.acked_lsn)
             tail.bytes_received = self.acked_bytes.get(

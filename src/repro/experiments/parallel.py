@@ -56,6 +56,10 @@ __all__ = [
     "run_cells",
 ]
 
+#: Workers fork where the platform can (cheap, and they inherit registered
+#: custom actions); elsewhere they start the platform's default way.
+_MP = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+
 
 @dataclass
 class CellFailure:
@@ -132,9 +136,9 @@ def _worker_main(task_q, result_q) -> None:
 class _Worker:
     """One pool slot: a process, its private task queue, and what it holds."""
 
-    def __init__(self, ctx, result_q):
-        self.task_q = ctx.SimpleQueue()
-        self.proc = ctx.Process(
+    def __init__(self, result_q):
+        self.task_q = _MP.SimpleQueue()
+        self.proc = _MP.Process(
             target=_worker_main, args=(self.task_q, result_q), daemon=True
         )
         self.proc.start()
@@ -166,9 +170,6 @@ class ProcessPoolRunner:
     * ``timeout`` — optional per-cell wall-clock budget in seconds; a cell
       that exceeds it has its worker terminated and yields a
       :class:`CellFailure` of kind ``"timeout"``.
-    * ``start_method`` — ``multiprocessing`` start method; default prefers
-      ``fork`` (cheap, inherits registered custom actions) and falls back to
-      the platform default where ``fork`` is unavailable.
 
     ``run(specs)`` returns one entry per input spec, in input order:
     a :class:`~repro.experiments.result.RunResult`, or a :class:`CellFailure`.
@@ -181,16 +182,11 @@ class ProcessPoolRunner:
         self,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
     ):
         self.workers = workers if workers is not None else os.cpu_count() or 1
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.timeout = timeout
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
 
     def run(self, specs: Sequence[ScenarioSpec], cache=None) -> List[Any]:
         specs = list(specs)
@@ -213,10 +209,9 @@ class ProcessPoolRunner:
                 return results
         pending = deque(i for i in range(n) if results[i] is None)
         payloads = [spec.to_dict() for spec in specs]
-        ctx = mp.get_context(self.start_method)
-        result_q = ctx.Queue()
+        result_q = _MP.Queue()
         pool = [
-            _Worker(ctx, result_q)
+            _Worker(result_q)
             for _ in range(min(self.workers, len(pending)))
         ]
 
@@ -300,7 +295,7 @@ class ProcessPoolRunner:
                 ),
             )
             if pending:
-                pool[slot] = _Worker(ctx, result_q)
+                pool[slot] = _Worker(result_q)
                 feed(pool[slot])
             return settled
 
@@ -347,7 +342,6 @@ def run_cells(
     specs: Sequence[ScenarioSpec],
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    start_method: Optional[str] = None,
     cache=None,
 ) -> List[Any]:
     """Run a list of cells, serially or on a pool (what ``Grid.run`` calls).
@@ -381,9 +375,9 @@ def run_cells(
                     cache.put(spec, result)
             results.append(result)
         return results
-    return ProcessPoolRunner(
-        workers=workers or 1, timeout=timeout, start_method=start_method
-    ).run(specs, cache=cache)
+    return ProcessPoolRunner(workers=workers or 1, timeout=timeout).run(
+        specs, cache=cache
+    )
 
 
 def raise_failures(results: Sequence[Any], context: str = "sweep") -> None:

@@ -35,7 +35,6 @@ __all__ = ["StorageService"]
 #: Blob / Table Storage figures quoted in storage-disaggregation literature.
 DEFAULT_APPEND_LATENCY = 0.0012
 DEFAULT_READ_LATENCY = 0.0008
-DEFAULT_REPLAY_LAG = 0.002
 
 
 class StorageService:
@@ -49,7 +48,6 @@ class StorageService:
         region: str = "us-west",
         append_latency: float = DEFAULT_APPEND_LATENCY,
         read_latency: float = DEFAULT_READ_LATENCY,
-        replay_lag: float = DEFAULT_REPLAY_LAG,
     ):
         self.sim = sim
         self.address = address
@@ -58,7 +56,7 @@ class StorageService:
         self.read_latency = read_latency
         self.logs: Dict[str, SharedLog] = {}
         self.pagestore = PageStore()
-        self.replay = ReplayService(sim, self.pagestore, lag=replay_lag)
+        self.replay = ReplayService(sim, self.pagestore)
         self.endpoint = RpcEndpoint(sim, network, address, region)
         self.appends_served = 0
         self.reads_served = 0

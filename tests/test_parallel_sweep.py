@@ -161,9 +161,7 @@ class TestFailureSemantics:
         crash = tiny_spec(
             "crasher", phases=[PhaseSpec(at=0.2, action="test_exit_hard")]
         )
-        results = ProcessPoolRunner(workers=2, start_method="fork").run(
-            [crash, small_base()]
-        )
+        results = ProcessPoolRunner(workers=2).run([crash, small_base()])
         failure = results[0]
         assert isinstance(failure, CellFailure)
         assert failure.kind == "crash"
@@ -175,7 +173,7 @@ class TestFailureSemantics:
         wedged = tiny_spec(
             "wedged", phases=[PhaseSpec(at=0.2, action="test_block_forever")]
         )
-        runner = ProcessPoolRunner(workers=2, timeout=1.5, start_method="fork")
+        runner = ProcessPoolRunner(workers=2, timeout=1.5)
         t0 = time.monotonic()
         results = runner.run([wedged, small_base()])
         failure = results[0]
@@ -195,7 +193,7 @@ class TestFailureSemantics:
         crash = tiny_spec(
             "crasher", phases=[PhaseSpec(at=0.2, action="test_exit_hard")]
         )
-        results = ProcessPoolRunner(workers=1, start_method="fork").run(
+        results = ProcessPoolRunner(workers=1).run(
             [crash, tiny_spec("after-a"), tiny_spec("after-b")]
         )
         assert results[0].kind == "crash"
@@ -206,7 +204,7 @@ class TestFailureSemantics:
         wedged = tiny_spec(
             "wedged", phases=[PhaseSpec(at=0.2, action="test_block_forever")]
         )
-        runner = ProcessPoolRunner(workers=1, timeout=1.5, start_method="fork")
+        runner = ProcessPoolRunner(workers=1, timeout=1.5)
         results = runner.run([wedged, tiny_spec("after-a"), tiny_spec("after-b")])
         assert results[0].kind == "timeout"
         assert [r.spec.name for r in results[1:]] == ["after-a", "after-b"]
