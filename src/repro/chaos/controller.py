@@ -82,9 +82,6 @@ class ChaosController:
     def _plane(self):
         return self.cluster.network.install_fault_plane(self.rng)
 
-    def active_faults(self) -> List[FaultEvent]:
-        return [event for event, _undo in self._active.values()]
-
     def _record(self, phase: str, event: FaultEvent) -> None:
         self.fault_log.append((self.sim.now, phase, event))
         tracer = self.cluster.tracer

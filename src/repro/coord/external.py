@@ -12,7 +12,7 @@ comparison, we implement Marlin and all baselines on this testbed".
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 from repro.coord.session import MEMBER_PREFIX, OWNER_PREFIX
 from repro.core.base import CoordinationRuntime
@@ -250,6 +250,3 @@ class ExternalRuntime(CoordinationRuntime):
 
     def scan_ownership(self) -> Generator:
         return (yield from self.client.scan_ownership(self.node))
-
-    def members(self) -> Dict[int, str]:
-        return dict(self.node.mtable)

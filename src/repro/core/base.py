@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from functools import partial
-from typing import Dict, Generator, Iterable, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 from repro.core import reconfig, recovery
 from repro.core.commit import NodeParticipant, marlin_commit
@@ -125,15 +125,6 @@ class CoordinationRuntime(abc.ABC):
         yield  # pragma: no cover - makes this a generator
 
     # -- reconfiguration operations --------------------------------------------
-
-    def migrate(self, granule: int, src_id: int, dst_id: int) -> Generator:
-        """Run on the *destination* node: transfer ownership of ``granule``.
-
-        Returns True on commit; raises :class:`TxnAborted` on conflict.
-        """
-        if dst_id != self.node.node_id:
-            raise ValueError("MigrationTxn must run on the destination node")
-        return (yield from reconfig.migration_txn(self, granule, src_id))
 
     def publish_ownership(self, granule: int, owner: int) -> Optional[Generator]:
         """Write ``granule -> owner`` to the authoritative store when that
@@ -239,10 +230,6 @@ class CoordinationRuntime(abc.ABC):
         self.node.apply_system_entries(entries)
 
     # -- bookkeeping ------------------------------------------------------------
-
-    @abc.abstractmethod
-    def members(self) -> Dict[int, str]:
-        """Current membership view: node_id -> RPC address."""
 
     def owned_granules(self) -> List[int]:
         """Granules this node currently believes it owns."""

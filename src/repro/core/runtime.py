@@ -151,9 +151,6 @@ class MarlinRuntime(CoordinationRuntime):
     def scan_ownership(self) -> Generator:
         return (yield from reconfig.scan_gtable_txn(self))
 
-    def members(self) -> Dict[int, str]:
-        return {m: self.node.mtable[m] for m in self.node.member_ids()}
-
     # -- Marlin-specific RPC handlers -------------------------------------------------
 
     def _h_run_recovery(self, granules, src_id: int):

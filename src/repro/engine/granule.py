@@ -9,7 +9,7 @@ initial contiguous assignment and a minimal-move rebalance planner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "Granule",
@@ -59,14 +59,6 @@ class GranuleMap:
     def granule(self, gid: int) -> Granule:
         lo, width = self.span(gid)
         return Granule(gid, lo, lo + width)
-
-    def granules(self) -> Iterator[Granule]:
-        for gid in range(self.num_granules):
-            yield self.granule(gid)
-
-    def keys_in(self, gid: int) -> range:
-        g = self.granule(gid)
-        return range(g.lo, g.hi)
 
 
 def contiguous_assignment(

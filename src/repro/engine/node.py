@@ -340,9 +340,6 @@ class ComputeNode:
         e.g. suspicion votes, which share the table)."""
         return sorted(m for m in self.mtable if isinstance(m, int))
 
-    def page_of(self, table: str, key: int) -> Tuple[str, int]:
-        return (table, key // self.params.keys_per_page)
-
     def try_log(
         self,
         log_name: str,

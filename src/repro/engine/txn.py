@@ -152,10 +152,6 @@ class TxnContext:
     def entries_for(self, log_name: str) -> Tuple:
         return tuple(self.writes.get(log_name, ()))
 
-    @property
-    def participant_logs(self) -> List[str]:
-        return sorted(self.writes)
-
     def mark_committed(self) -> None:
         self.status = TxnStatus.COMMITTED
 

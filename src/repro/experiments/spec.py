@@ -269,10 +269,6 @@ class FaultSpec(_SpecBase):
             return None
         return FaultSchedule.from_spec(self.schedule)
 
-    @classmethod
-    def from_schedule(cls, schedule: FaultSchedule, **kwargs) -> "FaultSpec":
-        return cls(schedule=_jsonify(schedule.to_spec()), **kwargs)
-
 
 @dataclass
 class TraceSpec(_SpecBase):

@@ -20,8 +20,8 @@ class CpuResource:
     """A pool of ``workers`` identical execution slots with a FIFO queue."""
 
     __slots__ = (
-        "sim", "workers", "name", "_free", "_waiters", "busy_time",
-        "jobs_completed", "slow_factor",
+        "sim", "workers", "name", "_free", "_waiters", "jobs_completed",
+        "slow_factor",
     )
 
     def __init__(self, sim: Simulator, workers: int, name: str = "cpu"):
@@ -32,19 +32,10 @@ class CpuResource:
         self.name = name
         self._free = workers
         self._waiters: deque[Future] = deque()
-        self.busy_time = 0.0
         self.jobs_completed = 0
         #: Gray-failure dilation: every job's service time is multiplied by
         #: this factor (1.0 = healthy; set by the chaos controller).
         self.slow_factor = 1.0
-
-    @property
-    def in_use(self) -> int:
-        return self.workers - self._free
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
 
     def acquire(self) -> Future:
         """A future that resolves when a slot is granted to the caller."""
@@ -71,16 +62,9 @@ class CpuResource:
         yield self.acquire()
         try:
             yield Timeout(service_time)
-            self.busy_time += service_time
             self.jobs_completed += 1
         finally:
             self.release()
-
-    def utilization(self, elapsed: float) -> float:
-        """Average fraction of slots busy over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time / (self.workers * elapsed)
 
 
 class Mutex:

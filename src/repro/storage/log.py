@@ -219,10 +219,6 @@ class SharedLog:
             lsn = 0
         return self.records[lsn:]
 
-    def record_at(self, lsn: int) -> LogRecord:
-        """The record whose LSN is ``lsn`` (1-based)."""
-        return self.records[lsn - 1]
-
     def txn_outcome(self, txn_id: str) -> Tuple[Optional[bool], bool]:
         """``(outcome, voted)`` for ``txn_id``, from one scan of the log.
 

@@ -13,7 +13,7 @@ applies them to every table.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict
 
 from repro.storage.log import LogRecord, Redo, fold
 
@@ -53,16 +53,6 @@ class PageStore:
     def get(self, table: str, key: object, default=None):
         return self._tables[table].get(key, default)
 
-    def contains(self, table: str, key: object) -> bool:
-        return key in self._tables[table]
-
     def snapshot(self, table: str) -> Dict[object, object]:
         """A copy of the table's current materialised contents."""
         return dict(self._tables[table])
-
-    def table_size(self, table: str) -> int:
-        return len(self._tables[table])
-
-    def pending_txns(self, log_name: str) -> List[str]:
-        """Transaction ids with buffered-but-undecided updates on ``log_name``."""
-        return list(self._redo[log_name].pending)

@@ -254,7 +254,7 @@ class TestInjectionPrimitives:
             (0.3, "clear", "storage_stall"),
             (0.5, "clear", "packet_loss"),
         ]
-        assert cluster.chaos.active_faults() == []
+        assert cluster.chaos._active == {}
 
 
 def _chaotic_fingerprint(seed: int):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.reconfig import migration_txn
 from repro.engine.node import GTABLE, TxnOp, TxnSpec
 from repro.engine.txn import AbortReason, TxnAborted, WrongNodeError
 from repro.sim.rpc import RemoteError
@@ -55,7 +56,7 @@ class TestMigration:
     def test_migration_updates_service(self, baseline):
         dst = baseline.nodes[0]
         granule = baseline.nodes[1].owned_granules()[0]
-        committed = run_gen(baseline, dst.runtime.migrate(granule, 1, 0))
+        committed = run_gen(baseline, migration_txn(dst.runtime, granule, 1))
         assert committed
         assert dst.gtable[granule] == 0
         assert baseline.service.data[f"/granules/{granule}"] == 0
@@ -64,7 +65,7 @@ class TestMigration:
         dst = baseline.nodes[0]
         granule = baseline.nodes[1].owned_granules()[0]
         t0 = baseline.sim.now
-        run_gen(baseline, dst.runtime.migrate(granule, 1, 0))
+        run_gen(baseline, migration_txn(dst.runtime, granule, 1))
         elapsed = baseline.sim.now - t0
         if baseline.config.coordination == "fdb":
             floor = baseline.service.config.commit_service
@@ -76,14 +77,14 @@ class TestMigration:
         dst = baseline.nodes[0]
         own = dst.owned_granules()[0]
         with pytest.raises(WrongNodeError):
-            run_gen(baseline, dst.runtime.migrate(own, 1, 0))
+            run_gen(baseline, migration_txn(dst.runtime, own, 1))
 
     def test_lock_conflict_aborts(self, baseline):
         src = baseline.nodes[1]
         granule = src.owned_granules()[0]
         src.locks.acquire("user", (GTABLE, granule), False)
         with pytest.raises(TxnAborted) as excinfo:
-            run_gen(baseline, baseline.nodes[0].runtime.migrate(granule, 1, 0))
+            run_gen(baseline, migration_txn(baseline.nodes[0].runtime, granule, 1))
         assert excinfo.value.reason is AbortReason.LOCK_CONFLICT
 
 

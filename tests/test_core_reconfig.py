@@ -61,7 +61,7 @@ class TestAddNodeTxn:
             loser = a if not results[0] else b
             committed = run_gen(trio, add_node_txn(loser.runtime))
             assert committed
-        assert 50 in trio.nodes[0].runtime.members() or 50 in a.mtable
+        assert 50 in trio.nodes[0].mtable or 50 in a.mtable
         assert syslog_of(trio).end_lsn >= 3
 
     def test_retry_wrapper_wins_eventually(self, trio):

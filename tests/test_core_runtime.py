@@ -19,7 +19,8 @@ def pair():
 def user_spec(cluster, node_id, write=True, count=4):
     node = cluster.nodes[node_id]
     granule = node.owned_granules()[0]
-    keys = list(cluster.gmap.keys_in(granule))[:count]
+    g = cluster.gmap.granule(granule)
+    keys = list(range(g.lo, g.hi))[:count]
     return TxnSpec(ops=tuple(TxnOp(write, "usertable", k) for k in keys))
 
 

@@ -43,15 +43,9 @@ class TestGranuleMap:
         with pytest.raises(KeyError):
             GranuleMap(100, 10).granule(10)
 
-    def test_keys_in(self):
-        gmap = GranuleMap(100, 10)
-        assert list(gmap.keys_in(3)) == list(range(30, 40))
-
-    def test_granules_iterator(self):
-        gmap = GranuleMap(100, 30)
-        granules = list(gmap.granules())
-        assert len(granules) == 4
-        assert granules[-1].hi == 100
+    def test_span(self):
+        assert GranuleMap(100, 10).span(3) == (30, 10)
+        assert GranuleMap(100, 30).span(3) == (90, 10)  # ragged tail
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.core.reconfig import warmup_pull
+from repro.core.reconfig import migration_txn, warmup_pull
 from repro.engine.node import GTABLE, MTABLE, NodeParams, TxnOp, TxnSpec
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import scale_out_spec
@@ -39,12 +39,6 @@ class TestViews:
         node = pair.nodes[0]
         node.mtable["suspect:1:0"] = 3.0
         assert node.member_ids() == [0, 1]
-
-    def test_page_of(self, pair):
-        node = pair.nodes[0]
-        kpp = node.params.keys_per_page
-        assert node.page_of("t", 0) == ("t", 0)
-        assert node.page_of("t", kpp) == ("t", 1)
 
 
 class TestTryLog:
@@ -245,9 +239,9 @@ class TestProcessRegistries:
 class TestWarmupPull:
     @staticmethod
     def _pages_key_by_key(node, granule):
-        return sorted(
-            {node.page_of("usertable", key) for key in node.gmap.keys_in(granule)}
-        )
+        g = node.gmap.granule(granule)
+        kpp = node.params.keys_per_page
+        return sorted({("usertable", key // kpp) for key in range(g.lo, g.hi)})
 
     @pytest.mark.parametrize("num_keys, keys_per_granule, keys_per_page", [
         (2048, 64, 8),   # granules aligned to pages
@@ -290,6 +284,6 @@ class TestRunMigrationsHandler:
             "node-1", "run_migrations", ((own, 0),), timeout=10.0
         )
         # Make node 0 lose the granule first via a real migration to node 1.
-        run_gen(pair, pair.nodes[1].runtime.migrate(own, 0, 1))
+        run_gen(pair, migration_txn(pair.nodes[1].runtime, own, 0))
         result = pair.sim.run_until(fut)
         assert result["count"] + result["failed"] == 1

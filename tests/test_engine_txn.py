@@ -29,7 +29,7 @@ class TestTxnContext:
         assert ctx.status is TxnStatus.ACTIVE
         assert ctx.node_id == 3
         assert not ctx.is_reconfig
-        assert ctx.participant_logs == []
+        assert not ctx.writes
 
     def test_unique_ids(self):
         ids = {make_ctx(1).txn_id for _ in range(100)}
@@ -49,7 +49,7 @@ class TestTxnContext:
         ctx.write("glog-1", "usertable", 5, "v")
         ctx.write("glog-2", "gtable", 9, 2)
         ctx.delete("glog-1", "usertable", 6)
-        assert ctx.participant_logs == ["glog-1", "glog-2"]
+        assert sorted(ctx.writes) == ["glog-1", "glog-2"]
         assert ctx.entries_for("glog-1") == (
             Put("usertable", 5, "v"),
             Delete("usertable", 6),

@@ -80,8 +80,9 @@ class TestSpecRoundTrip:
 
     def test_fault_from_schedule(self):
         schedule = rolling_partition([0, 1, 2], start=1.0, hold=0.5)
-        spec = FaultSpec.from_schedule(
-            schedule, failure_detection=True, detector_misses=2,
+        spec = FaultSpec(
+            schedule=schedule.to_spec(), failure_detection=True,
+            detector_misses=2,
         )
         rebuilt = roundtrip(FaultSpec, spec)
         # The embedded schedule survives too (same declarative entries).
@@ -183,7 +184,7 @@ class TestSpecRoundTrip:
                 PhaseSpec(at=2.0, action="scale_out", params={"count": 4}),
                 PhaseSpec(at=6.0, action="clients_stop", params={"pool": "x"}),
             ],
-            faults=FaultSpec.from_schedule(rolling_partition([0, 1])),
+            faults=FaultSpec(schedule=rolling_partition([0, 1]).to_spec()),
             probes=[ProbeSpec(name="floor", kind="throughput_floor", threshold=5.0)],
             seed=7,
             duration=12.0,

@@ -9,14 +9,16 @@ top-level facade re-exports from everywhere) and ``repro.analysis`` (detlint,
 which imports nothing of the system it lints — checked here too).
 
 This generalises ``tests/test_failure_pipeline.py``'s ``core/failure.py``
-check to the whole tree.  The bottom layer also carries nothing only tests
-call: every name ``repro.sim`` exports, and every public ``Simulator``
-method, has a reader in ``src/repro`` outside the module defining it; and
-every RPC actor registers exactly the verbs the program calls.  The WAL is
-read one way: only ``storage/log.py`` tells decision records or update
-kinds apart.  And no module imports ``gc``: what the cyclic collector costs
-is kept down by the heap's shape (``tests/test_no_cyclic_garbage.py``),
-never by collector settings.
+check to the whole tree.  Nothing is kept that only tests call: every name
+``repro.sim`` exports has a reader in ``src/repro`` outside the module
+defining it, every public method or property of every class has a reader in
+the program (``src/repro``, ``examples/``, ``benchmarks/``, ``e2ebench/``)
+or a reason in ``READER_ALLOWLIST``, and every RPC actor registers exactly
+the verbs the program calls.  The WAL is read one way: only
+``storage/log.py`` tells decision records or update kinds apart.  And no
+module imports ``gc``: what the cyclic collector costs is kept down by the
+heap's shape (``tests/test_no_cyclic_garbage.py``), never by collector
+settings.
 """
 
 import ast
@@ -240,22 +242,12 @@ def test_the_wal_is_read_one_way():
     assert "decisions(records)" in inspect.getsource(MarlinRuntime._apply_records)
 
 
-#: Public ``Simulator`` methods kept without a reader in ``src/repro``.
-SIM_ALLOWLIST = {"step": "test reference for `run_until`"}
-
-
-def _referenced_names(tree: ast.AST, receivers=None) -> set:
-    """Names a module mentions: bare names, imported names and attributes
-    (only attributes read off one of ``receivers``, when given)."""
+def _referenced_names(tree: ast.AST) -> set:
+    """Names a module mentions: bare names, imported names and attributes."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            value = node.value
-            owner = getattr(value, "id", None) or getattr(value, "attr", None)
-            if receivers is None or owner in receivers:
-                names.add(node.attr)
-        elif receivers is not None:
-            continue
+            names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.alias):
@@ -286,23 +278,111 @@ def test_sim_exports_have_readers_outside_their_module():
     assert not unread, f"exported but read only by tests: {unread}"
 
 
-def test_simulator_methods_have_readers_outside_the_kernel():
-    from repro.sim.core import Simulator
+#: Where the program lives: code a user or a benchmark runs.  Tests are not
+#: the program.
+PROGRAM = (SRC, SRC.parents[1] / "examples", SRC.parents[1] / "benchmarks",
+           SRC.parents[1] / "e2ebench")
 
-    core = SRC / "sim" / "core.py"
-    klass = next(
-        node for node in ast.parse(core.read_text()).body
-        if isinstance(node, ast.ClassDef) and node.name == Simulator.__name__
+_LOCK_SNAPSHOT = (
+    "the lock-state snapshot tests/test_property_locks.py compares against "
+    "its reference model"
+)
+
+#: Public methods and properties kept without a program reader, and why.
+READER_ALLOWLIST = {
+    "Simulator.step": "the one-event primitive of the run_until test reference",
+    "LockTable.is_exclusive": _LOCK_SNAPSHOT,
+    "LockTable.held_by": _LOCK_SNAPSHOT,
+    "LockTable.waiting": _LOCK_SNAPSHOT,
+    "Cluster.all_logs": "feeds the core.invariants checkers",
+    "ScenarioSpec.save": "writes the cell files CI's trace smoke and the README run",
+    "MigrationModel.terminated": "ROADMAP item 2 decides core/model.py",
+}
+
+
+def _public_methods_and_reads():
+    """Every public method or property of a class in ``src/repro`` (as
+    ``(class, name, def node)``), and every read of a name in the program:
+    ``name -> [(scope, enclosing defs)]``.  A read off ``self`` / ``cls`` —
+    or a bare name in a class body — is scoped to its class, so it counts
+    only for that class's own hierarchy; any other attribute read counts for
+    every class."""
+    bases, methods, reads = {}, [], {}
+
+    def walk(node, klass, defs):
+        for child in ast.iter_child_nodes(node):
+            inner_class, inner_defs = klass, defs
+            if isinstance(child, ast.ClassDef):
+                inner_class, inner_defs = child.name, ()
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner_defs = defs + (child,)
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                receiver = getattr(child.value, "id", None)
+                scope = klass if receiver in ("self", "cls") else None
+                reads.setdefault(child.attr, []).append((scope, defs))
+            elif (
+                isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                and klass and not defs
+            ):
+                reads.setdefault(child.id, []).append((klass, defs))
+            walk(child, inner_class, inner_defs)
+
+    for root in PROGRAM:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            walk(tree, None, ())
+            for klass in ast.walk(tree):
+                if not isinstance(klass, ast.ClassDef):
+                    continue
+                bases.setdefault(klass.name, set()).update(
+                    getattr(base, "id", getattr(base, "attr", None))
+                    for base in klass.bases
+                )
+                if root is SRC:
+                    methods += [
+                        (klass.name, item.name, item) for item in klass.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")
+                    ]
+    return bases, methods, reads
+
+
+def _hierarchy(name: str, bases: dict) -> set:
+    """``name``, its ancestors and its descendants (by class name)."""
+    children = {}
+    for klass, parents in bases.items():
+        for parent in parents:
+            children.setdefault(parent, set()).add(klass)
+    family = {name}
+    for edges in (bases, children):
+        todo = [name]
+        while todo:
+            for klass in edges.get(todo.pop(), ()):
+                if klass not in family:
+                    family.add(klass)
+                    todo.append(klass)
+    return family
+
+
+def test_every_public_method_has_a_program_reader():
+    """A public method or property of any class in ``src/repro`` is read by
+    name in the program (outside its own ``def``), or sits in
+    ``READER_ALLOWLIST`` with a reason — and an allowlisted one is still
+    unread.  A method arrives with its first program caller."""
+    bases, methods, reads = _public_methods_and_reads()
+    unread = set()
+    for klass, name, node in methods:
+        family = _hierarchy(klass, bases)
+        if not any(
+            node not in defs and (scope is None or scope in family)
+            for scope, defs in reads.get(name, ())
+        ):
+            unread.add(f"{klass}.{name}")
+    defined = {f"{klass}.{name}" for klass, name, _ in methods}
+    assert {"Simulator.timer", "CacheManager.probe"} <= defined - unread, (
+        "vacuous walk"
     )
-    public = {
-        node.name for node in klass.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    read = set()
-    for tree in _trees_except(core):
-        read |= _referenced_names(tree, receivers={"sim", "_sim"})
-    assert {"timer", "timer_token", "run_until"} <= read, "vacuous walk"
-    assert set(SIM_ALLOWLIST) <= public
-    assert not set(SIM_ALLOWLIST) & read, "allowlisted method now has a reader"
-    unread = sorted(public - read - set(SIM_ALLOWLIST))
-    assert not unread, f"Simulator methods only tests call: {unread}"
+    assert set(READER_ALLOWLIST) <= defined, "allowlisted name no longer exists"
+    assert set(READER_ALLOWLIST) <= unread, "allowlisted name now has a reader"
+    stray = sorted(unread - set(READER_ALLOWLIST))
+    assert not stray, f"public methods no program code reads: {stray}"

@@ -63,16 +63,16 @@ class TestAppend:
     def test_record_lsn_is_position(self, log):
         log.append("t1", RecordKind.COMMIT_DATA, ())
         log.append("t2", RecordKind.VOTE_YES, ())
-        assert log.record_at(1).txn_id == "t1"
-        assert log.record_at(2).txn_id == "t2"
-        assert log.record_at(2).lsn == 2
+        assert log.records[0].txn_id == "t1"
+        assert log.records[1].txn_id == "t2"
+        assert log.records[1].lsn == 2
 
     def test_cas_serializes_interleaved_writers(self, log):
         """Two writers with the same expectation: exactly one wins (I1)."""
         r1 = log.append("a", RecordKind.COMMIT_DATA, (), expected_lsn=0)
         r2 = log.append("b", RecordKind.COMMIT_DATA, (), expected_lsn=0)
         assert r1.ok and not r2.ok
-        assert log.record_at(1).txn_id == "a"
+        assert log.records[0].txn_id == "a"
 
 
 class TestReads:
@@ -175,4 +175,4 @@ class TestEntries:
 
     def test_entries_stored_as_tuple(self, log):
         log.append("t", RecordKind.COMMIT_DATA, [Put("t", 1, "a")])
-        assert isinstance(log.record_at(1).entries, tuple)
+        assert isinstance(log.records[0].entries, tuple)

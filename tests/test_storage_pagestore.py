@@ -24,23 +24,23 @@ class TestPageStore:
         ps.apply("l", rec(1, "t1", RecordKind.COMMIT_DATA, [Put("tab", 1, "a")]))
         ps.apply("l", rec(2, "t2", RecordKind.COMMIT_DATA, [Delete("tab", 1)]))
         assert ps.get("tab", 1) is None
-        assert not ps.contains("tab", 1)
+        assert 1 not in ps.snapshot("tab")
 
     def test_vote_is_provisional_until_commit(self):
         ps = PageStore()
         ps.apply("l", rec(1, "t1", RecordKind.VOTE_YES, [Put("tab", 1, "a")]))
         assert ps.get("tab", 1) is None
-        assert ps.pending_txns("l") == ["t1"]
+        assert list(ps._redo["l"].pending) == ["t1"]
         ps.apply("l", rec(2, "t1", RecordKind.DECISION_COMMIT))
         assert ps.get("tab", 1) == "a"
-        assert ps.pending_txns("l") == []
+        assert list(ps._redo["l"].pending) == []
 
     def test_vote_discarded_on_abort(self):
         ps = PageStore()
         ps.apply("l", rec(1, "t1", RecordKind.VOTE_YES, [Put("tab", 1, "a")]))
         ps.apply("l", rec(2, "t1", RecordKind.DECISION_ABORT))
         assert ps.get("tab", 1) is None
-        assert ps.pending_txns("l") == []
+        assert list(ps._redo["l"].pending) == []
 
     def test_pending_isolated_per_log(self):
         ps = PageStore()
@@ -73,7 +73,7 @@ class TestPageStore:
                 [Put("tab", i, i) for i in range(4)],
             ),
         )
-        assert ps.table_size("tab") == 4
+        assert len(ps.snapshot("tab")) == 4
 
     def test_records_applied_counter(self):
         ps = PageStore()
