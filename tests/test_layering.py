@@ -295,7 +295,7 @@ READER_ALLOWLIST = {
     "LockTable.held_by": _LOCK_SNAPSHOT,
     "LockTable.waiting": _LOCK_SNAPSHOT,
     "Cluster.all_logs": "feeds the core.invariants checkers",
-    "ScenarioSpec.save": "writes the cell files CI's trace smoke and the README run",
+    "ScenarioSpec.save": "CI writes its cell files with it (.github/workflows/ci.yml)",
     "MigrationModel.terminated": "ROADMAP item 2 decides core/model.py",
 }
 
