@@ -58,7 +58,10 @@ __all__ = [
 
 #: Workers fork where the platform can (cheap, and they inherit registered
 #: custom actions); elsewhere they start the platform's default way.
-_MP = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+try:
+    _MP = mp.get_context("fork")
+except ValueError:  # no fork on this platform
+    _MP = mp.get_context()
 
 
 @dataclass
